@@ -141,10 +141,13 @@ pub fn content_key_of(bytes: &Arc<Vec<u8>>) -> BdcKey {
 /// disables every cache layer — CI runs the suite once this way to pin
 /// that caching never changes results.
 pub fn caching_enabled_from_env() -> bool {
-    match std::env::var("FEAM_CACHE") {
-        Ok(v) => !matches!(v.trim(), "0" | "false" | "off" | "no"),
-        Err(_) => true,
-    }
+    std::env::var("FEAM_CACHE").map_or(true, |v| cache_gate_on(&v))
+}
+
+/// The `FEAM_CACHE` parse: any value but `0`/`false`/`off`/`no`
+/// (surrounding whitespace ignored) leaves caching on.
+fn cache_gate_on(value: &str) -> bool {
+    !matches!(value.trim(), "0" | "false" | "off" | "no")
 }
 
 /// Hit/miss totals for one cache layer.
@@ -594,8 +597,11 @@ mod tests {
     #[test]
     fn env_gate_parses_common_spellings() {
         // Only exercises the parser, not the process environment.
-        for off in ["0", "false", "off", "no"] {
-            assert!(matches!(off, "0" | "false" | "off" | "no"));
+        for off in ["0", "false", "off", "no", " 0", "off\n", "\tno "] {
+            assert!(!cache_gate_on(off), "{off:?} turns caching off");
+        }
+        for on in ["1", "true", "on", "yes", "", " 1 "] {
+            assert!(cache_gate_on(on), "{on:?} leaves caching on");
         }
     }
 }

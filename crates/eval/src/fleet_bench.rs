@@ -13,8 +13,8 @@
 //! "night" trough, vanishes at "noon"), which shapes offered load without
 //! opening the loop.
 
-use feam_svc::bench::stream_request;
-use feam_svc::{BenchParams, Fleet, FleetConfig, PredictService, RegisteredBinary, ServiceConfig};
+use feam_svc::bench::{fingerprint, percentile, stream_request};
+use feam_svc::{Fleet, FleetConfig, PredictService, RegisteredBinary, ServiceConfig, StreamParams};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -22,7 +22,8 @@ use std::time::{Duration, Instant};
 /// Everything that shapes a fleet bench run; fully seeded.
 #[derive(Debug, Clone)]
 pub struct FleetBenchParams {
-    pub seed: u64,
+    /// The serve-bench stream this run replays (seed, binaries, skew).
+    pub stream: StreamParams,
     pub quick: bool,
     /// Fleet sizes for the scale-out curve.
     pub scale_points: Vec<usize>,
@@ -30,14 +31,10 @@ pub struct FleetBenchParams {
     pub scale_requests: usize,
     /// Requests for the kill drill (three equal phases).
     pub drill_requests: usize,
-    /// Distinct binaries in the Zipf popularity distribution.
-    pub binaries: usize,
     /// Replica-set size for every fleet built.
     pub replication: usize,
     /// Closed-loop client threads.
     pub clients: usize,
-    pub zipf_s: f64,
-    pub extended_share: f64,
     /// Peak per-request think time (µs) for the diurnal curve; 0 = flat.
     pub think_max_us: u64,
     /// Requests per diurnal "day".
@@ -48,16 +45,18 @@ impl FleetBenchParams {
     /// The committed-baseline configuration (`BENCH_fleet.json`).
     pub fn standard(seed: u64) -> Self {
         FleetBenchParams {
-            seed,
+            stream: StreamParams {
+                seed,
+                binaries: 16,
+                zipf_s: 1.5,
+                extended_share: 0.25,
+            },
             quick: false,
             scale_points: vec![1, 2, 4, 8],
             scale_requests: 1200,
             drill_requests: 1500,
-            binaries: 16,
             replication: 2,
             clients: 8,
-            zipf_s: 1.5,
-            extended_share: 0.25,
             think_max_us: 200,
             diurnal_period: 300,
         }
@@ -66,31 +65,20 @@ impl FleetBenchParams {
     /// CI-sized run (`--fleet-bench --quick`).
     pub fn quick(seed: u64) -> Self {
         FleetBenchParams {
-            seed,
+            stream: StreamParams {
+                seed,
+                binaries: 8,
+                zipf_s: 1.5,
+                extended_share: 0.25,
+            },
             quick: true,
             scale_points: vec![1, 2, 4],
             scale_requests: 240,
             drill_requests: 360,
-            binaries: 8,
             replication: 2,
             clients: 4,
-            zipf_s: 1.5,
-            extended_share: 0.25,
             think_max_us: 100,
             diurnal_period: 120,
-        }
-    }
-
-    /// The serve-bench stream parameters this run replays.
-    fn stream(&self, requests: usize) -> BenchParams {
-        BenchParams {
-            seed: self.seed,
-            requests,
-            uncached_requests: 0,
-            binaries: self.binaries,
-            zipf_s: self.zipf_s,
-            extended_share: self.extended_share,
-            wave: 1,
         }
     }
 }
@@ -171,9 +159,8 @@ fn node_config(seed: u64) -> ServiceConfig {
     }
 }
 
-/// Build a started fleet of `n` nodes with the corpus subset registered
-/// through the fleet's op log (rank-prefixed names, as in the serve
-/// bench).
+/// Build a started fleet of `n` nodes with the bench corpus subset
+/// registered through the fleet's op log.
 fn build_fleet(
     params: &FleetBenchParams,
     n: usize,
@@ -185,7 +172,7 @@ fn build_fleet(
         recorder,
         ..FleetConfig::default()
     };
-    let seed = params.seed;
+    let seed = params.stream.seed;
     let mut fleet = Fleet::with_factory(cfg, n, |_| PredictService::new(node_config(seed)));
     for (name, image, home) in corpus {
         fleet
@@ -194,33 +181,6 @@ fn build_fleet(
     }
     fleet.start();
     fleet
-}
-
-/// The deterministic corpus subset: rank-prefixed `(name, image, home)`
-/// triples, strided through the evaluation corpus exactly as the serve
-/// bench strides it.
-fn bench_corpus(params: &FleetBenchParams) -> Vec<(String, std::sync::Arc<Vec<u8>>, String)> {
-    let exp = crate::Experiment::new(params.seed);
-    let items = exp.corpus.binaries();
-    let stride = (items.len() / params.binaries.max(1)).max(1);
-    let site_names: Vec<String> = exp.sites.iter().map(|s| s.name().to_string()).collect();
-    items
-        .iter()
-        .step_by(stride)
-        .take(params.binaries)
-        .enumerate()
-        .map(|(rank, item)| {
-            let home = site_names
-                .get(item.compiled_at)
-                .cloned()
-                .unwrap_or_else(|| site_names[0].clone());
-            (
-                format!("{rank:03}-{}", item.label()),
-                item.image.clone(),
-                home,
-            )
-        })
-        .collect()
 }
 
 /// Raised-cosine diurnal think time for stream position `i`: zero at
@@ -258,20 +218,6 @@ struct KillScript {
     revive_at: usize,
 }
 
-/// Canonical per-request answer (same shape as the serve bench's
-/// fingerprint): byte-equal means prediction-equal.
-fn fingerprint(
-    req: &feam_svc::PredictRequest,
-    prediction: &feam_core::predict::Prediction,
-) -> String {
-    format!(
-        "{}@{}:{}",
-        req.binary_ref,
-        req.target_site,
-        serde_json::to_string(prediction).expect("prediction serializes")
-    )
-}
-
 /// Run `n` requests of the seeded stream against the fleet from
 /// `params.clients` closed-loop client threads. The client that draws
 /// stream index `kill_at` executes the kill before issuing — the drill
@@ -282,7 +228,6 @@ fn run_stream(
     n: usize,
     script: Option<KillScript>,
 ) -> StreamOutcome {
-    let stream = params.stream(n);
     let names = fleet.node_service(0).binary_names();
     let sites = fleet.node_service(0).site_names();
     let next = AtomicUsize::new(0);
@@ -308,7 +253,7 @@ fn run_stream(
                 if pause > 0 {
                     std::thread::sleep(Duration::from_micros(pause));
                 }
-                let req = stream_request(&stream, &names, &sites, i);
+                let req = stream_request(&params.stream, &names, &sites, i);
                 match fleet.predict_replicated(&req) {
                     Ok(resp) => {
                         *results[i].lock().expect("result slot") = Some(Answered {
@@ -334,14 +279,6 @@ fn run_stream(
             .collect(),
         wall_seconds: t0.elapsed().as_secs_f64(),
     }
-}
-
-fn percentile(sorted: &[u64], q: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
 }
 
 fn phase_stats(results: &[Option<Answered>]) -> PhaseStats {
@@ -375,18 +312,17 @@ fn oracle_fingerprints(
     corpus: &[(String, std::sync::Arc<Vec<u8>>, String)],
     n: usize,
 ) -> Vec<String> {
-    let mut svc = PredictService::new(node_config(params.seed));
+    let mut svc = PredictService::new(node_config(params.stream.seed));
     for (name, image, home) in corpus {
         svc.register_binary(name, RegisteredBinary::new(image.clone(), home))
             .expect("oracle registry mirrors the fleet's");
     }
     svc.start();
-    let stream = params.stream(n);
     let names = svc.binary_names();
     let sites = svc.site_names();
     (0..n)
         .map(|i| {
-            let req = stream_request(&stream, &names, &sites, i);
+            let req = stream_request(&params.stream, &names, &sites, i);
             let resp = svc.predict(&req).expect("oracle answers everything");
             fingerprint(&req, &resp.prediction)
         })
@@ -400,7 +336,7 @@ pub fn fleet_bench(seed: u64, quick: bool) -> FleetBenchReport {
     } else {
         FleetBenchParams::standard(seed)
     };
-    let corpus = bench_corpus(&params);
+    let corpus = crate::serve::bench_corpus(&crate::Experiment::new(seed), params.stream.binaries);
 
     let mut scale_out = Vec::new();
     for &nodes in &params.scale_points {

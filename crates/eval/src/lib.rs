@@ -37,12 +37,12 @@ pub use experiment::{EvalResults, ExcludedPair, Experiment, MigrationRecord};
 pub use fleet_bench::{fleet_bench, render_fleet, FleetBenchParams, FleetBenchReport};
 pub use mode_ablation::{mode_ablation, render_mode_ablation, ModeRow};
 pub use obs_bench::{obs_bench, render_obs_bench, ObsBenchReport, ObsConfigReport};
-pub use plan::{build_plan_service, plan_bench, render_plan, PlanBenchParams, PlanBenchReport};
+pub use plan::{plan_bench, render_plan, PlanBenchParams, PlanBenchReport};
 pub use provenance_bench::{
     provenance_bench, render_provenance, ProvenanceBenchReport, MIN_FAMILY_ACCURACY,
 };
 pub use recompile::{recompile_comparison, render_recompile, RecompileComparison};
-pub use serve::{build_service, build_service_with, render_serve, serve_bench};
+pub use serve::{bench_corpus, bench_service, render_serve, serve_bench};
 pub use tables::{
     ablation, confusion, per_site, render_ablation, render_confusion, render_figure,
     render_per_site, render_stats, render_table1, render_table2, render_table3, render_table4,

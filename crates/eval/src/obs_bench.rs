@@ -2,7 +2,7 @@
 //! hot path. The committed baseline lives in `BENCH_obs.json`.
 //!
 //! Three otherwise-identical cached services replay the same seeded Zipf
-//! stream ([`feam_svc::bench::stream_request`]); they differ only in
+//! stream ([`feam_svc::bench::run_stream`]); they differ only in
 //! their recorder:
 //!
 //! * **off** — [`Recorder::disabled`]: every telemetry call is a no-op
@@ -21,8 +21,8 @@
 //! scheduler jitter, not telemetry regressions.
 
 use feam_obs::{NullSink, Recorder, WindowSpec};
-use feam_svc::bench::{stream_request, BenchParams};
-use feam_svc::{Delivery, PredictService, SvcError};
+use feam_svc::bench::{percentile, run_stream, BenchParams};
+use feam_svc::ServiceConfig;
 use std::time::Instant;
 
 /// Absolute slack added to the cached-path p99 gate, microseconds. Keeps
@@ -64,14 +64,6 @@ pub struct ObsBenchReport {
     pub pass: bool,
 }
 
-fn percentile(sorted: &[u64], q: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
-}
-
 /// Replay the stream against one service configuration.
 fn run_config(
     seed: u64,
@@ -79,56 +71,36 @@ fn run_config(
     config: &str,
     recorder: Recorder,
 ) -> ObsConfigReport {
-    let mut svc = crate::serve::build_service_with(seed, params.binaries, true, recorder);
+    let cfg = ServiceConfig {
+        caching: true,
+        sites_seed: seed,
+        recorder,
+        ..ServiceConfig::default()
+    };
+    let mut svc = crate::serve::bench_service(seed, params.stream.binaries, cfg);
     svc.start();
-    run_stream(&svc, params, config)
-}
-
-fn run_stream(svc: &PredictService, params: &BenchParams, config: &str) -> ObsConfigReport {
-    let names = svc.binary_names();
-    let sites = svc.site_names();
     let mut all: Vec<u64> = Vec::with_capacity(params.requests);
     let mut hits: Vec<u64> = Vec::new();
     let t0 = Instant::now();
-    let mut i = 0;
-    while i < params.requests {
-        let wave_end = (i + params.wave).min(params.requests);
-        let mut pending = Vec::new();
-        for j in i..wave_end {
-            let req = stream_request(params, &names, &sites, j);
-            loop {
-                match svc.submit(&req) {
-                    Ok(Delivery::Ready(resp)) => {
-                        all.push(resp.latency_us);
-                        hits.push(resp.latency_us);
-                        break;
-                    }
-                    Ok(Delivery::Pending(rx)) => {
-                        pending.push(rx);
-                        break;
-                    }
-                    Err(SvcError::Overloaded { .. }) => std::thread::yield_now(),
-                    Err(e) => panic!("obs bench hit non-retryable error: {e}"),
-                }
-            }
-        }
-        for rx in pending {
-            let resp = rx
-                .recv()
-                .expect("worker delivers every queued request")
-                .expect("deadline-free bench requests are never shed post-admission");
+    run_stream(
+        &svc,
+        &params.stream,
+        params.requests,
+        params.wave,
+        |_, _, resp| {
             all.push(resp.latency_us);
-        }
-        i = wave_end;
-    }
+            if resp.from_result_cache {
+                hits.push(resp.latency_us);
+            }
+        },
+    );
     let wall_seconds = t0.elapsed().as_secs_f64();
-    let result_cache_hits = hits.len() as u64;
     all.sort_unstable();
     hits.sort_unstable();
     ObsConfigReport {
         config: config.to_string(),
         requests: params.requests as u64,
-        result_cache_hits,
+        result_cache_hits: hits.len() as u64,
         wall_seconds,
         throughput_rps: if wall_seconds > 0.0 {
             all.len() as f64 / wall_seconds

@@ -28,9 +28,9 @@
 //! is a determinism gate, and an injected fault would make rankings
 //! legitimately diverge.
 
-use feam_sim::rng;
+use feam_svc::bench::{percentile, zipf_index};
 use feam_svc::plan::{plan_batch, plan_sequential};
-use feam_svc::{PlanRequest, PredictService, RegisteredBinary, ServiceConfig};
+use feam_svc::{PlanRequest, PredictService, ServiceConfig};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -127,68 +127,27 @@ pub struct PlanBenchReport {
     pub rank_stable: bool,
 }
 
-/// Build the planning service over the standard testbed: deterministic
+/// Build the planning service over the standard testbed: the bench
 /// corpus subset, chaos pinned off, caches per `caching`.
-pub fn build_plan_service(
-    seed: u64,
-    binaries: usize,
-    caching: bool,
-    workers: usize,
-) -> PredictService {
-    let exp = crate::Experiment::new(seed);
+fn plan_service(params: &PlanBenchParams, caching: bool, workers: usize) -> PredictService {
     let cfg = ServiceConfig {
         caching,
         result_cache: caching,
         workers,
-        sites_seed: seed,
+        sites_seed: params.seed,
         fault_plan: Some(Arc::new(feam_sim::faults::FaultPlan::none())),
         // Keep counters and span stats, discard the event stream.
         recorder: feam_obs::Recorder::with_sink(Box::new(feam_obs::NullSink)),
         ..ServiceConfig::default()
     };
-    let svc = PredictService::with_sites(cfg, exp.sites);
-    let items = exp.corpus.binaries();
-    let stride = (items.len() / binaries.max(1)).max(1);
-    let site_names: Vec<String> = svc.site_names();
-    for (rank, item) in items.iter().step_by(stride).take(binaries).enumerate() {
-        let home = site_names
-            .get(item.compiled_at)
-            .cloned()
-            .unwrap_or_else(|| site_names[0].clone());
-        svc.register_binary(
-            &format!("{rank:03}-{}", item.label()),
-            RegisteredBinary::new(item.image.clone(), &home),
-        )
-        .expect("rank-prefixed names are unique");
-    }
-    svc
+    crate::serve::bench_service(params.seed, params.binaries, cfg)
 }
 
 /// The `i`th plan of the seeded stream: an all-sites basic plan for a
 /// Zipf-popular binary.
 fn nth_plan(params: &PlanBenchParams, names: &[String], i: usize) -> PlanRequest {
-    let idx = i.to_string();
-    let n = names.len().min(params.binaries).max(1);
-    let total: f64 = (1..=n).map(|r| 1.0 / (r as f64).powf(params.zipf_s)).sum();
-    let mut u = rng::unit_f64(rng::hash_parts(params.seed, &["plan", &idx])) * total;
-    let mut rank = n;
-    for r in 1..=n {
-        u -= 1.0 / (r as f64).powf(params.zipf_s);
-        if u <= 0.0 {
-            rank = r;
-            break;
-        }
-    }
-    PlanRequest::all_sites(&names[rank - 1])
-}
-
-/// Nearest-rank percentile.
-fn percentile(sorted: &[u64], p: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
+    let n = names.len().min(params.binaries);
+    PlanRequest::all_sites(&names[zipf_index(params.seed, "plan", i, n, params.zipf_s)])
 }
 
 /// Run the parallel planner over the full stream; returns per-plan
@@ -198,7 +157,7 @@ fn run_parallel(
     params: &PlanBenchParams,
     workers: usize,
 ) -> (PredictService, Vec<u64>, Vec<String>, f64) {
-    let mut svc = build_plan_service(params.seed, params.binaries, true, workers);
+    let mut svc = plan_service(params, true, workers);
     svc.start();
     let names = svc.binary_names();
     let mut latencies: Vec<u64> = Vec::with_capacity(params.plans);
@@ -264,7 +223,7 @@ pub fn plan_bench(seed: u64, quick: bool) -> PlanBenchReport {
     // Rank oracle and sequential baseline in one pass: a cache-disabled
     // single-worker twin planning one blocking per-site prediction at a
     // time — what a client scripting `predict` in a loop would pay.
-    let mut oracle = build_plan_service(params.seed, params.binaries, false, 1);
+    let mut oracle = plan_service(&params, false, 1);
     oracle.start();
     let names = oracle.binary_names();
     let mut oracle_fingerprints: Vec<String> = Vec::with_capacity(params.oracle_plans);
@@ -290,8 +249,8 @@ pub fn plan_bench(seed: u64, quick: bool) -> PlanBenchReport {
         pair_cache_hit_rate: result_hits as f64 / pairs_evaluated.max(1) as f64,
         wall_seconds: wall,
         plans_per_sec: params.plans as f64 / wall.max(1e-9),
-        p50_us: percentile(&latencies, 50.0),
-        p99_us: percentile(&latencies, 99.0),
+        p50_us: percentile(&latencies, 0.50),
+        p99_us: percentile(&latencies, 0.99),
         sequential_plan_seconds,
         parallel_plan_seconds,
         speedup: sequential_plan_seconds / parallel_plan_seconds.max(1e-9),
@@ -329,4 +288,24 @@ pub fn render_plan(r: &PlanBenchReport) -> String {
         if r.rank_stable { "STABLE" } else { "UNSTABLE" }
     ));
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn plan_stream_is_pinned() {
+        // The first 32 plan binaries of the quick seed-42 stream (name
+        // suffixes). `BENCH_plan.json` rests on this stream, so any
+        // change to the shared Zipf draw fails here.
+        const PINNED: &str =
+            "00 03 01 05 01 00 00 00 05 00 00 00 00 01 00 03 00 05 00 01 05 00 00 01 05 00 01 01 02 03 01 01";
+        let params = PlanBenchParams::quick(42);
+        let names: Vec<String> = (0..12).map(|i| format!("bin-{i:02}")).collect();
+        let got: Vec<String> = (0..32)
+            .map(|i| nth_plan(&params, &names, i).binary_ref[4..].to_string())
+            .collect();
+        assert_eq!(got.join(" "), PINNED);
+    }
 }

@@ -3,52 +3,44 @@
 //! latency percentiles, cache hit rates and cached-vs-uncached
 //! equivalence. The committed baseline lives in `BENCH_serve.json`.
 
+use crate::Experiment;
 use feam_svc::{
     BenchParams, PredictService, RegisteredBinary, ServeBenchComparison, ServiceConfig,
 };
+use std::sync::Arc;
 
-/// Build a service over the standard testbed with a deterministic,
-/// popularity-ranked subset of the evaluation corpus registered.
+/// The deterministic, popularity-ranked subset of `exp`'s corpus every
+/// bench registers: `(name, image, home site)` triples.
 ///
 /// The subset strides through the corpus (rather than taking a prefix) so
-/// it spans suites, home sites and MPI stacks; its order — and therefore
-/// which binaries the Zipf head lands on — depends only on `seed`.
-pub fn build_service(seed: u64, binaries: usize, caching: bool) -> PredictService {
-    build_service_with(seed, binaries, caching, feam_obs::Recorder::disabled())
-}
-
-/// [`build_service`] with an explicit telemetry recorder — the telemetry
-/// overhead bench builds otherwise-identical services that differ only in
-/// their recorder.
-pub fn build_service_with(
-    seed: u64,
-    binaries: usize,
-    caching: bool,
-    recorder: feam_obs::Recorder,
-) -> PredictService {
-    let exp = crate::Experiment::new(seed);
-    let cfg = ServiceConfig {
-        caching,
-        sites_seed: seed,
-        recorder,
-        ..ServiceConfig::default()
-    };
-    let svc = PredictService::with_sites(cfg, exp.sites);
+/// it spans suites, home sites and MPI stacks. The rank prefix makes
+/// registry order — and therefore which binaries the Zipf head lands on —
+/// deterministic and independent of corpus label collisions.
+pub fn bench_corpus(exp: &Experiment, binaries: usize) -> Vec<(String, Arc<Vec<u8>>, String)> {
     let items = exp.corpus.binaries();
     let stride = (items.len() / binaries.max(1)).max(1);
-    let site_names: Vec<String> = svc.site_names();
-    for (rank, item) in items.iter().step_by(stride).take(binaries).enumerate() {
-        let home = site_names
-            .get(item.compiled_at)
-            .cloned()
-            .unwrap_or_else(|| site_names[0].clone());
-        // Rank prefix makes registry order (and so Zipf popularity)
-        // deterministic and independent of corpus label collisions.
-        svc.register_binary(
-            &format!("{rank:03}-{}", item.label()),
-            RegisteredBinary::new(item.image.clone(), &home),
-        )
-        .expect("rank-prefixed names are unique");
+    let home = |i: usize| exp.sites.get(i).unwrap_or(&exp.sites[0]).name().to_string();
+    items
+        .iter()
+        .step_by(stride)
+        .take(binaries)
+        .enumerate()
+        .map(|(rank, item)| {
+            let name = format!("{rank:03}-{}", item.label());
+            (name, item.image.clone(), home(item.compiled_at))
+        })
+        .collect()
+}
+
+/// A service over `seed`'s testbed with the [`bench_corpus`] subset
+/// registered.
+pub fn bench_service(seed: u64, binaries: usize, cfg: ServiceConfig) -> PredictService {
+    let exp = Experiment::new(seed);
+    let corpus = bench_corpus(&exp, binaries);
+    let svc = PredictService::with_sites(cfg, exp.sites);
+    for (name, image, home) in corpus {
+        svc.register_binary(&name, RegisteredBinary::new(image, &home))
+            .expect("rank-prefixed names are unique");
     }
     svc
 }
@@ -62,7 +54,12 @@ pub fn serve_bench(seed: u64, quick: bool) -> ServeBenchComparison {
         BenchParams::standard(seed)
     };
     feam_svc::run_serve_bench(&params, |caching| {
-        build_service(seed, params.binaries, caching)
+        let cfg = ServiceConfig {
+            caching,
+            sites_seed: seed,
+            ..ServiceConfig::default()
+        };
+        bench_service(seed, params.stream.binaries, cfg)
     })
 }
 
@@ -117,8 +114,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn build_service_registers_the_requested_subset() {
-        let svc = build_service(5, 6, true);
+    fn bench_service_registers_the_requested_subset() {
+        let cfg = |caching| ServiceConfig {
+            caching,
+            ..ServiceConfig::default()
+        };
+        let svc = bench_service(5, 6, cfg(true));
         assert_eq!(svc.registered(), 6);
         assert!(svc.caches().is_some());
         let names = svc.binary_names();
@@ -129,7 +130,7 @@ mod tests {
             names[0]
         );
         // Deterministic: same seed, same registry.
-        assert_eq!(build_service(5, 6, false).binary_names(), names);
+        assert_eq!(bench_service(5, 6, cfg(false)).binary_names(), names);
     }
 
     #[test]

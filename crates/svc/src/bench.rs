@@ -4,37 +4,48 @@
 //! The workload models what a prediction service actually sees: a
 //! Zipf-skewed stream — a few popular binaries dominate, the tail is
 //! long — of (binary, site, mode) queries over the simulated five-site
-//! testbed. Everything is seeded: the same `BenchParams::seed` produces
-//! the same request stream, so the cached service and its cache-disabled
+//! testbed. Everything is seeded: the same [`StreamParams`] produce the
+//! same request stream, so the cached service and its cache-disabled
 //! twin answer *identical* queries and their predictions can be compared
 //! request-for-request ([`ServeBenchComparison::equivalent`]).
 //!
 //! The twin runs a deterministic prefix of the same stream (full-length
 //! uncached runs would dominate CI wall clock); throughput is reported in
 //! requests/second so the comparison is length-independent.
+//!
+//! This module is the one load generator every in-workspace bench
+//! shares: the stream ([`stream_request`] over the [`zipf_index`] draw),
+//! the wave submit loop ([`run_stream`]), the answer [`fingerprint`] and
+//! the [`percentile`] definition.
 
-use crate::service::{Delivery, PredictRequest, PredictService, SvcError};
-use feam_core::predict::PredictionMode;
+use crate::service::{Delivery, PredictRequest, PredictResponse, PredictService, SvcError};
+use feam_core::predict::{Prediction, PredictionMode};
 use feam_sim::rng;
 use std::time::Instant;
 
-/// Load-generator parameters. Everything that shapes the stream is here
-/// and seeded — two runs with equal params issue identical requests.
+/// Shape of the seeded request stream. Two streams with equal params
+/// issue identical requests.
 #[derive(Debug, Clone)]
-pub struct BenchParams {
+pub struct StreamParams {
     /// Master seed for the request stream.
     pub seed: u64,
-    /// Requests issued against the cached service.
-    pub requests: usize,
-    /// Requests issued against the cache-disabled twin (a prefix of the
-    /// same stream).
-    pub uncached_requests: usize,
     /// Distinct binaries in the popularity distribution.
     pub binaries: usize,
     /// Zipf skew exponent (1.0 = classic Zipf; higher = more skew).
     pub zipf_s: f64,
     /// Fraction of requests asking for the extended prediction.
     pub extended_share: f64,
+}
+
+/// Serve-bench parameters: the stream plus how much of it each twin runs.
+#[derive(Debug, Clone)]
+pub struct BenchParams {
+    pub stream: StreamParams,
+    /// Requests issued against the cached service.
+    pub requests: usize,
+    /// Requests issued against the cache-disabled twin (a prefix of the
+    /// same stream).
+    pub uncached_requests: usize,
     /// Requests submitted before draining responses (bounds concurrent
     /// in-flight work; keep at or below the service's queue capacity).
     pub wave: usize,
@@ -44,12 +55,14 @@ impl BenchParams {
     /// The committed-baseline configuration (`BENCH_serve.json`).
     pub fn standard(seed: u64) -> Self {
         BenchParams {
-            seed,
+            stream: StreamParams {
+                seed,
+                binaries: 24,
+                zipf_s: 1.5,
+                extended_share: 0.3,
+            },
             requests: 4000,
             uncached_requests: 240,
-            binaries: 24,
-            zipf_s: 1.5,
-            extended_share: 0.3,
             wave: 32,
         }
     }
@@ -57,12 +70,14 @@ impl BenchParams {
     /// CI-sized run (`--serve-bench --quick`).
     pub fn quick(seed: u64) -> Self {
         BenchParams {
-            seed,
+            stream: StreamParams {
+                seed,
+                binaries: 8,
+                zipf_s: 1.5,
+                extended_share: 0.25,
+            },
             requests: 800,
             uncached_requests: 80,
-            binaries: 8,
-            zipf_s: 1.5,
-            extended_share: 0.25,
             wave: 16,
         }
     }
@@ -109,31 +124,38 @@ pub struct ServeBenchComparison {
     pub equivalent: bool,
 }
 
-/// One request of the seeded stream. Public so other drivers (the obs
-/// check harness, the telemetry overhead bench) can replay the exact
-/// workload the serve bench measures.
+/// Zipf draw for stream position `i`: a 0-based rank in `0..n`, rank r
+/// weighted `1/r^s`. `salt` names the stream, so streams that share a
+/// seed stay independent.
+pub fn zipf_index(seed: u64, salt: &str, i: usize, n: usize, s: f64) -> usize {
+    let n = n.max(1);
+    let weight = |r: usize| 1.0 / (r as f64).powf(s);
+    let total: f64 = (1..=n).map(weight).sum();
+    let mut u = rng::unit_f64(rng::hash_parts(seed, &[salt, &i.to_string()])) * total;
+    for r in 1..=n {
+        u -= weight(r);
+        if u <= 0.0 {
+            return r - 1;
+        }
+    }
+    n - 1
+}
+
+/// One request of the seeded stream: a Zipf-popular binary at a uniform
+/// site. Public so the other drivers (the obs harness, the telemetry
+/// overhead and fleet benches) replay the exact workload the serve bench
+/// measures.
 pub fn stream_request(
-    params: &BenchParams,
+    stream: &StreamParams,
     names: &[String],
     sites: &[String],
     i: usize,
 ) -> PredictRequest {
     let idx = i.to_string();
-    // Zipf-skewed binary popularity: rank r drawn with weight 1/r^s.
-    let n = names.len().min(params.binaries).max(1);
-    let total: f64 = (1..=n).map(|r| 1.0 / (r as f64).powf(params.zipf_s)).sum();
-    let mut u = rng::unit_f64(rng::hash_parts(params.seed, &["bin", &idx])) * total;
-    let mut rank = n;
-    for r in 1..=n {
-        u -= 1.0 / (r as f64).powf(params.zipf_s);
-        if u <= 0.0 {
-            rank = r;
-            break;
-        }
-    }
-    let binary_ref = names[rank - 1].clone();
-    let target_site = rng::pick(params.seed, &["site", &idx], sites).clone();
-    let mode = if rng::chance(params.seed, &["mode", &idx], params.extended_share) {
+    let n = names.len().min(stream.binaries);
+    let binary_ref = names[zipf_index(stream.seed, "bin", i, n, stream.zipf_s)].clone();
+    let target_site = rng::pick(stream.seed, &["site", &idx], sites).clone();
+    let mode = if rng::chance(stream.seed, &["mode", &idx], stream.extended_share) {
         PredictionMode::Extended
     } else {
         PredictionMode::Basic
@@ -146,14 +168,81 @@ pub fn stream_request(
     }
 }
 
-/// Exact percentile from collected samples (nearest-rank on the sorted
-/// list); 0 when no samples were collected.
-fn percentile(sorted: &[u64], q: f64) -> u64 {
+/// Replay the first `requests` of `stream` against a started `svc`, `wave`
+/// submissions at a time. Shed submissions are retried until admitted —
+/// the benches measure the cost of the whole stream. `on_answer(i, req,
+/// resp)` sees every answer: result-cache hits
+/// (`resp.from_result_cache`) as they are submitted, queued ones when
+/// their wave drains. Returns the number of shed-and-retried submissions.
+pub fn run_stream<F>(
+    svc: &PredictService,
+    stream: &StreamParams,
+    requests: usize,
+    wave: usize,
+    mut on_answer: F,
+) -> u64
+where
+    F: FnMut(usize, &PredictRequest, &PredictResponse),
+{
+    let names = svc.binary_names();
+    let sites = svc.site_names();
+    assert!(!names.is_empty(), "bench stream needs registered binaries");
+    let mut shed = 0u64;
+    let mut i = 0;
+    while i < requests {
+        let wave_end = (i + wave.max(1)).min(requests);
+        let mut pending = Vec::new();
+        for j in i..wave_end {
+            let req = stream_request(stream, &names, &sites, j);
+            loop {
+                match svc.submit(&req) {
+                    Ok(Delivery::Ready(resp)) => {
+                        on_answer(j, &req, &resp);
+                        break;
+                    }
+                    Ok(Delivery::Pending(rx)) => {
+                        pending.push((j, req, rx));
+                        break;
+                    }
+                    Err(SvcError::Overloaded { .. }) => {
+                        shed += 1;
+                        std::thread::yield_now();
+                    }
+                    Err(e) => panic!("bench stream hit non-retryable error: {e}"),
+                }
+            }
+        }
+        for (j, req, rx) in pending {
+            let resp = rx
+                .recv()
+                .expect("worker delivers every queued request")
+                .expect("deadline-free bench requests are never shed post-admission");
+            on_answer(j, &req, &resp);
+        }
+        i = wave_end;
+    }
+    shed
+}
+
+/// Exact percentile from sorted samples: the sample at index
+/// `round((n - 1) * q)`; 0 when no samples were collected.
+pub fn percentile(sorted: &[u64], q: f64) -> u64 {
     if sorted.is_empty() {
         return 0;
     }
     let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
     sorted[idx.min(sorted.len() - 1)]
+}
+
+/// Canonical per-request answer, `name@site:json`. Byte-equal
+/// fingerprints mean byte-equal predictions.
+pub fn fingerprint(req: &PredictRequest, prediction: &Prediction) -> String {
+    format!(
+        "{}@{}:{}",
+        req.binary_ref,
+        req.target_site,
+        serde_json::to_string(prediction).expect("prediction serializes")
+    )
 }
 
 struct RunOutput {
@@ -168,59 +257,22 @@ fn run_one(
     requests: usize,
     caching: bool,
 ) -> RunOutput {
-    let names = svc.binary_names();
-    let sites = svc.site_names();
-    assert!(!names.is_empty(), "serve bench needs registered binaries");
-
     // Nanosecond samples; microsecond fields are derived at report time.
     let mut latencies: Vec<u64> = Vec::with_capacity(requests);
     let mut fingerprints: Vec<Option<String>> = vec![None; requests];
-    let mut shed = 0u64;
     let mut result_cache_hits = 0u64;
     let t0 = Instant::now();
-
-    let mut i = 0;
-    while i < requests {
-        let wave_end = (i + params.wave).min(requests);
-        let mut pending = Vec::new();
-        // `j` is the stream position, not just a `fingerprints` index.
-        #[allow(clippy::needless_range_loop)]
-        for j in i..wave_end {
-            let req = stream_request(params, &names, &sites, j);
-            // Shed requests are retried until admitted — the bench
-            // measures the cost of the whole stream, and counts how often
-            // admission control pushed back.
-            loop {
-                match svc.submit(&req) {
-                    Ok(Delivery::Ready(resp)) => {
-                        result_cache_hits += 1;
-                        latencies.push(resp.latency_ns);
-                        fingerprints[j] = Some(fingerprint(&req, &resp.prediction));
-                        break;
-                    }
-                    Ok(Delivery::Pending(rx)) => {
-                        pending.push((j, req.clone(), rx));
-                        break;
-                    }
-                    Err(SvcError::Overloaded { .. }) => {
-                        shed += 1;
-                        std::thread::yield_now();
-                    }
-                    Err(e) => panic!("serve bench hit non-retryable error: {e}"),
-                }
-            }
-        }
-        for (j, req, rx) in pending {
-            let resp = rx
-                .recv()
-                .expect("worker delivers every queued request")
-                .expect("deadline-free bench requests are never shed post-admission");
+    let shed = run_stream(
+        svc,
+        &params.stream,
+        requests,
+        params.wave,
+        |i, req, resp| {
+            result_cache_hits += u64::from(resp.from_result_cache);
             latencies.push(resp.latency_ns);
-            fingerprints[j] = Some(fingerprint(&req, &resp.prediction));
-        }
-        i = wave_end;
-    }
-
+            fingerprints[i] = Some(fingerprint(req, &resp.prediction));
+        },
+    );
     let wall_seconds = t0.elapsed().as_secs_f64();
     let completed = latencies.len() as u64;
     latencies.sort_unstable();
@@ -228,13 +280,15 @@ fn run_one(
         Some(c) => (c.bdc.stats().hit_rate(), c.edc.stats().hit_rate()),
         None => (0.0, 0.0),
     };
+    // Queued = completed - result-hits - coalesced, and every queued key
+    // is one evaluation.
     let coalesced = completed
         .saturating_sub(result_cache_hits)
-        .saturating_sub(evaluations(svc));
+        .saturating_sub(svc.evaluations());
 
     RunOutput {
         report: ServeBenchReport {
-            seed: params.seed,
+            seed: params.stream.seed,
             caching,
             requests: requests as u64,
             completed,
@@ -261,23 +315,6 @@ fn run_one(
             .map(|f| f.expect("all answered"))
             .collect(),
     }
-}
-
-/// Number of evaluations the worker pool actually ran (distinct keys that
-/// reached a worker): queued = completed - result-hits - coalesced.
-fn evaluations(svc: &PredictService) -> u64 {
-    svc.evaluations()
-}
-
-/// Canonical per-request answer: the serialized prediction. Byte-equal
-/// fingerprints mean byte-equal predictions.
-fn fingerprint(req: &PredictRequest, prediction: &feam_core::predict::Prediction) -> String {
-    format!(
-        "{}@{}:{}",
-        req.binary_ref,
-        req.target_site,
-        serde_json::to_string(prediction).expect("prediction serializes")
-    )
 }
 
 /// Run the benchmark: the full stream against a caching service, a prefix
@@ -321,7 +358,7 @@ mod tests {
 
     #[test]
     fn stream_is_deterministic_and_zipf_skewed() {
-        let params = BenchParams::quick(11);
+        let params = BenchParams::quick(11).stream;
         let names: Vec<String> = (0..12).map(|i| format!("bin-{i:02}")).collect();
         let sites = vec!["ranger".to_string(), "india".to_string()];
         let a: Vec<String> = (0..200)
@@ -335,6 +372,36 @@ mod tests {
         // Rank-1 must dominate any single tail binary by a wide margin.
         let count = |name: &str| a.iter().filter(|n| n.as_str() == name).count();
         assert!(count("bin-00") > 4 * count("bin-11"));
+    }
+
+    #[test]
+    fn serve_stream_is_pinned() {
+        // The first 64 requests of the quick seed-42 stream over a fixed
+        // universe (binary suffix, first letter of the site,
+        // Basic/Extended). The committed serve, obs and fleet baselines
+        // rest on this stream, so any change to its draws fails here.
+        const PINNED: &str = "01dE 00dB 03bE 01bB 00bE 00cB 00aE 06aB 00cB 01aB 01aB 00eB \
+            05eE 00dB 02dB 00bB 06eE 00dB 05dB 06dB 02dB 03dB 00eB 05cE 00dB 01dE 04dE 00bB \
+            00dB 00dB 05dB 01eB 00eB 00bB 03cE 00bB 00eB 03aB 00aE 00eE 00aE 00aB 03cB 07aB \
+            00cB 00eE 00cB 00bB 01dB 00dE 00bB 01cE 04bB 00aB 03bB 05dB 00cB 07eB 00aB 00eB \
+            00eB 02aB 02eB 00aB";
+        let params = BenchParams::quick(42).stream;
+        let names: Vec<String> = (0..12).map(|i| format!("bin-{i:02}")).collect();
+        let sites: Vec<String> = ["alpha", "bravo", "charlie", "delta", "echo"]
+            .map(String::from)
+            .to_vec();
+        let got: Vec<String> = (0..64)
+            .map(|i| {
+                let r = stream_request(&params, &names, &sites, i);
+                let mode = if r.mode == PredictionMode::Extended {
+                    'E'
+                } else {
+                    'B'
+                };
+                format!("{}{}{mode}", &r.binary_ref[4..], &r.target_site[..1])
+            })
+            .collect();
+        assert_eq!(got.join(" "), PINNED);
     }
 
     #[test]

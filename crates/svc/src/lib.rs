@@ -58,7 +58,9 @@ pub mod registry;
 pub mod router;
 pub mod service;
 
-pub use bench::{run_serve_bench, BenchParams, ServeBenchComparison, ServeBenchReport};
+pub use bench::{
+    run_serve_bench, BenchParams, ServeBenchComparison, ServeBenchReport, StreamParams,
+};
 pub use ensemble::annotate_with_ensemble;
 pub use fleet::{Fleet, FleetConfig, FleetError, FleetResponse};
 pub use health::{HealthConfig, HealthTracker, NodeState};

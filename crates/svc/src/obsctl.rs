@@ -6,7 +6,7 @@
 //! --slo`. It builds a [`PredictService`] over the standard simulated
 //! sites with a [`Recorder::serving`] recorder, registers a handful of
 //! deterministic demo binaries, replays the serve bench's Zipf stream
-//! ([`crate::bench::stream_request`]) against it, and reads everything
+//! ([`crate::bench::run_stream`]) against it, and reads everything
 //! back: a [`MetricsSnapshot`] with SLO evaluations and exemplar
 //! summaries filled in.
 //!
@@ -24,9 +24,9 @@ use feam_obs::{
 };
 use feam_sim::faults::FaultPlan;
 
-use crate::bench::{stream_request, BenchParams};
+use crate::bench::{run_stream, StreamParams};
 use crate::registry::demo_binary;
-use crate::service::{Delivery, PredictService, ServiceConfig, SvcError};
+use crate::service::{PredictService, ServiceConfig};
 
 /// Parameters for one observed run.
 #[derive(Debug, Clone)]
@@ -161,42 +161,13 @@ pub fn run_observed(params: &ObsRunParams, slos: &[SloSpec]) -> ObsRunOutcome {
     }
     svc.start();
 
-    let bench = BenchParams {
+    let stream = StreamParams {
         seed: params.seed,
-        requests: params.requests,
-        uncached_requests: 0,
         binaries: params.binaries,
         zipf_s: 1.5,
         extended_share: 0.3,
-        wave: 32,
     };
-    let names = svc.binary_names();
-    let sites = svc.site_names();
-    let mut i = 0;
-    while i < bench.requests {
-        let wave_end = (i + bench.wave).min(bench.requests);
-        let mut pending = Vec::new();
-        for j in i..wave_end {
-            let req = stream_request(&bench, &names, &sites, j);
-            loop {
-                match svc.submit(&req) {
-                    Ok(Delivery::Ready(_)) => break,
-                    Ok(Delivery::Pending(rx)) => {
-                        pending.push(rx);
-                        break;
-                    }
-                    Err(SvcError::Overloaded { .. }) => std::thread::yield_now(),
-                    Err(e) => panic!("obs run hit non-retryable error: {e}"),
-                }
-            }
-        }
-        for rx in pending {
-            rx.recv()
-                .expect("worker delivers every queued request")
-                .expect("deadline-free obs requests are never shed post-admission");
-        }
-        i = wave_end;
-    }
+    run_stream(&svc, &stream, params.requests, 32, |_, _, _| {});
     drop(svc);
 
     let horizon_ms = params.window.slots as u64 * params.window.slot_ms;

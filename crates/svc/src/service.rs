@@ -572,23 +572,8 @@ impl PredictService {
 
         // Fast path: a finished evaluation for this exact key.
         if inner.cfg.result_cache && inner.caches.is_some() {
-            if let Some(hit) = inner.results.lock().expect("results").get(&key).cloned() {
-                rec.count("svc.result.hit", 1);
-                rec.count("svc.responses", 1);
-                let latency_ns = t0.elapsed().as_nanos() as u64;
-                let latency_us = latency_ns / 1_000;
-                rec.observe_tail("svc.latency_us", latency_us as f64, ctx);
-                rec.finish_trace(ctx);
-                return Ok(Delivery::Ready(PredictResponse {
-                    binary_ref: req.binary_ref.clone(),
-                    target_site: req.target_site.clone(),
-                    prediction: hit.0.clone(),
-                    evaluation: hit.1.clone(),
-                    from_result_cache: true,
-                    cacheable: true,
-                    latency_us,
-                    latency_ns,
-                }));
+            if let Some(resp) = result_hit(inner, &key, req, t0, ctx, false) {
+                return Ok(Delivery::Ready(resp));
             }
             rec.count("svc.result.miss", 1);
         }
@@ -627,24 +612,8 @@ impl PredictService {
         // closes the window where a key is in neither map and would be
         // evaluated twice.
         if inner.cfg.result_cache && inner.caches.is_some() {
-            if let Some(hit) = inner.results.lock().expect("results").get(&key).cloned() {
-                rec.count("svc.result.hit", 1);
-                rec.count("svc.responses", 1);
-                let latency_ns = t0.elapsed().as_nanos() as u64;
-                let latency_us = latency_ns / 1_000;
-                rec.span_end_at("svc.request", ctx, latency_us);
-                rec.observe_tail("svc.latency_us", latency_us as f64, ctx);
-                rec.finish_trace(ctx);
-                return Ok(Delivery::Ready(PredictResponse {
-                    binary_ref: req.binary_ref.clone(),
-                    target_site: req.target_site.clone(),
-                    prediction: hit.0.clone(),
-                    evaluation: hit.1.clone(),
-                    from_result_cache: true,
-                    cacheable: true,
-                    latency_us,
-                    latency_ns,
-                }));
+            if let Some(resp) = result_hit(inner, &key, req, t0, ctx, true) {
+                return Ok(Delivery::Ready(resp));
             }
         }
 
@@ -782,6 +751,43 @@ impl Drop for PredictService {
             let _ = h.join();
         }
     }
+}
+
+/// Answer `req` from the result cache when a finished evaluation for
+/// `key` is there; `None` on a miss. The results lock is held while the
+/// answer is built. `span_open`: the request's `svc.request` span is
+/// already begun, and the hit ends it.
+fn result_hit(
+    inner: &Inner,
+    key: &RequestKey,
+    req: &PredictRequest,
+    t0: Instant,
+    ctx: TraceCtx,
+    span_open: bool,
+) -> Option<PredictResponse> {
+    let rec = &inner.cfg.recorder;
+    if let Some(hit) = inner.results.lock().expect("results").get(key).cloned() {
+        rec.count("svc.result.hit", 1);
+        rec.count("svc.responses", 1);
+        let latency_ns = t0.elapsed().as_nanos() as u64;
+        let latency_us = latency_ns / 1_000;
+        if span_open {
+            rec.span_end_at("svc.request", ctx, latency_us);
+        }
+        rec.observe_tail("svc.latency_us", latency_us as f64, ctx);
+        rec.finish_trace(ctx);
+        return Some(PredictResponse {
+            binary_ref: req.binary_ref.clone(),
+            target_site: req.target_site.clone(),
+            prediction: hit.0.clone(),
+            evaluation: hit.1.clone(),
+            from_result_cache: true,
+            cacheable: true,
+            latency_us,
+            latency_ns,
+        });
+    }
+    None
 }
 
 fn worker_loop(inner: &Inner) {

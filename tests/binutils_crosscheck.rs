@@ -15,7 +15,10 @@ fn tool_available(name: &str) -> bool {
         .unwrap_or(false)
 }
 
-fn write_sample() -> Option<std::path::PathBuf> {
+/// Write the sample binary to a file of `test`'s own: the tests run in
+/// parallel, and a shared file could be truncated under another test's
+/// `readelf`.
+fn write_sample(test: &str) -> Option<std::path::PathBuf> {
     let mut spec = ElfSpec::executable(Machine::X86_64, Class::Elf64);
     spec.needed = vec![
         "libmpi.so.0".into(),
@@ -33,7 +36,7 @@ fn write_sample() -> Option<std::path::PathBuf> {
     let bytes = spec.build().ok()?;
     let dir = std::env::temp_dir().join("feam-binutils-check");
     std::fs::create_dir_all(&dir).ok()?;
-    let path = dir.join("sample_mpi_app");
+    let path = dir.join(format!("sample_mpi_app-{test}"));
     std::fs::write(&path, bytes).ok()?;
     Some(path)
 }
@@ -44,7 +47,7 @@ fn readelf_parses_dynamic_section() {
         eprintln!("readelf not available; skipping");
         return;
     }
-    let path = write_sample().expect("sample written");
+    let path = write_sample("readelf_parses_dynamic_section").expect("sample written");
     let out = Command::new("readelf")
         .arg("-d")
         .arg(&path)
@@ -69,7 +72,7 @@ fn readelf_parses_version_references() {
         eprintln!("readelf not available; skipping");
         return;
     }
-    let path = write_sample().expect("sample written");
+    let path = write_sample("readelf_parses_version_references").expect("sample written");
     let out = Command::new("readelf")
         .arg("-V")
         .arg(&path)
@@ -88,7 +91,7 @@ fn readelf_reads_comment_section() {
         eprintln!("readelf not available; skipping");
         return;
     }
-    let path = write_sample().expect("sample written");
+    let path = write_sample("readelf_reads_comment_section").expect("sample written");
     let out = Command::new("readelf")
         .args(["-p", ".comment"])
         .arg(&path)
@@ -104,7 +107,7 @@ fn objdump_identifies_format_and_arch() {
         eprintln!("objdump not available; skipping");
         return;
     }
-    let path = write_sample().expect("sample written");
+    let path = write_sample("objdump_identifies_format_and_arch").expect("sample written");
     let out = Command::new("objdump")
         .arg("-p")
         .arg(&path)
