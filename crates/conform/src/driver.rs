@@ -23,7 +23,7 @@
 //! Per binary, a fifth crossing drives `feam-svc`: a ranked all-sites
 //! [`plan`](feam_svc::plan) must agree with its own point predictions,
 //! the point predictions must agree with the oracle, and the ranking must
-//! be sorted under [`feam_svc::rank_cmp`].
+//! be sorted under [`feam_svc::plan::rank_cmp`].
 //!
 //! Per (binary, site), a checker-ensemble crossing runs `feam-agree`
 //! fault-free: the FEAM member's pipeline outcome must fingerprint

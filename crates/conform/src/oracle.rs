@@ -8,7 +8,7 @@
 //!   and the naive plan are all reimplemented here from the paper's rules.
 //! - **No `Session`.** The oracle reads `Site` ground truth (config, VFS,
 //!   installed stacks) directly and keeps its own overlay + environment
-//!   model in [`World`].
+//!   model in `World`.
 //! - **No caches, no retry, no telemetry.** Every answer is computed
 //!   fresh from first principles.
 //!

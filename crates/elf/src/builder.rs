@@ -6,7 +6,7 @@
 //! output is a conforming ELF image with program headers, section headers,
 //! a SysV hash table, dynamic symbols, GNU version tables and a `.comment`
 //! section; both the section route (`objdump`/`readelf`) and the segment
-//! route (`ld.so`) of [`crate::reader::ElfFile`] can digest it.
+//! route (`ld.so`) of the eager `reader::ElfFile` can digest it.
 
 use crate::comment::encode_comment;
 use crate::dynamic::{self, dyn_size, DynEntry, Tag};

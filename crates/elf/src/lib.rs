@@ -20,7 +20,7 @@
 //!
 //! The production reader is zero-copy: every string it exposes borrows
 //! from the input image, and `.comment` decoding is deferred until first
-//! access. The historical eager reader ([`reader::ElfFile`]) is kept
+//! access. The historical eager reader (`reader::ElfFile`) is kept
 //! behind the test-only `eager` feature as the differential oracle for
 //! `tests/elf_differential.rs`.
 //!

@@ -181,7 +181,7 @@ pub fn parse_table(data: &[u8], class: Class, e: Endian) -> Result<Vec<Symbol>> 
 }
 
 /// A symbol with its resolved name and version, as exposed by
-/// [`crate::reader::ElfFile::dynamic_symbols`].
+/// the eager `reader::ElfFile::dynamic_symbols`.
 #[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct NamedSymbol {
     pub name: String,

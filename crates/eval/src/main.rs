@@ -268,6 +268,32 @@ fn die(msg: &str) -> ! {
     std::process::exit(2);
 }
 
+/// The stderr banner every benchmark mode opens with.
+fn banner(what: &str, args: &Args) {
+    eprintln!(
+        "{what} (seed {}, {}) ...",
+        args.seed,
+        if args.quick { "quick" } else { "standard" }
+    );
+}
+
+/// Write `report` as pretty JSON to the `--json` path, if one was given.
+fn write_json(args: &Args, report: &impl serde::Serialize) {
+    if let Some(path) = &args.json {
+        std::fs::write(
+            path,
+            serde_json::to_string_pretty(report).expect("serialize"),
+        )
+        .unwrap_or_else(|e| die(&format!("cannot write {path}: {e}")));
+        eprintln!("wrote {path}");
+    }
+}
+
+/// Exit 1 if any gate failed, else 0.
+fn finish(failed: bool) -> ! {
+    std::process::exit(i32::from(failed));
+}
+
 /// Parse a seed in decimal or `0x`-prefixed hex (the form the
 /// conformance shrinker prints in its replay line).
 fn parse_seed(v: &str) -> Option<u64> {
@@ -319,36 +345,17 @@ fn conform_main(args: &Args) -> ! {
     if let Some(shrunk) = &report.shrunk {
         print!("{}", shrunk.render());
     }
-    if let Some(path) = &args.json {
-        std::fs::write(
-            path,
-            serde_json::to_string_pretty(&report.to_json()).expect("serialize"),
-        )
-        .unwrap_or_else(|e| die(&format!("cannot write {path}: {e}")));
-        eprintln!("wrote {path}");
-    }
-    std::process::exit(if report.ok() { 0 } else { 1 });
+    write_json(args, &report.to_json());
+    finish(!report.ok());
 }
 
 /// `--serve-bench`: run the serving benchmark, optionally gate on
 /// thresholds, optionally write the JSON report. Exits the process.
 fn serve_bench_main(args: &Args) -> ! {
-    eprintln!(
-        "serving benchmark (seed {}, {}) ...",
-        args.seed,
-        if args.quick { "quick" } else { "standard" }
-    );
+    banner("serving benchmark", args);
     let cmp = feam_eval::serve_bench(args.seed, args.quick);
     print!("{}", feam_eval::render_serve(&cmp));
-    if let Some(path) = &args.json {
-        std::fs::write(
-            path,
-            serde_json::to_string_pretty(&serde_json::to_value(&cmp).expect("serialize"))
-                .expect("serialize"),
-        )
-        .unwrap_or_else(|e| die(&format!("cannot write {path}: {e}")));
-        eprintln!("wrote {path}");
-    }
+    write_json(args, &cmp);
     let mut failed = false;
     if let Some(max) = args.max_p99_us {
         if cmp.cached.p99_us > max {
@@ -379,28 +386,16 @@ fn serve_bench_main(args: &Args) -> ! {
         eprintln!("FAIL: cached and uncached predictions diverged");
         failed = true;
     }
-    std::process::exit(if failed { 1 } else { 0 });
+    finish(failed);
 }
 
 /// `--obs-bench`: measure telemetry overhead on the cached serving path
 /// and gate on it. Exits the process.
 fn obs_bench_main(args: &Args) -> ! {
-    eprintln!(
-        "telemetry overhead benchmark (seed {}, {}) ...",
-        args.seed,
-        if args.quick { "quick" } else { "standard" }
-    );
+    banner("telemetry overhead benchmark", args);
     let report = feam_eval::obs_bench(args.seed, args.quick, args.max_overhead);
     print!("{}", feam_eval::render_obs_bench(&report));
-    if let Some(path) = &args.json {
-        std::fs::write(
-            path,
-            serde_json::to_string_pretty(&serde_json::to_value(&report).expect("serialize"))
-                .expect("serialize"),
-        )
-        .unwrap_or_else(|e| die(&format!("cannot write {path}: {e}")));
-        eprintln!("wrote {path}");
-    }
+    write_json(args, &report);
     if !report.pass {
         eprintln!(
             "FAIL: serving-recorder cached-path p99 {}us exceeds budget \
@@ -411,7 +406,7 @@ fn obs_bench_main(args: &Args) -> ! {
             report.slack_us
         );
     }
-    std::process::exit(if report.pass { 0 } else { 1 });
+    finish(!report.pass);
 }
 
 /// `--fleet-bench`: run the sharded-fleet benchmark — scale-out curve
@@ -419,22 +414,10 @@ fn obs_bench_main(args: &Args) -> ! {
 /// equivalence; `--min-availability` and `--max-p99-inflation` add CI
 /// thresholds on the brownout. Exits the process.
 fn fleet_bench_main(args: &Args) -> ! {
-    eprintln!(
-        "fleet benchmark (seed {}, {}) ...",
-        args.seed,
-        if args.quick { "quick" } else { "standard" }
-    );
+    banner("fleet benchmark", args);
     let report = feam_eval::fleet_bench(args.seed, args.quick);
     print!("{}", feam_eval::render_fleet(&report));
-    if let Some(path) = &args.json {
-        std::fs::write(
-            path,
-            serde_json::to_string_pretty(&serde_json::to_value(&report).expect("serialize"))
-                .expect("serialize"),
-        )
-        .unwrap_or_else(|e| die(&format!("cannot write {path}: {e}")));
-        eprintln!("wrote {path}");
-    }
+    write_json(args, &report);
     let mut failed = false;
     if !report.kill_drill.equivalent {
         eprintln!(
@@ -461,7 +444,7 @@ fn fleet_bench_main(args: &Args) -> ! {
             failed = true;
         }
     }
-    std::process::exit(if failed { 1 } else { 0 });
+    finish(failed);
 }
 
 /// `--plan-bench`: run the placement-planning benchmark. Always gates on
@@ -469,22 +452,10 @@ fn fleet_bench_main(args: &Args) -> ! {
 /// `--max-p99-us` and `--min-speedup` add CI thresholds. Exits the
 /// process.
 fn plan_bench_main(args: &Args) -> ! {
-    eprintln!(
-        "placement planning benchmark (seed {}, {}) ...",
-        args.seed,
-        if args.quick { "quick" } else { "standard" }
-    );
+    banner("placement planning benchmark", args);
     let report = feam_eval::plan_bench(args.seed, args.quick);
     print!("{}", feam_eval::render_plan(&report));
-    if let Some(path) = &args.json {
-        std::fs::write(
-            path,
-            serde_json::to_string_pretty(&serde_json::to_value(&report).expect("serialize"))
-                .expect("serialize"),
-        )
-        .unwrap_or_else(|e| die(&format!("cannot write {path}: {e}")));
-        eprintln!("wrote {path}");
-    }
+    write_json(args, &report);
     let mut failed = false;
     if !report.rank_matches_oracle {
         eprintln!("FAIL: parallel ranking diverged from the sequential oracle");
@@ -512,58 +483,34 @@ fn plan_bench_main(args: &Args) -> ! {
             failed = true;
         }
     }
-    std::process::exit(if failed { 1 } else { 0 });
+    finish(failed);
 }
 
 /// `--agreement`: run the tool-agreement study. Gates on ensemble
 /// accuracy (>= FEAM alone) and zero FEAM divergences. Exits the
 /// process.
 fn agreement_main(args: &Args) -> ! {
-    eprintln!(
-        "tool agreement study (seed {}, {}) ...",
-        args.seed,
-        if args.quick { "quick" } else { "standard" }
-    );
+    banner("tool agreement study", args);
     let report = feam_eval::agreement_study(args.seed, args.quick);
     print!("{}", feam_eval::render_agreement(&report));
-    if let Some(path) = &args.json {
-        std::fs::write(
-            path,
-            serde_json::to_string_pretty(&serde_json::to_value(&report).expect("serialize"))
-                .expect("serialize"),
-        )
-        .unwrap_or_else(|e| die(&format!("cannot write {path}: {e}")));
-        eprintln!("wrote {path}");
-    }
+    write_json(args, &report);
     if !report.pass {
         eprintln!(
             "FAIL: ensemble accuracy {:.3} vs feam alone {:.3}, {} feam divergences",
             report.ensemble_accuracy, report.feam_accuracy, report.feam_divergences
         );
     }
-    std::process::exit(if report.pass { 0 } else { 1 });
+    finish(!report.pass);
 }
 
 /// `--provenance-bench`: grade the fallback evidence tier on the hostile
 /// corpus. Gates on compiler-family accuracy and zero confidence
 /// inversions. Exits the process.
 fn provenance_bench_main(args: &Args) -> ! {
-    eprintln!(
-        "provenance benchmark (seed {}, {}) ...",
-        args.seed,
-        if args.quick { "quick" } else { "standard" }
-    );
+    banner("provenance benchmark", args);
     let report = feam_eval::provenance_bench(args.seed, args.quick);
     print!("{}", feam_eval::render_provenance(&report));
-    if let Some(path) = &args.json {
-        std::fs::write(
-            path,
-            serde_json::to_string_pretty(&serde_json::to_value(&report).expect("serialize"))
-                .expect("serialize"),
-        )
-        .unwrap_or_else(|e| die(&format!("cannot write {path}: {e}")));
-        eprintln!("wrote {path}");
-    }
+    write_json(args, &report);
     if !report.pass {
         eprintln!(
             "FAIL: family accuracy {:.3} (floor {:.3}), {} claim-level and {} \
@@ -574,7 +521,7 @@ fn provenance_bench_main(args: &Args) -> ! {
             report.prediction_inversions
         );
     }
-    std::process::exit(if report.pass { 0 } else { 1 });
+    finish(!report.pass);
 }
 
 fn main() {
@@ -752,7 +699,7 @@ fn main() {
         );
     }
 
-    if let Some(path) = &args.json {
+    if args.json.is_some() {
         let mut payload = serde_json::json!({
             "seed": args.seed,
             "table1": table1(&exp),
@@ -786,11 +733,6 @@ fn main() {
                 );
             }
         }
-        std::fs::write(
-            path,
-            serde_json::to_string_pretty(&payload).expect("serialize"),
-        )
-        .unwrap_or_else(|e| die(&format!("cannot write {path}: {e}")));
-        eprintln!("wrote {path}");
+        write_json(&args, &payload);
     }
 }

@@ -7,10 +7,12 @@
 //!
 //! * **off** — [`Recorder::disabled`]: every telemetry call is a no-op
 //!   behind an `Option` check (the compiled-out shape).
-//! * **null** — [`Recorder::with_sink`] + [`NullSink`]: spans, events and
-//!   process-lifetime metrics are produced and discarded at the sink.
+//! * **null** — [`Recorder::with_sink`] + [`NullSink`]: spans and events
+//!   are produced and discarded at the sink; every metric is written to
+//!   the recorder's windowed registry.
 //! * **full** — [`Recorder::serving`]: everything the obs plane does in
-//!   production — windowed registry, trace buffers, tail exemplars.
+//!   production — the same registry plus trace buffers and tail
+//!   exemplars.
 //!
 //! The CI gate is the *cached path*: requests answered straight from the
 //! result cache are the common case and the one where telemetry is the

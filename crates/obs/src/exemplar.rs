@@ -2,7 +2,7 @@
 //! land in a histogram's top bucket region.
 //!
 //! While a trace is live, the serving recorder buffers its events in
-//! [`TraceBufs`] (bounded in both trace count and events per trace).
+//! `TraceBufs` (bounded in both trace count and events per trace).
 //! When [`crate::Recorder::observe_tail`] decides an observation is a
 //! tail, the buffer is moved into the [`ExemplarStore`] keyed by
 //! trace id; otherwise [`crate::Recorder::finish_trace`] discards it.

@@ -13,11 +13,13 @@
 //!   coalesced requests) where thread-locals would orphan the tree.
 //! * **Events** — point-in-time records (a determinant verdict, a launch
 //!   attempt, a library resolution outcome) attached to the current span.
-//! * **Metrics** — named counters and histograms plus per-span-name
-//!   duration statistics, exportable as a [`TelemetrySnapshot`]; a
-//!   serving recorder additionally maintains a [`WindowedRegistry`] of
-//!   sliding-window counters/gauges/histograms and a bounded
-//!   [`ExemplarStore`] of span trees for tail-latency outliers.
+//! * **Metrics** — every enabled recorder writes each counter, gauge,
+//!   histogram observation and span duration once into one
+//!   [`WindowedRegistry`]. [`Recorder::snapshot`] reads its exact
+//!   lifetime totals as a [`TelemetrySnapshot`];
+//!   [`Recorder::metrics_snapshot`] reads its sliding windows. A serving
+//!   recorder additionally keeps a bounded [`ExemplarStore`] of span
+//!   trees for tail-latency outliers.
 //! * **Sinks** — where events go: nowhere ([`Recorder::disabled`], the
 //!   no-op default threaded through the pipeline at ~zero cost), an
 //!   in-memory buffer ([`MemorySink`], for tests and aggregation), or a
@@ -47,20 +49,19 @@ use std::time::Instant;
 
 pub mod exemplar;
 pub mod expo;
-mod metrics;
 mod sink;
 pub mod slo;
 pub mod trace;
 pub mod window;
 
 pub use exemplar::{Exemplar, ExemplarStore, ExemplarSummary};
-pub use metrics::{HistStat, SpanStat, TelemetrySnapshot};
 pub use sink::{JsonlSink, MemorySink, NullSink, Sink};
 pub use slo::{SloEvaluation, SloKind, SloSpec, SloState};
-pub use window::{MetricsSnapshot, WindowSpec, WindowedRegistry};
+pub use window::{
+    HistStat, MetricsSnapshot, SpanStat, TelemetrySnapshot, WindowSpec, WindowedRegistry,
+};
 
 use exemplar::TraceBufs;
-use metrics::Metrics;
 
 /// A field value attached to an event.
 #[derive(Debug, Clone, PartialEq)]
@@ -221,10 +222,9 @@ impl Default for TraceCtx {
     }
 }
 
-/// The serving-grade telemetry layer: sliding-window metrics, per-trace
-/// event buffers, and the bounded tail-exemplar store.
+/// The serving-grade telemetry layer: per-trace event buffers and the
+/// bounded tail-exemplar store.
 struct Serving {
-    registry: Arc<WindowedRegistry>,
     exemplars: Arc<ExemplarStore>,
     bufs: TraceBufs,
 }
@@ -233,7 +233,7 @@ struct Inner {
     start: Instant,
     next_id: AtomicU64,
     sink: Box<dyn Sink>,
-    metrics: Metrics,
+    registry: Arc<WindowedRegistry>,
     serving: Option<Serving>,
 }
 
@@ -255,7 +255,7 @@ impl std::fmt::Debug for Recorder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Recorder")
             .field("enabled", &self.is_enabled())
-            .field("serving", &self.registry().is_some())
+            .field("serving", &self.exemplars().is_some())
             .finish()
     }
 }
@@ -266,34 +266,34 @@ impl Recorder {
         Recorder { inner: None }
     }
 
-    /// A recorder delivering events to `sink`.
+    /// A recorder delivering events to `sink`, with metrics windowed per
+    /// [`WindowSpec::default`].
     pub fn with_sink(sink: Box<dyn Sink>) -> Self {
-        Self::build(sink, None)
+        Self::build(sink, WindowSpec::default(), None)
     }
 
-    /// A serving-grade recorder: events go to `sink` as usual, and the
-    /// recorder additionally maintains a [`WindowedRegistry`] (sliding
-    /// windows per `spec`), buffers events per live trace, and captures
-    /// tail exemplars (at most `exemplar_cap`) via
-    /// [`Recorder::observe_tail`].
+    /// A serving-grade recorder: events go to `sink` as usual, metrics
+    /// are windowed per `spec`, and the recorder additionally buffers
+    /// events per live trace and captures tail exemplars (at most
+    /// `exemplar_cap`) via [`Recorder::observe_tail`].
     pub fn serving(sink: Box<dyn Sink>, spec: WindowSpec, exemplar_cap: usize) -> Self {
         Self::build(
             sink,
+            spec,
             Some(Serving {
-                registry: Arc::new(WindowedRegistry::new(spec)),
                 exemplars: Arc::new(ExemplarStore::new(exemplar_cap)),
                 bufs: TraceBufs::default(),
             }),
         )
     }
 
-    fn build(sink: Box<dyn Sink>, serving: Option<Serving>) -> Self {
+    fn build(sink: Box<dyn Sink>, spec: WindowSpec, serving: Option<Serving>) -> Self {
         Recorder {
             inner: Some(Arc::new(Inner {
                 start: Instant::now(),
                 next_id: AtomicU64::new(1),
                 sink,
-                metrics: Metrics::default(),
+                registry: Arc::new(WindowedRegistry::new(spec)),
                 serving,
             })),
         }
@@ -314,12 +314,9 @@ impl Recorder {
         self.inner.is_some()
     }
 
-    /// The windowed metrics registry (serving recorders only).
+    /// The recorder's metrics store (`None` when disabled).
     pub fn registry(&self) -> Option<Arc<WindowedRegistry>> {
-        self.inner
-            .as_ref()
-            .and_then(|i| i.serving.as_ref())
-            .map(|s| s.registry.clone())
+        self.inner.as_ref().map(|i| i.registry.clone())
     }
 
     /// The tail-exemplar store (serving recorders only).
@@ -463,7 +460,7 @@ impl Recorder {
         if ctx.is_none() {
             return;
         }
-        inner.metrics.span_finished(name, dur_us);
+        inner.registry.span(name, dur_us);
         Self::emit(
             inner,
             Event {
@@ -530,45 +527,47 @@ impl Recorder {
     /// Add `delta` to the named counter.
     pub fn count(&self, name: &str, delta: u64) {
         if let Some(inner) = &self.inner {
-            inner.metrics.count(name, delta);
-            if let Some(s) = &inner.serving {
-                s.registry.count(name, delta, Self::now_us(inner) / 1000);
-            }
+            inner
+                .registry
+                .count(name, delta, Self::now_us(inner) / 1000);
         }
     }
 
     /// Record one observation into the named histogram.
     pub fn observe(&self, name: &str, value: f64) {
         if let Some(inner) = &self.inner {
-            inner.metrics.observe(name, value);
-            if let Some(s) = &inner.serving {
-                s.registry.observe(name, value, Self::now_us(inner) / 1000);
-            }
+            inner
+                .registry
+                .observe(name, value, Self::now_us(inner) / 1000);
         }
     }
 
-    /// Set the named gauge to `value` (windowed registry only; a no-op on
-    /// non-serving recorders).
+    /// Set the named gauge to `value`. Gauges appear in
+    /// [`Recorder::metrics_snapshot`], not in the lifetime
+    /// [`Recorder::snapshot`].
     pub fn gauge(&self, name: &str, value: f64) {
         if let Some(inner) = &self.inner {
-            if let Some(s) = &inner.serving {
-                s.registry.gauge(name, value, Self::now_us(inner) / 1000);
-            }
+            inner
+                .registry
+                .gauge(name, value, Self::now_us(inner) / 1000);
         }
     }
 
-    /// Record an observation that may capture a tail exemplar: when the
-    /// value lands in the top bucket region of the metric's window (within
-    /// one log2 bucket of the window max), the trace's buffered span tree
-    /// is moved into the exemplar store. Consumes the trace buffer either
-    /// way on capture; call [`Recorder::finish_trace`] afterwards to drop
-    /// the buffer for non-captured traces.
+    /// Record one observation into the named histogram; on a serving
+    /// recorder it may also capture a tail exemplar: when the value lands
+    /// in the top bucket region of the metric's window (within one log2
+    /// bucket of the window max), the trace's buffered span tree is moved
+    /// into the exemplar store. Consumes the trace buffer either way on
+    /// capture; call [`Recorder::finish_trace`] afterwards to drop the
+    /// buffer for non-captured traces.
     pub fn observe_tail(&self, name: &str, value: f64, ctx: TraceCtx) {
         let Some(inner) = &self.inner else { return };
-        inner.metrics.observe(name, value);
-        let Some(s) = &inner.serving else { return };
         let now_ms = Self::now_us(inner) / 1000;
-        let is_tail = s.registry.observe_tail(name, value, now_ms);
+        let Some(s) = &inner.serving else {
+            inner.registry.observe(name, value, now_ms);
+            return;
+        };
+        let is_tail = inner.registry.observe_tail(name, value, now_ms);
         if is_tail && ctx.trace_id != 0 {
             if let Some(events) = s.bufs.take(ctx.trace_id) {
                 if !events.is_empty() {
@@ -595,30 +594,32 @@ impl Recorder {
         }
     }
 
-    /// A point-in-time copy of all metrics (span stats, counters,
-    /// histograms). Empty for a disabled recorder.
+    /// The lifetime view of the metrics store (span stats, counter
+    /// totals, histograms). Empty for a disabled recorder.
     pub fn snapshot(&self) -> TelemetrySnapshot {
         match &self.inner {
-            Some(inner) => inner.metrics.snapshot(),
+            Some(inner) => inner.registry.lifetime(),
             None => TelemetrySnapshot::default(),
         }
     }
 
     /// A windowed [`MetricsSnapshot`] over the last `window_ms`
-    /// milliseconds, including exemplar summaries. `None` for recorders
-    /// without a serving layer. SLO evaluations are left empty — callers
-    /// fill them via [`slo::evaluate_all`].
+    /// milliseconds, with exemplar summaries on a serving recorder.
+    /// `None` for a disabled recorder. SLO evaluations are left empty —
+    /// callers fill them via [`slo::evaluate_all`].
     pub fn metrics_snapshot(&self, window_ms: u64) -> Option<MetricsSnapshot> {
         let inner = self.inner.as_ref()?;
-        let s = inner.serving.as_ref()?;
-        let now_ms = Self::now_us(inner) / 1000;
-        let mut snap = s.registry.snapshot(now_ms, window_ms);
-        snap.exemplars = s
-            .exemplars
-            .snapshot()
-            .iter()
-            .map(Exemplar::summary)
-            .collect();
+        let mut snap = inner
+            .registry
+            .snapshot(Self::now_us(inner) / 1000, window_ms);
+        if let Some(s) = &inner.serving {
+            snap.exemplars = s
+                .exemplars
+                .snapshot()
+                .iter()
+                .map(Exemplar::summary)
+                .collect();
+        }
         Some(snap)
     }
 
@@ -666,7 +667,7 @@ impl Drop for Span {
             .started
             .map(|t| t.elapsed().as_micros() as u64)
             .unwrap_or(0);
-        inner.metrics.span_finished(&self.name, dur_us);
+        inner.registry.span(&self.name, dur_us);
         Recorder::emit(
             inner,
             Event {

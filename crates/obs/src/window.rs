@@ -1,5 +1,5 @@
-//! Sliding-window metrics: lock-cheap counters, gauges, and log2-bucketed
-//! histograms over ring-buffer time slots.
+//! The one metrics store: lock-cheap counters, gauges, and log2-bucketed
+//! histograms over ring-buffer time slots, plus exact lifetime totals.
 //!
 //! Every metric divides time into fixed slots (default 60 × 1s). A slot
 //! is a set of atomics tagged with the epoch (`now_ms / slot_ms`) it
@@ -11,6 +11,12 @@
 //! values are approximate at slot boundaries, which is the standard
 //! trade; single-threaded (and therefore test) behavior is exact. All
 //! operations take an explicit `now_ms`, so tests drive a logical clock.
+//!
+//! Lifetime totals — counter totals, histogram count/sum/min/max/buckets
+//! and per-span-name duration statistics — bypass the slots: they are
+//! plain atomics that never age out and never race a slot reclaim, so
+//! they are exact under concurrency. [`WindowedRegistry::lifetime`]
+//! reads them as the [`TelemetrySnapshot`] the migration report carries.
 //!
 //! Histogram buckets are powers of two: bucket *i* covers
 //! `(2^(i-1), 2^i]` (bucket 0 is `<= 1`), with the final bucket absorbing
@@ -104,9 +110,9 @@ fn my_shard() -> usize {
     })
 }
 
-/// Claim `slot` for `epoch` if it is stale, zeroing `values` on a win.
-/// Returns whether the slot now carries `epoch`'s data (true also for
-/// racing losers — their writes land in the freshly-zeroed slot).
+/// Claim a slot for `epoch` if its tag is stale, running `reset` only on
+/// the winning CAS. Racing losers and writers that find the tag already
+/// current write into the slot as it stands.
 fn claim(epoch_tag: &AtomicU64, epoch: u64, reset: impl FnOnce()) {
     let cur = epoch_tag.load(Ordering::Acquire);
     if cur == epoch {
@@ -269,10 +275,23 @@ struct HistSlot {
     buckets: Vec<AtomicU64>,
 }
 
-/// A log2-bucketed histogram over the sliding window.
+/// Since-creation histogram totals, written outside the slot `claim`.
+struct HistLifetime {
+    count: AtomicU64,
+    /// f64 bit patterns, folded with [`fold_f64`]; the sum stays `f64`
+    /// so fractional observations (seconds) keep their fraction.
+    sum: AtomicU64,
+    min: AtomicU64,
+    max: AtomicU64,
+    buckets: Vec<AtomicU64>,
+}
+
+/// A log2-bucketed histogram over the sliding window, with exact
+/// lifetime totals beside it.
 pub struct WindowedHistogram {
     spec: WindowSpec,
     slots: Vec<HistSlot>,
+    life: HistLifetime,
 }
 
 impl WindowedHistogram {
@@ -288,11 +307,25 @@ impl WindowedHistogram {
                     buckets: (0..N_BUCKETS).map(|_| AtomicU64::new(0)).collect(),
                 })
                 .collect(),
+            life: HistLifetime {
+                count: AtomicU64::new(0),
+                sum: AtomicU64::new(0f64.to_bits()),
+                min: AtomicU64::new(f64::INFINITY.to_bits()),
+                max: AtomicU64::new(f64::NEG_INFINITY.to_bits()),
+                buckets: (0..N_BUCKETS).map(|_| AtomicU64::new(0)).collect(),
+            },
         }
     }
 
     /// Record `value`, returning the bucket it landed in.
     pub fn observe(&self, value: f64, now_ms: u64) -> usize {
+        let idx = log2_bucket(value);
+        let life = &self.life;
+        life.count.fetch_add(1, Ordering::Relaxed);
+        fold_f64(&life.sum, value, |a, b| a + b);
+        fold_f64(&life.min, value, f64::min);
+        fold_f64(&life.max, value, f64::max);
+        life.buckets[idx].fetch_add(1, Ordering::Relaxed);
         let epoch = self.spec.epoch(now_ms);
         let slot = &self.slots[(epoch % self.spec.slots as u64) as usize];
         claim(&slot.epoch, epoch, || {
@@ -303,7 +336,6 @@ impl WindowedHistogram {
                 b.store(0, Ordering::Relaxed);
             }
         });
-        let idx = log2_bucket(value);
         slot.count.fetch_add(1, Ordering::Relaxed);
         slot.sum
             .fetch_add(value.max(0.0).round() as u64, Ordering::Relaxed);
@@ -330,6 +362,20 @@ impl WindowedHistogram {
             }
         }
         out
+    }
+
+    /// The since-creation totals; exact once writers have finished.
+    pub fn lifetime(&self) -> HistStat {
+        let life = &self.life;
+        let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
+        let buckets: Vec<u64> = life.buckets.iter().map(load).collect();
+        HistStat {
+            count: load(&life.count),
+            sum: f64::from_bits(load(&life.sum)),
+            min: f64::from_bits(load(&life.min)),
+            max: f64::from_bits(load(&life.max)),
+            buckets: occupied_buckets(&buckets),
+        }
     }
 
     /// The highest occupied bucket index in the horizon, if any.
@@ -425,6 +471,19 @@ pub struct BucketCount {
     pub count: u64,
 }
 
+/// The occupied entries of a log2 bucket array, ascending by bound.
+fn occupied_buckets(counts: &[u64]) -> Vec<BucketCount> {
+    counts
+        .iter()
+        .enumerate()
+        .filter(|(_, &c)| c > 0)
+        .map(|(i, &c)| BucketCount {
+            le: bucket_upper(i),
+            count: c,
+        })
+        .collect()
+}
+
 /// Windowed view of one histogram.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct HistWindow {
@@ -436,6 +495,64 @@ pub struct HistWindow {
     pub p99: u64,
     /// Occupied buckets only, ascending by bound.
     pub buckets: Vec<BucketCount>,
+}
+
+/// Lifetime duration statistics for one span name.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+pub struct SpanStat {
+    pub count: u64,
+    pub total_us: u64,
+    pub max_us: u64,
+}
+
+/// Lifetime view of one histogram.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct HistStat {
+    pub count: u64,
+    pub sum: f64,
+    pub min: f64,
+    pub max: f64,
+    /// Occupied log2 buckets only, ascending by bound.
+    pub buckets: Vec<BucketCount>,
+}
+
+impl HistStat {
+    pub fn mean(&self) -> f64 {
+        if self.count == 0 {
+            0.0
+        } else {
+            self.sum / self.count as f64
+        }
+    }
+}
+
+/// The lifetime view of a [`WindowedRegistry`]: span statistics, counter
+/// totals and histogram totals since the recorder was created. This is
+/// the object that lands under the `"telemetry"` key of the migration
+/// report.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+pub struct TelemetrySnapshot {
+    pub spans: BTreeMap<String, SpanStat>,
+    pub counters: BTreeMap<String, u64>,
+    pub histograms: BTreeMap<String, HistStat>,
+}
+
+impl TelemetrySnapshot {
+    pub fn is_empty(&self) -> bool {
+        self.spans.is_empty() && self.counters.is_empty() && self.histograms.is_empty()
+    }
+
+    pub fn to_json(&self) -> serde_json::Value {
+        serde_json::to_value(self).expect("telemetry snapshot serializes")
+    }
+}
+
+/// Lifetime duration totals for one span name.
+#[derive(Default)]
+struct SpanTotals {
+    count: AtomicU64,
+    total_us: AtomicU64,
+    max_us: AtomicU64,
 }
 
 /// A point-in-time windowed view of the whole registry, renderable as
@@ -452,14 +569,14 @@ pub struct MetricsSnapshot {
     pub slos: Vec<SloEvaluation>,
 }
 
-/// Name → windowed metric maps. The `RwLock` only guards map shape
-/// (first use of a name); recording into an existing metric is
-/// read-locked and atomic.
+/// Name → metric maps. The `RwLock` only guards map shape (first use of
+/// a name); recording into an existing metric is read-locked and atomic.
 pub struct WindowedRegistry {
     spec: WindowSpec,
     counters: RwLock<BTreeMap<String, Arc<WindowedCounter>>>,
     gauges: RwLock<BTreeMap<String, Arc<WindowedGauge>>>,
     hists: RwLock<BTreeMap<String, Arc<WindowedHistogram>>>,
+    spans: RwLock<BTreeMap<String, Arc<SpanTotals>>>,
 }
 
 impl WindowedRegistry {
@@ -469,6 +586,7 @@ impl WindowedRegistry {
             counters: RwLock::new(BTreeMap::new()),
             gauges: RwLock::new(BTreeMap::new()),
             hists: RwLock::new(BTreeMap::new()),
+            spans: RwLock::new(BTreeMap::new()),
         }
     }
 
@@ -506,6 +624,14 @@ impl WindowedRegistry {
             .observe(value, now_ms)
     }
 
+    /// Fold one finished span's duration into its name's lifetime totals.
+    pub fn span(&self, name: &str, dur_us: u64) {
+        let s = Self::get_or_insert(&self.spans, name, SpanTotals::default);
+        s.count.fetch_add(1, Ordering::Relaxed);
+        s.total_us.fetch_add(dur_us, Ordering::Relaxed);
+        s.max_us.fetch_max(dur_us, Ordering::Relaxed);
+    }
+
     /// Observe and report whether the value landed in the window's top
     /// bucket region (within one log2 bucket of the occupied maximum) —
     /// the exemplar-capture predicate.
@@ -529,76 +655,62 @@ impl WindowedRegistry {
         Some(h.window(now_ms, horizon_ms))
     }
 
+    /// `f` applied to every metric in `map`, keyed by name.
+    fn each<T, V>(
+        map: &RwLock<BTreeMap<String, Arc<T>>>,
+        f: impl Fn(&T) -> V,
+    ) -> BTreeMap<String, V> {
+        let map = map.read().unwrap();
+        map.iter().map(|(name, m)| (name.clone(), f(m))).collect()
+    }
+
+    /// The lifetime view: span statistics, counter totals and histogram
+    /// totals since creation. Gauges are windowed-only.
+    pub fn lifetime(&self) -> TelemetrySnapshot {
+        TelemetrySnapshot {
+            spans: Self::each(&self.spans, |s| SpanStat {
+                count: s.count.load(Ordering::Relaxed),
+                total_us: s.total_us.load(Ordering::Relaxed),
+                max_us: s.max_us.load(Ordering::Relaxed),
+            }),
+            counters: Self::each(&self.counters, WindowedCounter::total),
+            histograms: Self::each(&self.hists, WindowedHistogram::lifetime),
+        }
+    }
+
     /// Snapshot every metric over the last `horizon_ms` milliseconds.
     pub fn snapshot(&self, now_ms: u64, horizon_ms: u64) -> MetricsSnapshot {
         let horizon_s = (horizon_ms as f64 / 1000.0).max(1e-9);
-        let counters = self
-            .counters
-            .read()
-            .unwrap()
-            .iter()
-            .map(|(name, c)| {
-                let windowed = c.windowed(now_ms, horizon_ms);
-                (
-                    name.clone(),
-                    CounterWindow {
-                        total: c.total(),
-                        windowed,
-                        rate_per_s: windowed as f64 / horizon_s,
-                    },
-                )
-            })
-            .collect();
-        let gauges = self
-            .gauges
-            .read()
-            .unwrap()
-            .iter()
-            .map(|(name, g)| {
-                let (min, max) = g
-                    .window_minmax(now_ms, horizon_ms)
-                    .unwrap_or((g.last(), g.last()));
-                (
-                    name.clone(),
-                    GaugeWindow {
-                        last: g.last(),
-                        min,
-                        max,
-                    },
-                )
-            })
-            .collect();
-        let histograms = self
-            .hists
-            .read()
-            .unwrap()
-            .iter()
-            .map(|(name, h)| {
-                let raw = h.window(now_ms, horizon_ms);
-                let buckets = raw
-                    .buckets
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, &c)| c > 0)
-                    .map(|(i, &c)| BucketCount {
-                        le: bucket_upper(i),
-                        count: c,
-                    })
-                    .collect();
-                (
-                    name.clone(),
-                    HistWindow {
-                        count: raw.count,
-                        sum: raw.sum,
-                        max: raw.max,
-                        p50: raw.quantile(0.50),
-                        p95: raw.quantile(0.95),
-                        p99: raw.quantile(0.99),
-                        buckets,
-                    },
-                )
-            })
-            .collect();
+        let counters = Self::each(&self.counters, |c| {
+            let windowed = c.windowed(now_ms, horizon_ms);
+            CounterWindow {
+                total: c.total(),
+                windowed,
+                rate_per_s: windowed as f64 / horizon_s,
+            }
+        });
+        let gauges = Self::each(&self.gauges, |g| {
+            let (min, max) = g
+                .window_minmax(now_ms, horizon_ms)
+                .unwrap_or((g.last(), g.last()));
+            GaugeWindow {
+                last: g.last(),
+                min,
+                max,
+            }
+        });
+        let histograms = Self::each(&self.hists, |h| {
+            let raw = h.window(now_ms, horizon_ms);
+            HistWindow {
+                count: raw.count,
+                sum: raw.sum,
+                max: raw.max,
+                p50: raw.quantile(0.50),
+                p95: raw.quantile(0.95),
+                p99: raw.quantile(0.99),
+                buckets: occupied_buckets(&raw.buckets),
+            }
+        });
         MetricsSnapshot {
             at_ms: now_ms,
             window_ms: horizon_ms,
@@ -720,10 +832,59 @@ mod tests {
         reg.count("req", 3, 100);
         reg.gauge("depth", 1.5, 100);
         reg.observe("lat", 250.0, 100);
+        reg.observe("queue.wait_s", 2.5, 100);
+        reg.span("target_phase", 1234);
         let snap = reg.snapshot(500, 60_000);
         let text = serde_json::to_string(&serde_json::to_value(&snap).unwrap()).unwrap();
         let back: MetricsSnapshot =
             serde_json::from_value(serde_json::from_str(&text).unwrap()).unwrap();
         assert_eq!(snap, back);
+        let life = reg.lifetime();
+        let text = serde_json::to_string(&life.to_json()).unwrap();
+        let back: TelemetrySnapshot =
+            serde_json::from_value(serde_json::from_str(&text).unwrap()).unwrap();
+        assert_eq!(life, back);
+    }
+
+    #[test]
+    fn lifetime_totals_are_exact_across_slot_reclaims() {
+        const THREADS: u64 = 8;
+        const PER_THREAD: u64 = 10_000;
+        let spec = WindowSpec {
+            slots: 4,
+            slot_ms: 10,
+        };
+        let reg = Arc::new(WindowedRegistry::new(spec));
+        reg.count("req", 1, 0);
+        reg.observe("lat", 1.0, 0);
+        // Thread t writes values t*PER_THREAD+1 ..= (t+1)*PER_THREAD on a
+        // logical clock sweeping 0..100ms: 2.5 ring revolutions, so every
+        // slot is reclaimed while other threads are writing into it.
+        std::thread::scope(|scope| {
+            for t in 0..THREADS {
+                let reg = &reg;
+                scope.spawn(move || {
+                    for i in 0..PER_THREAD {
+                        let now_ms = i * 100 / PER_THREAD;
+                        reg.count("req", 1, now_ms);
+                        reg.observe("lat", (t * PER_THREAD + i + 1) as f64, now_ms);
+                    }
+                });
+            }
+        });
+        let n = THREADS * PER_THREAD;
+        let life = reg.lifetime();
+        assert_eq!(life.counters["req"], n + 1);
+        let h = &life.histograms["lat"];
+        assert_eq!(h.count, n + 1);
+        assert_eq!(h.sum, (n * (n + 1) / 2 + 1) as f64);
+        assert_eq!(h.min, 1.0);
+        assert_eq!(h.max, n as f64);
+        assert_eq!(h.buckets.iter().map(|b| b.count).sum::<u64>(), n + 1);
+        // The t=0 observations' slot has been reclaimed; the window no
+        // longer sees them, the lifetime view still does.
+        let window = reg.histogram("lat", 100, spec.window_ms()).unwrap();
+        assert!(window.count < n + 1);
+        assert_eq!(h.buckets[0], BucketCount { le: 1, count: 2 });
     }
 }

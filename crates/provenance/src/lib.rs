@@ -15,7 +15,7 @@
 //!   ([`feam_sim::vocab`]) through the same stamp physics the simulated
 //!   toolchain emits ([`feam_sim::stamp`]) — matching real bytes, not
 //!   strings smuggled through a side channel.
-//! * [`matcher`] — scans an [`feam_elf::ElfFile`] through three tiers
+//! * [`matcher`] — scans a [`feam_elf::LazyElf`] through three tiers
 //!   (version signature → family idiom → symbol shape) and emits a
 //!   [`report::ProvenanceReport`] whose per-claim confidences are
 //!   calibrated to the tier that produced them.

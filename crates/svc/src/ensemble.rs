@@ -5,7 +5,7 @@
 //! FEAM member is the placement's *existing* prediction read through the
 //! [`feam_agree::feam_member`] adapter — never a re-evaluation — so the
 //! annotated plan's predictions stay byte-identical to the bare
-//! planner's modulo the attached [`Dissent`] record and the re-ranking
+//! planner's modulo the attached [`Dissent`](feam_core::predict::Dissent) record and the re-ranking
 //! it implies. Sites that errored (no prediction) are left untouched.
 
 use crate::plan::{rank_cmp, Placement};

@@ -877,8 +877,12 @@ impl FleetInner {
     }
 
     /// One gauge per node: `fleet.node.state.<name>` (0 Closed,
-    /// 1 HalfOpen, 2 Open).
+    /// 1 HalfOpen, 2 Open). Skipped under a disabled recorder, which
+    /// would discard the values after every health lock was taken.
     fn publish_state_gauges(&self) {
+        if !self.cfg.recorder.is_enabled() {
+            return;
+        }
         let now = self.now_ms();
         for node in &self.nodes {
             let state = node.health.lock().expect("health").state(now);

@@ -27,7 +27,7 @@
 //! `cache.{bdc,edc}.{hit,miss}` / `svc.result.{hit,miss}` counters, queue
 //! depth and shed counters, and latency histograms.
 //!
-//! [`bench`] provides the deterministic, Zipf-skewed load generator
+//! [`bench`](mod@bench) provides the deterministic, Zipf-skewed load generator
 //! behind `feam-eval --serve-bench`, which pins the speedup caching buys
 //! and — run against a cache-disabled twin — that caching never changes a
 //! prediction.

@@ -202,7 +202,9 @@ fn results_replicate_to_replica_peers() {
 /// never answer from stale configuration.
 #[test]
 fn rejoining_nodes_catch_up_missed_epochs_before_serving() {
-    let (fleet, _rec) = test_fleet(3, 2, None);
+    let (fleet, rec) = test_fleet(3, 2, None);
+    let node1_state =
+        || rec.metrics_snapshot(60_000).unwrap().gauges["fleet.node.state.node-1"].last;
     assert_eq!(fleet.epoch(), 1, "the registration is op #1");
     for i in 0..3 {
         assert_eq!(fleet.node_applied_epoch(i), 1);
@@ -218,6 +220,11 @@ fn rejoining_nodes_catch_up_missed_epochs_before_serving() {
     );
 
     fleet.kill_node(1);
+    assert_eq!(
+        node1_state(),
+        2.0,
+        "a killed node's breaker gauge reads Open"
+    );
     let demo2 = feam_svc::registry::demo_binary(8);
     let epoch = fleet.update_binary("app", demo2.image.clone(), &demo2.home_site);
     assert_eq!(epoch, 3);
@@ -232,6 +239,11 @@ fn rejoining_nodes_catch_up_missed_epochs_before_serving() {
     assert_eq!(fleet.node_applied_epoch(2), 3, "heal replays ops 2..3");
     fleet.revive_node(1);
     assert_eq!(fleet.node_applied_epoch(1), 3, "revive replays op 3");
+    assert_eq!(
+        node1_state(),
+        0.0,
+        "a revived node's breaker gauge reads Closed"
+    );
 
     // Every node now answers for the *new* bytes: same generation
     // everywhere, so all three services agree.

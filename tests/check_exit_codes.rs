@@ -12,7 +12,9 @@ use std::process::Command;
 /// at home, and *contested* at the older-glibc sites (the symbol-diff
 /// checker and FEAM reject the missing GLIBC version nodes, the
 /// ldd-closure checker — which never looks at versions — accepts).
-fn contested_probe() -> PathBuf {
+/// Each caller passes its own `tag`, so tests running in parallel never
+/// truncate a file another test's `feam check` is reading.
+fn contested_probe(tag: &str) -> PathBuf {
     use feam::sim::compile::{compile, ProgramSpec};
     use feam::sim::toolchain::Language;
     use feam::workloads::sites::{standard_sites, FORGE};
@@ -27,7 +29,7 @@ fn contested_probe() -> PathBuf {
     let mut spec = ProgramSpec::new("cg", Language::C);
     spec.glibc_appetite = 1.0;
     let bin = compile(site, Some(stack), &spec, 42).expect("probe compiles");
-    let path = std::env::temp_dir().join(format!("feam-exitcode-{}.elf", std::process::id()));
+    let path = std::env::temp_dir().join(format!("feam-exitcode-{tag}-{}.elf", std::process::id()));
     std::fs::write(&path, bin.image.as_slice()).unwrap();
     path
 }
@@ -36,7 +38,7 @@ fn contested_probe() -> PathBuf {
 /// entry: still parseable, but the versym/dynsym length mismatch is a
 /// lint `Error`.
 fn error_probe() -> PathBuf {
-    let clean = contested_probe();
+    let clean = contested_probe("bad");
     let mut bytes = std::fs::read(&clean).unwrap();
     let rd16 = |b: &[u8], o: usize| u16::from_le_bytes([b[o], b[o + 1]]);
     let rd64 = |b: &[u8], o: usize| {
@@ -90,7 +92,7 @@ fn run_check(args: &[&str]) -> (i32, String) {
 
 #[test]
 fn contested_but_ready_exits_zero() {
-    let elf = contested_probe();
+    let elf = contested_probe("contested");
     let (code, stdout) = run_check(&["--sites", elf.to_str().unwrap()]);
     assert_eq!(
         code, 0,
@@ -131,7 +133,7 @@ fn lint_errors_exit_nonzero_even_with_sites() {
 
 #[test]
 fn clean_binary_without_sites_still_exits_zero() {
-    let elf = contested_probe();
+    let elf = contested_probe("clean");
     let (code, stdout) = run_check(&[elf.to_str().unwrap()]);
     assert_eq!(code, 0, "{stdout}");
     assert!(
