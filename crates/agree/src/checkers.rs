@@ -9,9 +9,7 @@
 
 use crate::inventory::SiteInventory;
 use feam_elf::LazyElf;
-use feam_sim::faults::FaultPlan;
 use feam_sim::site::Site;
-use std::sync::Arc;
 
 /// A member's tri-state readiness verdict.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
@@ -240,15 +238,4 @@ pub fn feam_member(prediction: &feam_core::predict::Prediction) -> MemberOutcome
         detail,
         fault_observed: prediction.degraded(),
     }
-}
-
-/// Convenience: collect an inventory and run one static checker.
-pub fn check_with_fresh_inventory(
-    checker: fn(&[u8], &Site, &SiteInventory) -> MemberOutcome,
-    image: &[u8],
-    site: &Site,
-    faults: &Arc<FaultPlan>,
-) -> MemberOutcome {
-    let inv = SiteInventory::collect(site, faults);
-    checker(image, site, &inv)
 }

@@ -371,42 +371,54 @@ pub fn find_installed<'s>(site: &'s Site, d: &DiscoveredStack) -> Option<&'s Ins
 pub fn missing_libraries(sess: &mut Session<'_>, path: &str) -> Vec<String> {
     sess.charge(0.3);
     match tools::ldd(sess, path) {
+        // What ldd could not resolve through the loader's paths, FEAM also
+        // searches for in common locations before declaring it missing (a
+        // found-but-unconfigured library is handled by emitting
+        // LD_LIBRARY_PATH configuration, not copies).
         LddResult::Resolved(map) => map
             .into_iter()
-            .filter_map(|(soname, loc)| {
-                if loc.is_some() {
-                    return None;
-                }
-                // ldd could not resolve it through the loader's paths; FEAM
-                // additionally searches common locations before declaring
-                // it missing (a found-but-unconfigured library is handled
-                // by emitting LD_LIBRARY_PATH configuration, not copies).
-                crate::bdc::locate_library(sess, &soname)
-                    .is_none()
-                    .then_some(soname)
-            })
+            .filter(|(so, loc)| loc.is_none() && crate::bdc::locate_library(sess, so).is_none())
+            .map(|(so, _)| so)
             .collect(),
         LddResult::NotRecognized | LddResult::NotPresent => {
             let Ok(desc) = crate::bdc::BinaryDescription::from_session(sess, path) else {
                 return Vec::new();
             };
-            desc.needed
-                .into_iter()
-                .filter(|so| {
-                    !session_lib_visible(sess, so) && crate::bdc::locate_library(sess, so).is_none()
-                })
-                .map(|so| so.to_string())
-                .collect()
+            unfound_libraries(sess, &desc.needed)
         }
     }
 }
 
-/// Libraries the loader would see on the session's current paths (used by
-/// the non-ldd fallback).
-fn session_lib_visible(sess: &Session<'_>, soname: &str) -> bool {
+/// The directories the loader searches in this session, in order: the
+/// current `LD_LIBRARY_PATH`, then the site's default library directories.
+fn loader_dirs(sess: &Session<'_>) -> Vec<String> {
     let mut dirs = sess.ld_library_path();
     dirs.extend(sess.site.default_lib_dirs());
+    dirs
+}
+
+/// The loader-visibility rule: `soname` is visible when `<dir>/<soname>`
+/// exists for some `dir` in `dirs` (the session's [`loader_dirs`]).
+fn lib_visible(sess: &Session<'_>, dirs: &[String], soname: &str) -> bool {
     dirs.iter().any(|d| sess.exists(&format!("{d}/{soname}")))
+}
+
+/// The missing-library computation without `ldd`: the sonames in `needed`
+/// that the loader cannot see on `LD_LIBRARY_PATH` or the site's default
+/// library directories, and that FEAM's search
+/// ([`crate::bdc::locate_library`]) cannot locate either.
+pub fn unfound_libraries<S: AsRef<str>>(
+    sess: &Session<'_>,
+    needed: impl IntoIterator<Item = S>,
+) -> Vec<String> {
+    let dirs = loader_dirs(sess);
+    needed
+        .into_iter()
+        .map(|so| so.as_ref().to_string())
+        .filter(|so| {
+            !lib_visible(sess, &dirs, so) && crate::bdc::locate_library(sess, so).is_none()
+        })
+        .collect()
 }
 
 /// Directories (beyond the loader defaults and current `LD_LIBRARY_PATH`)
@@ -414,17 +426,10 @@ fn session_lib_visible(sess: &Session<'_>, soname: &str) -> bool {
 /// generated environment setup.
 pub fn extra_lib_dirs<S: AsRef<str>>(sess: &mut Session<'_>, needed: &[S]) -> Vec<String> {
     let mut out: Vec<String> = Vec::new();
-    let mut visible_dirs = sess.ld_library_path();
-    visible_dirs.extend(sess.site.default_lib_dirs());
+    let visible_dirs = loader_dirs(sess);
     for so in needed {
         let so = so.as_ref();
-        if crate::bdc::is_c_library(so) {
-            continue;
-        }
-        if visible_dirs
-            .iter()
-            .any(|d| sess.exists(&format!("{d}/{so}")))
-        {
+        if crate::bdc::is_c_library(so) || lib_visible(sess, &visible_dirs, so) {
             continue;
         }
         if let Some(path) = crate::bdc::locate_library(sess, so) {

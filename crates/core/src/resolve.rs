@@ -9,6 +9,7 @@
 //! variables." Licensing issues are, as in the paper, out of scope.
 
 use crate::bundle::SourceBundle;
+use crate::edc::unfound_libraries;
 use crate::predict::c_library_compatible;
 use feam_elf::{HostArch, VersionName};
 use feam_sim::site::Session;
@@ -168,7 +169,8 @@ fn copy_usable(
     visiting.push(soname.to_string());
     let mut verdict: Result<(), ResolutionFailure> = Ok(());
     for dep in &copy.description.needed {
-        if crate::bdc::is_c_library(dep) || library_visible(sess, dep) {
+        // Present at the target (loader-visible or findable by search)?
+        if crate::bdc::is_c_library(dep) || unfound_libraries(sess, [dep]).is_empty() {
             continue;
         }
         if copy_usable(
@@ -191,17 +193,6 @@ fn copy_usable(
     visiting.pop();
     memo.insert(soname.to_string(), verdict.clone());
     verdict
-}
-
-/// Is a library already visible to the loader at the target (current
-/// session paths or findable by FEAM's search)?
-fn library_visible(sess: &Session<'_>, soname: &str) -> bool {
-    let mut dirs = sess.ld_library_path();
-    dirs.extend(sess.site.default_lib_dirs());
-    if dirs.iter().any(|d| sess.exists(&format!("{d}/{soname}"))) {
-        return true;
-    }
-    crate::bdc::locate_library(sess, soname).is_some()
 }
 
 /// Resolve every library in `missing` from the bundle, staging usable
@@ -282,7 +273,7 @@ pub fn resolve_missing(
         plan.staged.push((path, copy.bytes.clone()));
         for dep in &copy.description.needed {
             if !crate::bdc::is_c_library(dep)
-                && !library_visible(sess, dep)
+                && !unfound_libraries(sess, [dep]).is_empty()
                 && bundle.libraries.contains_key(dep.as_str())
                 && !staged_set.contains(dep.as_str())
             {

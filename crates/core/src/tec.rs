@@ -8,7 +8,7 @@
 //! matching configuration (stack selection + environment variables +
 //! staged copies) for the user.
 
-use crate::bdc::{BinaryDescription, MpiIdentification};
+use crate::bdc::{is_c_library, BinaryDescription, MpiIdentification};
 use crate::bundle::SourceBundle;
 use crate::edc::{self, EnvironmentDescription};
 use crate::phases::PhaseConfig;
@@ -179,6 +179,28 @@ fn record_determinant(
     prediction.record_determination(determinant, verdict, detail);
 }
 
+/// Why a candidate stack that passed its native hello world still falls
+/// short of a positive prediction.
+enum Shortfall {
+    /// Shared libraries missing or unresolvable under this stack; the
+    /// detail names them.
+    Libraries(String),
+    /// The transported hello world failed: an ABI or floating-point
+    /// incompatibility of the stack itself.
+    Transported,
+}
+
+/// A candidate stack that passed its native hello world.
+struct Candidate {
+    ident: String,
+    plan: ExecutionPlan,
+    resolution: Option<ResolutionPlan>,
+    transported_ok: Option<bool>,
+    /// The shared-library detail when every check passed, else the
+    /// shortfall.
+    libs: Result<String, Shortfall>,
+}
+
 /// Evaluate execution readiness of a binary at a target site.
 ///
 /// `binary_image` is the migrated binary when present at the target;
@@ -346,7 +368,9 @@ pub fn evaluate(
 
     let mut stack_tests = Vec::new();
     let mut any_functioning: Option<String> = None;
-    let mut best_incomplete: Option<(ExecutionPlan, Option<ResolutionPlan>, String)> = None;
+    // The first candidate to pass every check, else the first functioning
+    // one (the best-effort plan and its failure detail).
+    let mut chosen: Option<Candidate> = None;
     for cand in &candidates {
         let Some(ist) = edc::find_installed(site, cand) else {
             continue;
@@ -442,16 +466,8 @@ pub fn evaluate(
                 // Binary not present (bundle-only evaluation): work from the
                 // description gathered at the GEE.
                 let dirs = edc::extra_lib_dirs(&mut sess, &description.needed);
-                let missing = description
-                    .needed
-                    .iter()
-                    .filter(|so| {
-                        !crate::bdc::is_c_library(so)
-                            && crate::bdc::locate_library(&sess, so).is_none()
-                            && !visible_on_paths(&sess, so)
-                    })
-                    .map(|so| so.to_string())
-                    .collect();
+                let needed = description.needed.iter().filter(|so| !is_c_library(so));
+                let missing = edc::unfound_libraries(&sess, needed);
                 (missing, dirs)
             }
         };
@@ -462,11 +478,10 @@ pub fn evaluate(
         // Resolution (extended mode only, §V.C: "Resolution can proceed if
         // a Source Phase has occurred").
         let mut resolution: Option<ResolutionPlan> = None;
-        let mut all_libs_ok = missing.is_empty();
-        let mut lib_detail = if missing.is_empty() {
-            "all required shared libraries present".to_string()
+        let mut libs = if missing.is_empty() {
+            Ok("all required shared libraries present".to_string())
         } else {
-            format!("missing: {}", missing.join(", "))
+            Err(format!("missing: {}", missing.join(", ")))
         };
         if !missing.is_empty() && !cfg.disable_resolution {
             // Resolution needs the target ISA to vet copies; when the ISA
@@ -482,12 +497,11 @@ pub fn evaluate(
                     STAGING_DIR,
                 );
                 if rp.complete() {
-                    all_libs_ok = true;
-                    lib_detail = format!(
+                    libs = Ok(format!(
                         "{} missing shared libraries resolved via copies from {}",
                         rp.staged_count(),
                         bundle.gee_site
-                    );
+                    ));
                     feam_sim::site::env_prepend(&mut sess.env, "LD_LIBRARY_PATH", STAGING_DIR);
                 } else {
                     let fails: Vec<String> = rp
@@ -495,7 +509,7 @@ pub fn evaluate(
                         .iter()
                         .map(|(so, why)| format!("{so}: {why}"))
                         .collect();
-                    lib_detail = format!("unresolvable: {}", fails.join("; "));
+                    libs = Err(format!("unresolvable: {}", fails.join("; ")));
                 }
                 resolution = Some(rp);
             }
@@ -549,117 +563,88 @@ pub fn evaluate(
             stack_index: site.stacks.iter().position(|s| s.prefix == ist.prefix),
             stack_ident: Some(cand.ident()),
             launch_command: cfg.mpiexec_override.clone(),
-            extra_ld_dirs: extra_dirs.clone(),
+            extra_ld_dirs: extra_dirs,
             staged: resolution
                 .as_ref()
                 .map(|r| r.staged.clone())
                 .unwrap_or_default(),
         };
-        if resolution
-            .as_ref()
-            .map(|r| r.staged_count() > 0)
-            .unwrap_or(false)
-        {
+        if !cand_plan.staged.is_empty() {
             cand_plan.extra_ld_dirs.push(STAGING_DIR.to_string());
         }
         cpu += sess.cpu_seconds;
 
-        let transported_passed = transported_ok.unwrap_or(true);
-        if all_libs_ok && transported_passed {
-            // Success: record positive verdicts and return.
-            record_determinant(
-                &rec,
-                &mut prediction,
-                Determinant::MpiStack,
-                Determination::Compatible,
-                format!(
-                    "functioning {} stack: {}{}",
-                    bin_impl.name(),
-                    cand.ident(),
-                    match transported_ok {
-                        Some(true) => " (transported hello world passed)",
-                        _ => " (native hello world passed)",
-                    }
-                ),
-            );
-            record_determinant(
-                &rec,
-                &mut prediction,
-                Determinant::SharedLibraries,
-                Determination::Compatible,
-                lib_detail,
-            );
-            return TargetEvaluation::conclude(prediction, cand_plan, resolution, stack_tests, cpu);
-        }
-        // Keep the most promising incomplete candidate for the best-effort
-        // plan and its failure detail.
-        let detail = if !transported_passed {
-            format!(
-                "stack {} functioning but transported hello world failed (ABI/FP incompatibility)",
-                cand.ident()
-            )
+        let libs = if transported_ok == Some(false) {
+            Err(Shortfall::Transported)
         } else {
-            lib_detail
+            libs.map_err(Shortfall::Libraries)
         };
-        if best_incomplete.is_none() {
-            best_incomplete = Some((cand_plan, resolution, detail));
+        let ready = libs.is_ok();
+        if ready || chosen.is_none() {
+            chosen = Some(Candidate {
+                ident: cand.ident(),
+                plan: cand_plan,
+                resolution,
+                transported_ok,
+                libs,
+            });
+        }
+        if ready {
+            break;
         }
     }
 
-    // No candidate produced a positive prediction.
-    match best_incomplete {
-        Some((cand_plan, resolution, detail)) => {
-            let transported_failed = detail.contains("transported");
-            if transported_failed {
-                record_determinant(
-                    &rec,
-                    &mut prediction,
-                    Determinant::MpiStack,
-                    Determination::Incompatible,
-                    detail,
-                );
-            } else {
-                record_determinant(
-                    &rec,
-                    &mut prediction,
-                    Determinant::MpiStack,
-                    Determination::Compatible,
-                    format!(
-                        "functioning {} stack: {}",
-                        bin_impl.name(),
-                        any_functioning.clone().unwrap_or_default()
-                    ),
-                );
-                record_determinant(
-                    &rec,
-                    &mut prediction,
-                    Determinant::SharedLibraries,
-                    Determination::Incompatible,
-                    detail,
-                );
-            }
-            TargetEvaluation::conclude(prediction, cand_plan, resolution, stack_tests, cpu)
+    // The MpiStack and SharedLibraries verdicts, from the chosen candidate.
+    let Some(chosen) = chosen else {
+        record_determinant(
+            &rec,
+            &mut prediction,
+            Determinant::MpiStack,
+            Determination::Incompatible,
+            format!(
+                "{} advertised at target but no stack passed the hello-world test",
+                bin_impl.name()
+            ),
+        );
+        return TargetEvaluation::conclude(prediction, plan, None, stack_tests, cpu);
+    };
+    use Determination::{Compatible, Incompatible};
+    let name = bin_impl.name();
+    let ((verdict, detail), libs) = match chosen.libs {
+        Ok(detail) => {
+            let probe = match chosen.transported_ok {
+                Some(true) => "transported",
+                _ => "native",
+            };
+            let ident = chosen.ident;
+            let stack = format!("functioning {name} stack: {ident} ({probe} hello world passed)");
+            ((Compatible, stack), Some((Compatible, detail)))
         }
-        None => {
-            record_determinant(
-                &rec,
-                &mut prediction,
-                Determinant::MpiStack,
-                Determination::Incompatible,
-                format!(
-                    "{} advertised at target but no stack passed the hello-world test",
-                    bin_impl.name()
-                ),
+        Err(Shortfall::Libraries(detail)) => {
+            let ident = any_functioning.unwrap_or_default();
+            let stack = format!("functioning {name} stack: {ident}");
+            ((Compatible, stack), Some((Incompatible, detail)))
+        }
+        Err(Shortfall::Transported) => {
+            let stack = format!(
+                "stack {} functioning but transported hello world failed (ABI/FP incompatibility)",
+                chosen.ident
             );
-            TargetEvaluation::conclude(prediction, plan, None, stack_tests, cpu)
+            ((Incompatible, stack), None)
         }
+    };
+    record_determinant(
+        &rec,
+        &mut prediction,
+        Determinant::MpiStack,
+        verdict,
+        detail,
+    );
+    if let Some((verdict, detail)) = libs {
+        let determinant = Determinant::SharedLibraries;
+        record_determinant(&rec, &mut prediction, determinant, verdict, detail);
     }
-}
-
-fn visible_on_paths(sess: &Session<'_>, soname: &str) -> bool {
-    let mut dirs = sess.ld_library_path();
-    dirs.extend(sess.site.default_lib_dirs());
-    dirs.iter().any(|d| sess.exists(&format!("{d}/{soname}")))
+    TargetEvaluation::conclude(prediction, chosen.plan, chosen.resolution, stack_tests, cpu)
 }
 
 /// The configuration a scientist without FEAM would use: `module load` a
@@ -935,6 +920,36 @@ mod tests {
         let desc = BinaryDescription::from_bytes("/home/user/cg", &bin.image).unwrap();
         assert!(!desc.evidence.needs_fallback());
         assert!(desc.provenance.is_none());
+    }
+
+    #[test]
+    fn missing_library_is_blamed_on_shared_libraries_whatever_its_soname() {
+        // The candidate's shortfall is typed, never read back out of its
+        // detail text: a missing soname that contains "transported" must
+        // not pass for a failed transported hello world.
+        let sites = standard_sites(101);
+        let india = &sites[feam_workloads::sites::INDIA];
+        for missing in ["libfoo.so.1", "libtransported.so.1"] {
+            let mut spec =
+                feam_elf::ElfSpec::executable(feam_elf::Machine::X86_64, feam_elf::Class::Elf64);
+            spec.needed = [
+                "libmpi.so.0",
+                "libnsl.so.1",
+                "libutil.so.1",
+                missing,
+                "libc.so.6",
+            ]
+            .map(String::from)
+            .to_vec();
+            let image = Arc::new(spec.build().unwrap());
+            let out = crate::phases::run_target_phase(india, Some(&image), None, &cfg());
+            let verdict = |d| out.prediction.verdicts.iter().find(|v| v.determinant == d);
+            let mpi = verdict(Determinant::MpiStack).expect("MpiStack verdict");
+            assert_eq!(mpi.verdict, Determination::Compatible, "{}", mpi.detail);
+            let libs = verdict(Determinant::SharedLibraries).expect("libraries verdict");
+            assert_eq!(libs.verdict, Determination::Incompatible, "{missing}");
+            assert_eq!(libs.detail, format!("missing: {missing}"));
+        }
     }
 
     #[test]

@@ -7,7 +7,6 @@
 use crate::endian::Endian;
 use crate::error::Result;
 use crate::ident::Class;
-use crate::strtab::StrTab;
 
 /// Symbol binding (upper nibble of `st_info`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -191,13 +190,6 @@ pub struct NamedSymbol {
     pub undefined: bool,
     /// True for weak symbols or weak version references.
     pub weak: bool,
-}
-
-/// Resolve raw symbols against a string table.
-pub fn resolve_names(syms: &[Symbol], strtab: &StrTab<'_>) -> Result<Vec<(String, Symbol)>> {
-    syms.iter()
-        .map(|s| Ok((strtab.get(s.name_off as usize)?.to_string(), s.clone())))
-        .collect()
 }
 
 #[cfg(test)]

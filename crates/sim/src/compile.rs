@@ -164,14 +164,6 @@ pub struct CompiledBinary {
     pub identity: String,
 }
 
-impl CompiledBinary {
-    /// Stable content hash of the ELF image — the content-addressed key
-    /// service caches use for this binary's description.
-    pub fn content_hash(&self) -> u64 {
-        crate::rng::fnv1a(&self.image)
-    }
-}
-
 /// Why a compile failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CompileError {

@@ -68,18 +68,6 @@ impl ObjectMeta {
             size: f.size(),
         })
     }
-
-    /// Does this object export symbol `name` (with `version`, when the
-    /// reference is versioned)?
-    pub fn exports_symbol(&self, name: &str, version: Option<&str>) -> bool {
-        match version {
-            Some(v) => self
-                .exports
-                .iter()
-                .any(|(n, ver)| n == name && ver.as_deref() == Some(v)),
-            None => self.exports.iter().any(|(n, _)| n == name),
-        }
-    }
 }
 
 /// One resolved member of a load closure.

@@ -682,15 +682,6 @@ impl<'s> Session<'s> {
         self.charge(0.01);
     }
 
-    /// Stable content hash of a staged file (the content-addressed cache
-    /// identity of a migrated binary). Reads the overlay directly, so
-    /// injected VFS faults cannot perturb the identity of the bytes.
-    pub fn staged_content_hash(&self, path: &str) -> Option<u64> {
-        self.staged
-            .get(&crate::vfs::normalize(path))
-            .map(|b| crate::rng::fnv1a(b))
-    }
-
     /// Read a file: overlay first, then the site filesystem. An injected
     /// VFS fault makes the read fail as if the file were unreadable —
     /// staged overlays included (NFS does not care who wrote the file).

@@ -253,13 +253,6 @@ impl LibraryBlueprint {
             size,
         }
     }
-
-    /// Add plain (unversioned) exports.
-    pub fn with_exports(mut self, names: &[&str]) -> Self {
-        self.exports
-            .extend(names.iter().map(|n| ExportSpec::new(n, None)));
-        self
-    }
 }
 
 /// Runtime-library blueprints for one compiler installation. `glibc_import`

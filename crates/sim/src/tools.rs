@@ -12,7 +12,6 @@ use crate::exec::binary_fingerprint;
 use crate::loader::{ldd_map, LoadError};
 use crate::rng;
 use crate::site::{EnvMgmt, Session, Site};
-use std::sync::Arc;
 
 /// `uname -p` output.
 pub fn uname_p(site: &Site) -> &'static str {
@@ -262,11 +261,6 @@ pub fn run_libc_banner(sess: &Session<'_>, attempt: u32) -> Option<String> {
         &site.config.glibc,
         &site.config.os.pretty(),
     ))
-}
-
-/// Read a staged or installed binary for description (used by BDC).
-pub fn read_binary(sess: &Session<'_>, path: &str) -> Option<Arc<Vec<u8>>> {
-    sess.read_bytes(path)
 }
 
 #[cfg(test)]

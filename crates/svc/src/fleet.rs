@@ -46,6 +46,7 @@ use crate::health::{HealthConfig, HealthTracker, NodeState};
 use crate::registry::RegisteredBinary;
 use crate::router::HashRing;
 use crate::service::{Delivery, PredictRequest, PredictResponse, PredictService, SvcError};
+use feam_core::cache::BdcKey;
 use feam_core::predict::{Prediction, PredictionMode};
 use feam_core::tec::TargetEvaluation;
 use std::collections::HashMap;
@@ -126,15 +127,20 @@ pub struct FleetResponse {
 
 /// One logged configuration mutation. The log index order *is* the
 /// invalidation order fleet-wide.
+///
+/// `Register` and `Update` carry the image's content key, taken once when
+/// the op is logged, so no node hashes the image again.
 enum ConfigOp {
     Register {
         name: String,
         image: Arc<Vec<u8>>,
+        content_key: BdcKey,
         home_site: String,
     },
     Update {
         name: String,
         image: Arc<Vec<u8>>,
+        content_key: BdcKey,
         home_site: String,
     },
     Reconfigure {
@@ -323,25 +329,26 @@ impl Fleet {
         image: Arc<Vec<u8>>,
         home_site: &str,
     ) -> Result<(), SvcError> {
-        let content = feam_core::cache::BdcKey::of(&image).hash;
+        let content_key = BdcKey::of(&image);
         let mut ops = self.inner.ops.lock().expect("ops");
         {
             let mut routes = self.inner.routes.lock().expect("routes");
             match routes.get(name) {
-                Some(&existing) if existing == content => return Ok(()),
+                Some(&existing) if existing == content_key.hash => return Ok(()),
                 Some(_) => {
                     return Err(SvcError::ContentChanged {
                         name: name.to_string(),
                     })
                 }
                 None => {
-                    routes.insert(name.to_string(), content);
+                    routes.insert(name.to_string(), content_key.hash);
                 }
             }
         }
         ops.push(ConfigOp::Register {
             name: name.to_string(),
             image,
+            content_key,
             home_site: home_site.to_string(),
         });
         self.inner.apply_tail(&ops);
@@ -352,16 +359,17 @@ impl Fleet {
     /// results become unreachable on every node, exactly as on a single
     /// node). Returns the new fleet epoch.
     pub fn update_binary(&self, name: &str, image: Arc<Vec<u8>>, home_site: &str) -> u64 {
-        let content = feam_core::cache::BdcKey::of(&image).hash;
+        let content_key = BdcKey::of(&image);
         let mut ops = self.inner.ops.lock().expect("ops");
         self.inner
             .routes
             .lock()
             .expect("routes")
-            .insert(name.to_string(), content);
+            .insert(name.to_string(), content_key.hash);
         ops.push(ConfigOp::Update {
             name: name.to_string(),
             image,
+            content_key,
             home_site: home_site.to_string(),
         });
         self.inner.apply_tail(&ops);
@@ -770,21 +778,22 @@ impl FleetInner {
                 ConfigOp::Register {
                     name,
                     image,
+                    content_key,
                     home_site,
                 } => {
                     // ContentChanged cannot happen: the routes map
                     // rejected conflicting registrations before logging.
-                    let _ = node
-                        .svc
-                        .register_binary(name, RegisteredBinary::new(image.clone(), home_site));
+                    let binary = RegisteredBinary::with_key(image.clone(), *content_key, home_site);
+                    let _ = node.svc.register_binary(name, binary);
                 }
                 ConfigOp::Update {
                     name,
                     image,
+                    content_key,
                     home_site,
                 } => {
-                    node.svc
-                        .update_binary(name, RegisteredBinary::new(image.clone(), home_site));
+                    let binary = RegisteredBinary::with_key(image.clone(), *content_key, home_site);
+                    node.svc.update_binary(name, binary);
                 }
                 ConfigOp::Reconfigure { site } => {
                     let _ = node.svc.reconfigure_site(site);

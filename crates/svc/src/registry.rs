@@ -75,17 +75,18 @@ impl RegisteredBinary {
     /// Register an image built at (or considered native to) `home_site`.
     pub fn new(image: Arc<Vec<u8>>, home_site: &str) -> Self {
         let content_key = BdcKey::of(&image);
+        Self::with_key(image, content_key, home_site)
+    }
+
+    /// [`RegisteredBinary::new`] for an image whose key the caller already
+    /// took with [`BdcKey::of`], so the image is not hashed again.
+    pub(crate) fn with_key(image: Arc<Vec<u8>>, content_key: BdcKey, home_site: &str) -> Self {
         RegisteredBinary {
             image,
             content_key,
             home_site: home_site.to_string(),
             bundle: Mutex::new(None),
         }
-    }
-
-    /// Primary content hash (the sharding component of the full key).
-    pub fn content_hash(&self) -> u64 {
-        self.content_key.hash
     }
 
     /// The memoized source-phase bundle for `epoch`; `compute` runs at

@@ -130,18 +130,6 @@ impl HashRing {
         }
         out
     }
-
-    /// Convenience: replica *names* for a key.
-    pub fn replica_names(&self, point: u64, r: usize) -> Vec<String> {
-        self.replicas(point, r)
-            .into_iter()
-            .map(|i| {
-                self.nodes[i]
-                    .clone()
-                    .expect("ring points only to present nodes")
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
