@@ -717,7 +717,6 @@ fn check_fleet(
         replication: 2,
         hedge_after: None,
         recorder: feam_obs::Recorder::disabled(),
-        ..feam_svc::FleetConfig::default()
     };
     let mut fleet = feam_svc::Fleet::with_factory(fleet_cfg, 3, |_| {
         // Each node gets its own identical copy of the world (Site is

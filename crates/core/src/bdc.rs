@@ -13,6 +13,7 @@
 //! `ldd`-based dependency location at guaranteed execution sites and
 //! `locate`/`find` fallbacks when `ldd` is absent or unreliable.
 
+use crate::cache::{BdcKey, Freshness, Memo};
 use crate::error::{FeamError, Result};
 use crate::intern::{IStr, Interner};
 use feam_elf::comment::{extract_provenance, Provenance};
@@ -368,33 +369,13 @@ pub fn collect_libraries_cached(
             let Some(bytes) = sess.read_bytes(&loc) else {
                 continue;
             };
-            // Describing is pure in the bytes, so the content key is a
-            // sound memoization key: identical images at different paths
-            // share one description (the path field is the cached origin).
             let key = crate::cache::content_key_of(&bytes);
+            let mut describe = |_: &mut Session<'_>| {
+                BinaryDescription::from_bytes_keyed(&loc, &bytes, key, Some(&mut arena))
+            };
             let description = match caches {
-                Some(c) => match c.bdc_get(&key) {
-                    Some(d) => {
-                        sess.recorder.count("cache.bdc.hit", 1);
-                        let mut d = (*d).clone();
-                        // The description is content-addressed; only the
-                        // origin path is site-local.
-                        d.path = loc.clone();
-                        d
-                    }
-                    None => {
-                        sess.recorder.count("cache.bdc.miss", 1);
-                        let d = BinaryDescription::from_bytes_keyed(
-                            &loc,
-                            &bytes,
-                            key,
-                            Some(&mut arena),
-                        )?;
-                        c.bdc_put(key, Arc::new(d.clone()));
-                        d
-                    }
-                },
-                None => BinaryDescription::from_bytes_keyed(&loc, &bytes, key, Some(&mut arena))?,
+                Some(c) => describe_memoized(&c.bdc, sess, key, &loc, describe)?,
+                None => describe(sess)?,
             };
             needed_of.insert(loc.clone(), description.needed.clone());
             out.insert(
@@ -410,6 +391,24 @@ pub fn collect_libraries_cached(
         }
     }
     Ok(out)
+}
+
+/// Describe through the BDC memo. Describing is pure in the bytes, so the
+/// content key is a sound memo key: identical images at different paths
+/// share one entry, and a served description has only its site-local
+/// `path` rewritten.
+pub(crate) fn describe_memoized(
+    bdc: &Memo<BdcKey, Arc<BinaryDescription>>,
+    sess: &mut Session<'_>,
+    key: BdcKey,
+    path: &str,
+    describe: impl FnOnce(&mut Session<'_>) -> Result<BinaryDescription>,
+) -> Result<BinaryDescription> {
+    let fresh = Freshness::default();
+    let d = bdc.memoize(sess, key, fresh, |s| describe(s).map(Arc::new), |_| true)?;
+    let mut d = Arc::unwrap_or_clone(d);
+    d.path = path.to_string();
+    Ok(d)
 }
 
 /// Is this soname part of the C library family that FEAM never copies?

@@ -3,35 +3,41 @@
 //! FEAM's value proposition is answering "will this binary run there?"
 //! without trial execution; in production that question arrives as a
 //! stream of (binary, target-site) queries, and most queries repeat a
-//! binary or a site already described. Two memoization layers exploit
-//! that:
+//! binary or a site already described. Three memo layers exploit that,
+//! each an instance of one type, [`Memo`]:
 //!
-//! * [`BdcCache`] — a **sharded, content-addressed** cache of binary
+//! * `bdc` — a **sharded, content-addressed** memo of binary
 //!   descriptions keyed by [`BdcKey`], a fast content hash of the ELF
 //!   bytes plus a length and second-hash discriminator (so a primary-hash
 //!   collision between two distinct byte strings can never cross-serve a
 //!   description — `crates/core/tests/cache_keys.rs` pins this). Identical
 //!   images share one description regardless of path or site; recursive
 //!   library descriptions gathered by the source phase go through the same
-//!   cache ([`crate::bdc::collect_libraries_cached`]).
-//! * [`EdcCache`] — environment descriptions keyed by **site name +
-//!   configuration epoch**, with an optional TTL on a logical clock. A
-//!   site reconfiguration bumps the epoch ([`EdcCache::invalidate`]) and
-//!   instantly orphans stale entries; the TTL bounds staleness even
-//!   without an explicit invalidation signal.
+//!   layer ([`crate::bdc::collect_libraries_cached`]).
+//! * `edc` ([`EdcCache`]) — environment descriptions keyed by **site
+//!   name**, fresh while the site's **configuration epoch** stays put and,
+//!   optionally, for a TTL on a logical clock. A site reconfiguration
+//!   bumps the epoch ([`EdcCache::invalidate`]) and instantly orphans stale
+//!   entries; the TTL bounds staleness even without an explicit
+//!   invalidation signal.
+//! * `stack_tests` — native hello-world verdicts keyed by site, stack,
+//!   probe seed and process count, under the EDC's epoch for the site.
 //!
-//! **Poisoning guard:** only successful, non-degraded descriptions are
-//! inserted. A computation that observed an injected (or real) fault —
-//! `Session::faults_seen` moved, or the description carries `unobserved`
-//! holes — is served to its requester but never memoized, so one transient
-//! NFS hiccup cannot become every future client's answer. Caching is an
+//! **Poisoning guard**, in [`Memo::memoize`] alone: only fault-free,
+//! clean results are inserted. A computation that observed an injected (or
+//! real) fault — `Session::faults_seen` moved — or whose value the layer
+//! calls unclean (an environment description with `unobserved` holes) is
+//! served to its requester but never memoized, so one transient NFS hiccup
+//! cannot become every future client's answer. Caching is an
 //! optimization, never a semantic change: the Table III sweep produces
 //! byte-identical predictions with caches on and off (pinned by
 //! `tests/cache_equivalence.rs`).
 
 use crate::bdc::BinaryDescription;
 use crate::edc::EnvironmentDescription;
+use feam_sim::site::Session;
 use std::collections::HashMap;
+use std::convert::Infallible;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -172,15 +178,141 @@ impl CacheLayerStats {
     }
 }
 
-#[derive(Default)]
-struct LayerCounters {
+/// What a lookup requires of an entry, and what a new entry is stamped
+/// with: an entry serves only at the configuration epoch it was made
+/// under and, with a nonzero `ttl`, for at most `ttl` logical clock ticks
+/// after `now`. The default (epoch 0, no TTL) never goes stale.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Freshness {
+    pub epoch: u64,
+    pub now: u64,
+    /// 0 = entries never expire by age (epoch invalidation still applies).
+    pub ttl: u64,
+}
+
+impl Freshness {
+    fn admits<V>(&self, e: &Entry<V>) -> bool {
+        let age = self.now.saturating_sub(e.made.now);
+        e.made.epoch == self.epoch && (self.ttl == 0 || age <= self.ttl)
+    }
+}
+
+struct Entry<V> {
+    value: V,
+    made: Freshness,
+}
+
+/// One lock's worth of a memo layer.
+type Shard<K, V> = Mutex<HashMap<K, Entry<V>>>;
+
+/// One memo layer: a (optionally sharded) map from key to value plus the
+/// layer's hit/miss/reject counters. [`Memo::memoize`] is the only way in,
+/// so every layer follows the same protocol and the same poisoning guard.
+pub struct Memo<K, V> {
+    shards: Box<[Shard<K, V>]>,
+    /// The hash that picks a key's shard.
+    shard_of: fn(&K) -> u64,
+    /// Recorder counter names for a hit and a miss, if the layer
+    /// publishes them.
+    metrics: Option<(&'static str, &'static str)>,
     hits: AtomicU64,
     misses: AtomicU64,
     rejected: AtomicU64,
 }
 
-impl LayerCounters {
-    fn snapshot(&self) -> CacheLayerStats {
+impl<K: Eq + std::hash::Hash, V: Clone> Memo<K, V> {
+    fn new(
+        shards: usize,
+        shard_of: fn(&K) -> u64,
+        metrics: Option<(&'static str, &'static str)>,
+    ) -> Self {
+        Memo {
+            shards: (0..shards).map(|_| Mutex::new(HashMap::new())).collect(),
+            shard_of,
+            metrics,
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+            rejected: AtomicU64::new(0),
+        }
+    }
+
+    fn shard(&self, key: &K) -> &Shard<K, V> {
+        &self.shards[((self.shard_of)(key) % self.shards.len() as u64) as usize]
+    }
+
+    /// The memo protocol. Serve `key`'s entry if `fresh` admits it;
+    /// otherwise `compute` it through `sess` (so injected faults still
+    /// apply) and memoize the result stamped with `fresh`, **only** when
+    /// no fault fired during the computation (`sess.faults_seen` did not
+    /// move) and `clean` accepts the value. A refused result is still
+    /// returned to its requester and counted as a rejection; an `Err` is
+    /// returned as is and memoizes nothing.
+    pub fn memoize<E>(
+        &self,
+        sess: &mut Session<'_>,
+        key: K,
+        fresh: Freshness,
+        compute: impl FnOnce(&mut Session<'_>) -> Result<V, E>,
+        clean: impl FnOnce(&V) -> bool,
+    ) -> Result<V, E> {
+        let shard = self.shard(&key);
+        let hit = shard
+            .lock()
+            .expect("memo shard")
+            .get(&key)
+            .filter(|e| fresh.admits(e))
+            .map(|e| e.value.clone());
+        let (counter, metric) = match &hit {
+            Some(_) => (&self.hits, self.metrics.map(|(h, _)| h)),
+            None => (&self.misses, self.metrics.map(|(_, m)| m)),
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        if let Some(name) = metric {
+            sess.recorder.count(name, 1);
+        }
+        if let Some(v) = hit {
+            return Ok(v);
+        }
+        let before = sess.faults_seen.get();
+        let value = compute(sess)?;
+        if sess.faults_seen.get() == before && clean(&value) {
+            let entry = Entry {
+                value: value.clone(),
+                made: fresh,
+            };
+            shard.lock().expect("memo shard").insert(key, entry);
+        } else {
+            self.rejected.fetch_add(1, Ordering::Relaxed);
+        }
+        Ok(value)
+    }
+
+    /// The entry `fresh` admits under `key`, without touching the
+    /// counters — for tests and introspection.
+    pub fn peek(&self, key: &K, fresh: Freshness) -> Option<V> {
+        self.shard(key)
+            .lock()
+            .expect("memo shard")
+            .get(key)
+            .filter(|e| fresh.admits(e))
+            .map(|e| e.value.clone())
+    }
+
+    /// Entries currently held (across all shards), stale ones included.
+    pub fn len(&self) -> usize {
+        self.shards
+            .iter()
+            .map(|s| s.lock().expect("memo shard").len())
+            .sum()
+    }
+
+    /// True when no entry is held.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Hit/miss/reject totals so far.
+    pub fn stats(&self) -> CacheLayerStats {
         CacheLayerStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
@@ -189,98 +321,26 @@ impl LayerCounters {
     }
 }
 
-/// Sharded content-addressed cache of binary descriptions.
-pub struct BdcCache {
-    shards: Vec<Mutex<HashMap<BdcKey, Arc<BinaryDescription>>>>,
-    counters: LayerCounters,
-}
-
-impl Default for BdcCache {
-    fn default() -> Self {
-        BdcCache {
-            shards: (0..BDC_SHARDS)
-                .map(|_| Mutex::new(HashMap::new()))
-                .collect(),
-            counters: LayerCounters::default(),
-        }
-    }
-}
-
-impl BdcCache {
-    fn shard(&self, key: &BdcKey) -> &Mutex<HashMap<BdcKey, Arc<BinaryDescription>>> {
-        &self.shards[(key.hash % BDC_SHARDS as u64) as usize]
-    }
-
-    /// Look up a description by its full content key; a key agreeing only
-    /// on the primary hash (a collision) misses.
-    pub fn get(&self, key: &BdcKey) -> Option<Arc<BinaryDescription>> {
-        let hit = self.shard(key).lock().expect("bdc shard").get(key).cloned();
-        match &hit {
-            Some(_) => self.counters.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.counters.misses.fetch_add(1, Ordering::Relaxed),
-        };
-        hit
-    }
-
-    /// Insert a description under its content key.
-    pub fn put(&self, key: BdcKey, desc: Arc<BinaryDescription>) {
-        self.shard(&key)
-            .lock()
-            .expect("bdc shard")
-            .insert(key, desc);
-    }
-
-    /// Record an insertion refused by the poisoning guard.
-    pub fn reject(&self) {
-        self.counters.rejected.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Entries currently cached (across all shards).
-    pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("bdc shard").len())
-            .sum()
-    }
-
-    /// True when no entry is cached.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Hit/miss/reject totals so far.
-    pub fn stats(&self) -> CacheLayerStats {
-        self.counters.snapshot()
-    }
-}
-
-struct EdcEntry {
-    epoch: u64,
-    inserted_at: u64,
-    env: Arc<EnvironmentDescription>,
-}
-
-/// Environment-description cache keyed by site name + config epoch, with
-/// an optional TTL on a logical clock (the service advances the clock once
-/// per admitted request, so `ttl` is "requests of staleness tolerated").
+/// The EDC layer: environment descriptions memoized per site name, plus
+/// what only the EDC needs — the per-site configuration epochs, the
+/// logical clock and the TTL. The service advances the clock once per
+/// admitted request, so `ttl` is "requests of staleness tolerated".
 pub struct EdcCache {
+    memo: Memo<String, Arc<EnvironmentDescription>>,
     /// 0 = entries never expire by age (epoch invalidation still applies).
     ttl: u64,
     clock: AtomicU64,
-    entries: Mutex<HashMap<String, EdcEntry>>,
     epochs: Mutex<HashMap<String, u64>>,
-    counters: LayerCounters,
 }
 
 impl EdcCache {
     /// New cache; `ttl` is in logical clock ticks (0 = no expiry).
     pub fn new(ttl: u64) -> Self {
         EdcCache {
+            memo: Memo::new(1, |_| 0, Some(("cache.edc.hit", "cache.edc.miss"))),
             ttl,
             clock: AtomicU64::new(0),
-            entries: Mutex::new(HashMap::new()),
             epochs: Mutex::new(HashMap::new()),
-            counters: LayerCounters::default(),
         }
     }
 
@@ -308,114 +368,45 @@ impl EdcCache {
         *e
     }
 
-    /// Look up the environment description for `site`, honoring epoch and
-    /// TTL.
-    pub fn get(&self, site: &str) -> Option<Arc<EnvironmentDescription>> {
-        let now = self.clock.load(Ordering::Relaxed);
-        let epoch = self.epoch(site);
-        let entries = self.entries.lock().expect("edc entries");
-        let hit = entries.get(site).and_then(|e| {
-            if e.epoch != epoch {
-                return None; // site reconfigured since this was described
-            }
-            if self.ttl > 0 && now.saturating_sub(e.inserted_at) > self.ttl {
-                return None; // older than the staleness budget
-            }
-            Some(e.env.clone())
-        });
-        match &hit {
-            Some(_) => self.counters.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.counters.misses.fetch_add(1, Ordering::Relaxed),
-        };
-        hit
-    }
-
-    /// Insert a description for `site` at the current epoch and clock.
-    pub fn put(&self, site: &str, env: Arc<EnvironmentDescription>) {
-        let entry = EdcEntry {
+    /// `site`'s current epoch, the clock and the TTL.
+    fn freshness(&self, site: &str) -> Freshness {
+        Freshness {
             epoch: self.epoch(site),
-            inserted_at: self.clock.load(Ordering::Relaxed),
-            env,
-        };
-        self.entries
-            .lock()
-            .expect("edc entries")
-            .insert(site.to_string(), entry);
+            now: self.clock.load(Ordering::Relaxed),
+            ttl: self.ttl,
+        }
     }
 
-    /// Record an insertion refused by the poisoning guard.
-    pub fn reject(&self) {
-        self.counters.rejected.fetch_add(1, Ordering::Relaxed);
+    /// Describe the session's site through the memo: a discovery that
+    /// saw a fault or left `unobserved` holes is returned but never
+    /// memoized. The entry is stamped with the epoch read before
+    /// `discover` ran, so a reconfiguration racing it orphans the result.
+    pub fn memoize(
+        &self,
+        sess: &mut Session<'_>,
+        discover: impl FnOnce(&mut Session<'_>) -> EnvironmentDescription,
+    ) -> EnvironmentDescription {
+        let site = sess.site.name();
+        let fresh = self.freshness(site);
+        let discover = |s: &mut Session<'_>| Ok::<_, Infallible>(Arc::new(discover(s)));
+        let clean = |env: &Arc<EnvironmentDescription>| env.unobserved.is_empty();
+        let Ok(env) = self
+            .memo
+            .memoize(sess, site.to_string(), fresh, discover, clean);
+        Arc::unwrap_or_clone(env)
     }
 
     /// Is there a live (current-epoch, unexpired) entry for `site`? Does
     /// not touch the hit/miss counters — for tests and introspection.
     pub fn contains(&self, site: &str) -> bool {
-        let now = self.clock.load(Ordering::Relaxed);
-        let epoch = self.epoch(site);
-        self.entries
-            .lock()
-            .expect("edc entries")
-            .get(site)
-            .is_some_and(|e| {
-                e.epoch == epoch && (self.ttl == 0 || now.saturating_sub(e.inserted_at) <= self.ttl)
-            })
+        self.memo
+            .peek(&site.to_string(), self.freshness(site))
+            .is_some()
     }
 
     /// Hit/miss/reject totals so far.
     pub fn stats(&self) -> CacheLayerStats {
-        self.counters.snapshot()
-    }
-}
-
-/// Memo of the §III.B native hello-world functional test. The verdict is
-/// a function of (site, stack, seed, nprocs) alone — not of the binary
-/// under evaluation — so one test per advertised stack serves every
-/// evaluation at the site. Entries ride the EDC's configuration epoch
-/// (reconfiguring a site orphans its memos), and only fault-free tests are
-/// memoized, the same poisoning guard the description caches use.
-#[derive(Default)]
-pub struct StackTestCache {
-    entries: Mutex<HashMap<StackTestKey, (u64, bool)>>,
-    counters: LayerCounters,
-}
-
-/// (site name, stack ident, probe seed, nprocs).
-type StackTestKey = (String, String, u64, u32);
-
-impl StackTestCache {
-    /// The memoized `native_ok` for this (site, stack) at `epoch`, if the
-    /// test already ran under the same seed and process count.
-    pub fn get(&self, site: &str, stack: &str, seed: u64, nprocs: u32, epoch: u64) -> Option<bool> {
-        let hit = self
-            .entries
-            .lock()
-            .expect("stack-test entries")
-            .get(&(site.to_string(), stack.to_string(), seed, nprocs))
-            .and_then(|&(e, ok)| (e == epoch).then_some(ok));
-        match &hit {
-            Some(_) => self.counters.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.counters.misses.fetch_add(1, Ordering::Relaxed),
-        };
-        hit
-    }
-
-    /// Memoize a fault-free test verdict at `epoch`.
-    pub fn put(&self, site: &str, stack: &str, seed: u64, nprocs: u32, epoch: u64, ok: bool) {
-        self.entries.lock().expect("stack-test entries").insert(
-            (site.to_string(), stack.to_string(), seed, nprocs),
-            (epoch, ok),
-        );
-    }
-
-    /// Record an insertion refused by the poisoning guard.
-    pub fn reject(&self) {
-        self.counters.rejected.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Hit/miss/reject totals so far.
-    pub fn stats(&self) -> CacheLayerStats {
-        self.counters.snapshot()
+        self.memo.stats()
     }
 }
 
@@ -425,9 +416,14 @@ impl StackTestCache {
 /// uncached — the CLI and the evaluation sweep pay nothing. The service
 /// layer installs one shared `PhaseCaches` across all workers.
 pub struct PhaseCaches {
-    pub bdc: BdcCache,
+    /// Binary descriptions by content key, in [`BDC_SHARDS`] shards.
+    pub bdc: Memo<BdcKey, Arc<BinaryDescription>>,
+    /// Environment descriptions by site, under epoch and TTL.
     pub edc: EdcCache,
-    pub stack_tests: StackTestCache,
+    /// Native hello-world verdicts by (site, stack ident, probe seed,
+    /// nprocs) — never by binary — under the EDC's epoch. Publishes no
+    /// recorder counters, so its hit path never touches the registry.
+    pub stack_tests: Memo<(String, String, u64, u32), bool>,
 }
 
 impl std::fmt::Debug for PhaseCaches {
@@ -435,6 +431,7 @@ impl std::fmt::Debug for PhaseCaches {
         f.debug_struct("PhaseCaches")
             .field("bdc", &self.bdc.stats())
             .field("edc", &self.edc.stats())
+            .field("stack_tests", &self.stack_tests.stats())
             .finish()
     }
 }
@@ -443,36 +440,36 @@ impl PhaseCaches {
     /// New cache bundle; `edc_ttl` in logical ticks (0 = no expiry).
     pub fn new(edc_ttl: u64) -> Self {
         PhaseCaches {
-            bdc: BdcCache::default(),
+            bdc: Memo::new(
+                BDC_SHARDS,
+                |k| k.hash,
+                Some(("cache.bdc.hit", "cache.bdc.miss")),
+            ),
             edc: EdcCache::new(edc_ttl),
-            stack_tests: StackTestCache::default(),
+            stack_tests: Memo::new(1, |_| 0, None),
         }
-    }
-
-    /// Shorthands used by the phases.
-    pub fn bdc_get(&self, key: &BdcKey) -> Option<Arc<BinaryDescription>> {
-        self.bdc.get(key)
-    }
-
-    pub fn bdc_put(&self, key: BdcKey, desc: Arc<BinaryDescription>) {
-        self.bdc.put(key, desc);
-    }
-
-    pub fn edc_get(&self, site: &str) -> Option<Arc<EnvironmentDescription>> {
-        self.edc.get(site)
-    }
-
-    pub fn edc_put(&self, site: &str, env: Arc<EnvironmentDescription>) {
-        self.edc.put(site, env);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use feam_sim::site::{OsInfo, Site, SiteConfig};
 
-    fn env_desc(site: &str) -> Arc<EnvironmentDescription> {
-        Arc::new(EnvironmentDescription {
+    fn bare_site(name: &str) -> Site {
+        let os = OsInfo::new("CentOS", "5.6", "2.6.18");
+        Site::build(SiteConfig::new(
+            name,
+            feam_elf::HostArch::X86_64,
+            os,
+            "2.5",
+            1,
+        ))
+    }
+
+    /// A clean environment description of `site`, or one with a hole.
+    fn env_desc(site: &str, unobserved: &[&str]) -> EnvironmentDescription {
+        EnvironmentDescription {
             isa: "x86_64".into(),
             arch: Some(feam_elf::HostArch::X86_64),
             os: format!("os-of-{site}"),
@@ -480,48 +477,60 @@ mod tests {
             env_mgmt: None,
             available_stacks: vec![],
             loaded_stack: None,
-            unobserved: vec![],
-        })
+            unobserved: unobserved.iter().map(|u| u.to_string()).collect(),
+        }
     }
 
-    fn bin_desc() -> Arc<BinaryDescription> {
+    /// Discover `site` through the EDC memo; true when the memo served it.
+    fn edc_serves(c: &EdcCache, site: &Site) -> bool {
+        let mut served = true;
+        c.memoize(&mut Session::new(site), |_| {
+            served = false;
+            env_desc(site.name(), &[])
+        });
+        served
+    }
+
+    /// Count the `compute` calls `memoize` makes for these `keys`.
+    fn computed(c: &Memo<BdcKey, Arc<BinaryDescription>>, keys: &[BdcKey]) -> usize {
+        let site = bare_site("fir");
+        let mut sess = Session::new(&site);
         let mut spec =
             feam_elf::ElfSpec::executable(feam_elf::Machine::X86_64, feam_elf::Class::Elf64);
         spec.needed = vec!["libc.so.6".into()];
         let bytes = spec.build().unwrap();
-        Arc::new(BinaryDescription::from_bytes("/tmp/app", &bytes).unwrap())
+        let mut n = 0;
+        for &key in keys {
+            let describe = |_: &mut Session<'_>| {
+                n += 1;
+                BinaryDescription::from_bytes("/tmp/app", &bytes).map(Arc::new)
+            };
+            c.memoize(&mut sess, key, Freshness::default(), describe, |_| true)
+                .unwrap();
+        }
+        n
     }
 
     #[test]
     fn bdc_cache_round_trips_by_content_key() {
-        let c = BdcCache::default();
-        let d = bin_desc();
-        let key = BdcKey {
-            hash: d.content_hash,
-            len: d.size as u64,
-            alt: 7,
-        };
-        assert!(c.get(&key).is_none());
-        c.put(key, d.clone());
-        let got = c.get(&key).unwrap();
-        assert_eq!(got.content_hash, d.content_hash);
+        let c = PhaseCaches::new(0).bdc;
+        let key = BdcKey::of(b"an image");
+        assert_eq!(computed(&c, &[key, key]), 1, "the second lookup hits");
         let s = c.stats();
-        assert_eq!((s.hits, s.misses), (1, 1));
+        assert_eq!((s.hits, s.misses, s.rejected), (1, 1, 0));
     }
 
     #[test]
     fn bdc_cache_spreads_across_shards() {
-        let c = BdcCache::default();
-        for h in 0..64u64 {
-            c.put(
-                BdcKey {
-                    hash: h,
-                    len: h,
-                    alt: h,
-                },
-                bin_desc(),
-            );
-        }
+        let c = PhaseCaches::new(0).bdc;
+        let keys: Vec<BdcKey> = (0..64u64)
+            .map(|h| BdcKey {
+                hash: h,
+                len: h,
+                alt: h,
+            })
+            .collect();
+        assert_eq!(computed(&c, &keys), 64);
         assert_eq!(c.len(), 64);
         let populated = c
             .shards
@@ -529,6 +538,16 @@ mod tests {
             .filter(|s| !s.lock().unwrap().is_empty())
             .count();
         assert_eq!(populated, BDC_SHARDS, "sequential hashes fill every shard");
+    }
+
+    #[test]
+    fn unclean_results_are_served_but_not_memoized() {
+        let c = EdcCache::new(0);
+        let site = bare_site("fir");
+        let holey = c.memoize(&mut Session::new(&site), |_| env_desc("fir", &["os"]));
+        assert_eq!(holey.unobserved, ["os"], "served to its requester");
+        assert!(!c.contains("fir"));
+        assert_eq!(c.stats().rejected, 1);
     }
 
     #[test]
@@ -546,37 +565,38 @@ mod tests {
     #[test]
     fn edc_epoch_invalidation_orphans_entries() {
         let c = EdcCache::new(0);
-        c.put("ranger", env_desc("ranger"));
-        assert!(c.get("ranger").is_some());
-        let e = c.invalidate("ranger");
-        assert_eq!(e, 1);
-        assert!(c.get("ranger").is_none(), "stale epoch must not serve");
+        let ranger = bare_site("ranger");
+        assert!(!edc_serves(&c, &ranger), "cold miss describes");
+        assert!(edc_serves(&c, &ranger));
+        assert_eq!(c.invalidate("ranger"), 1);
+        assert!(!c.contains("ranger"), "stale epoch must not serve");
         // Re-described at the new epoch: serves again.
-        c.put("ranger", env_desc("ranger"));
-        assert!(c.get("ranger").is_some());
+        assert!(!edc_serves(&c, &ranger));
+        assert!(edc_serves(&c, &ranger));
     }
 
     #[test]
     fn edc_ttl_expires_on_logical_clock() {
         let c = EdcCache::new(5);
-        c.put("india", env_desc("india"));
+        let india = bare_site("india");
+        edc_serves(&c, &india);
         for _ in 0..5 {
             c.advance_clock();
         }
-        assert!(c.get("india").is_some(), "within the staleness budget");
+        assert!(edc_serves(&c, &india), "within the staleness budget");
         c.advance_clock();
-        assert!(c.get("india").is_none(), "expired after ttl ticks");
-        assert!(!c.contains("india"));
+        assert!(!edc_serves(&c, &india), "expired after ttl ticks");
     }
 
     #[test]
     fn edc_zero_ttl_never_expires() {
         let c = EdcCache::new(0);
-        c.put("fir", env_desc("fir"));
+        let fir = bare_site("fir");
+        edc_serves(&c, &fir);
         for _ in 0..10_000 {
             c.advance_clock();
         }
-        assert!(c.get("fir").is_some());
+        assert!(edc_serves(&c, &fir));
     }
 
     #[test]

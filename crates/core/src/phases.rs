@@ -10,6 +10,7 @@
 
 use crate::bdc::{self, BinaryDescription};
 use crate::bundle::{HelloWorldProbe, SourceBundle};
+use crate::cache::content_key_of;
 use crate::edc::{self, EnvironmentDescription};
 use crate::error::{FeamError, Result};
 use crate::retry::{compile_with_retry, RetryPolicy};
@@ -86,66 +87,31 @@ impl Default for PhaseConfig {
     }
 }
 
-/// Describe a binary whose bytes are already in hand, going through the
-/// content-addressed BDC cache when one is configured.
-///
-/// On a hit the cached description is reused with only the site-local
-/// `path` rewritten. On a miss the description is computed through the
-/// session (so injected faults still apply) and inserted **only** when no
-/// fault fired during the computation — a degraded read must be served to
-/// its requester but never memoized.
+/// Describe a binary whose bytes are already in hand, through the
+/// content-addressed BDC memo when caches are configured.
 fn describe_binary_cached(
-    sess: &Session<'_>,
+    sess: &mut Session<'_>,
     path: &str,
     image: &Arc<Vec<u8>>,
     cfg: &PhaseConfig,
 ) -> Result<BinaryDescription> {
-    let Some(caches) = cfg.caches.as_deref() else {
-        return BinaryDescription::from_session(sess, path);
-    };
-    // Pointer-memoized: repeat requests for the same registered image skip
-    // rehashing its bytes entirely.
-    let key = crate::cache::content_key_of(image);
-    if let Some(d) = caches.bdc_get(&key) {
-        sess.recorder.count("cache.bdc.hit", 1);
-        let mut d = (*d).clone();
-        d.path = path.to_string();
-        return Ok(d);
+    let describe = |s: &mut Session<'_>| BinaryDescription::from_session(s, path);
+    match cfg.caches.as_deref() {
+        // Pointer-memoized: repeat requests for the same registered image
+        // skip rehashing its bytes entirely.
+        Some(c) => bdc::describe_memoized(&c.bdc, sess, content_key_of(image), path, describe),
+        None => describe(sess),
     }
-    sess.recorder.count("cache.bdc.miss", 1);
-    let before = sess.faults_seen.get();
-    let d = BinaryDescription::from_session(sess, path)?;
-    if sess.faults_seen.get() == before {
-        caches.bdc_put(key, Arc::new(d.clone()));
-    } else {
-        caches.bdc.reject();
-    }
-    Ok(d)
 }
 
-/// Discover the session's environment, going through the per-site EDC
-/// cache when one is configured.
-///
-/// Same poisoning guard as the BDC path: a discovery that saw an injected
-/// fault or left `unobserved` holes is returned but never cached.
+/// Discover the session's environment, through the per-site EDC memo when
+/// caches are configured.
 fn discover_cached(sess: &mut Session<'_>, cfg: &PhaseConfig) -> EnvironmentDescription {
-    let Some(caches) = cfg.caches.as_deref() else {
-        return edc::discover_with_retry(sess, &cfg.retry);
-    };
-    let site = sess.site.name().to_string();
-    if let Some(env) = caches.edc_get(&site) {
-        sess.recorder.count("cache.edc.hit", 1);
-        return (*env).clone();
+    let discover = |s: &mut Session<'_>| edc::discover_with_retry(s, &cfg.retry);
+    match cfg.caches.as_deref() {
+        Some(c) => c.edc.memoize(sess, discover),
+        None => discover(sess),
     }
-    sess.recorder.count("cache.edc.miss", 1);
-    let before = sess.faults_seen.get();
-    let env = edc::discover_with_retry(sess, &cfg.retry);
-    if sess.faults_seen.get() == before && env.unobserved.is_empty() {
-        caches.edc_put(&site, Arc::new(env.clone()));
-    } else {
-        caches.edc.reject();
-    }
-    env
 }
 
 impl PhaseConfig {
@@ -195,7 +161,7 @@ pub fn run_source_phase(
     sess.stage_file(app_path, binary.clone());
     let app = {
         let _span = rec.span("bdc");
-        describe_binary_cached(&sess, app_path, binary, cfg)?
+        describe_binary_cached(&mut sess, app_path, binary, cfg)?
     };
     let gee_env = {
         let _span = rec.span("edc");
@@ -314,7 +280,7 @@ pub fn run_target_phase(
         (Some(image), _) => {
             let _span = rec.span("bdc");
             sess.stage_file(tec::APP_PATH, (*image).clone());
-            match describe_binary_cached(&sess, tec::APP_PATH, image, cfg) {
+            match describe_binary_cached(&mut sess, tec::APP_PATH, image, cfg) {
                 Ok(d) => d,
                 // Graceful degradation: the staged binary could not be read
                 // back (injected VFS fault or corrupt copy). Fall back to
@@ -637,54 +603,6 @@ mod tests {
             );
             assert_eq!(outcome.binary.content_hash, uncached.binary.content_hash);
         }
-    }
-
-    #[test]
-    fn faulted_computations_never_poison_caches() {
-        let sites = standard_sites(23);
-        let image = build_at(&sites, RANGER, 1);
-        let india = &sites[INDIA];
-        let caches = Arc::new(crate::cache::PhaseCaches::new(0));
-
-        // Persistent faults on every VFS read and every EDC observation:
-        // the staged binary is unreadable and the environment description
-        // degrades. The degraded outputs must be served but never inserted
-        // into the shared caches.
-        let plan = feam_sim::faults::FaultPlan {
-            vfs_read: feam_sim::faults::FaultPlan::persistent_vfs(77, 1.0).vfs_read,
-            ..feam_sim::faults::FaultPlan::persistent_edc(77, 1.0)
-        };
-        let chaotic = PhaseConfig {
-            caches: Some(caches.clone()),
-            faults: Arc::new(plan),
-            ..PhaseConfig::default()
-        };
-        let degraded = run_target_phase(india, Some(&image), None, &chaotic);
-        assert!(
-            caches.bdc.is_empty(),
-            "faulted BDC computation must not be memoized"
-        );
-        assert!(
-            !caches.edc.contains(india.name()),
-            "degraded EDC discovery must not be memoized"
-        );
-        assert!(caches.bdc.stats().rejected + caches.edc.stats().rejected > 0);
-
-        // A fault-free run afterwards fills the caches with clean entries
-        // and is not contaminated by the degraded run.
-        let clean = PhaseConfig {
-            caches: Some(caches.clone()),
-            ..PhaseConfig::default()
-        };
-        let healthy = run_target_phase(india, Some(&image), None, &clean);
-        assert!(!caches.bdc.is_empty(), "clean description is cached");
-        assert!(caches.edc.contains(india.name()));
-        assert!(healthy.environment.unobserved.is_empty());
-        assert_ne!(
-            degraded.environment.unobserved.len(),
-            0,
-            "chaotic run really was degraded"
-        );
     }
 
     #[test]

@@ -10,6 +10,7 @@
 
 use crate::bdc::{is_c_library, BinaryDescription, MpiIdentification};
 use crate::bundle::SourceBundle;
+use crate::cache::Freshness;
 use crate::edc::{self, EnvironmentDescription};
 use crate::phases::PhaseConfig;
 use crate::predict::{
@@ -18,8 +19,9 @@ use crate::predict::{
 use crate::resolve::{resolve_missing, ResolutionPlan};
 use crate::retry::{compile_with_retry, launch_with_retry};
 use feam_sim::compile::ProgramSpec;
-use feam_sim::site::{Session, Site};
+use feam_sim::site::{InstalledStack, Session, Site};
 use feam_sim::toolchain::Language;
+use std::convert::Infallible;
 use std::sync::Arc;
 
 /// Staging directory FEAM uses for resolved library copies.
@@ -177,6 +179,25 @@ fn record_determinant(
         rec.count("prediction.degraded_verdicts", 1);
     }
     prediction.record_determination(determinant, verdict, detail);
+}
+
+/// Compile and launch a native MPI hello world with `ist` loaded: the
+/// §III.B functional test of an advertised stack.
+fn native_hello_world(sess: &mut Session<'_>, ist: &InstalledStack, cfg: &PhaseConfig) -> bool {
+    sess.charge(12.0); // native compile cost
+    let spec = ProgramSpec::mpi_hello_world(Language::C);
+    let Ok(hello) = compile_with_retry(sess, Some(ist), &spec, cfg.seed, &cfg.retry) else {
+        return false;
+    };
+    sess.stage_file("/home/user/feam/hello_native", hello.image.clone());
+    launch_with_retry(
+        sess,
+        "/home/user/feam/hello_native",
+        ist,
+        cfg.nprocs,
+        &cfg.retry,
+    )
+    .success
 }
 
 /// Why a candidate stack that passed its native hello world still falls
@@ -367,7 +388,6 @@ pub fn evaluate(
     }
 
     let mut stack_tests = Vec::new();
-    let mut any_functioning: Option<String> = None;
     // The first candidate to pass every check, else the first functioning
     // one (the best-effort plan and its failure detail).
     let mut chosen: Option<Candidate> = None;
@@ -384,56 +404,19 @@ pub fn evaluate(
         // only on (site, stack, seed, nprocs) — never on the binary under
         // evaluation — so it is memoized across evaluations when caches
         // are installed, under the EDC's configuration epoch.
-        let caches = cfg.caches.as_deref();
-        let epoch = caches.map(|c| c.edc.epoch(site.name())).unwrap_or(0);
-        let memo = caches.and_then(|c| {
-            c.stack_tests
-                .get(site.name(), &cand.ident(), cfg.seed, cfg.nprocs, epoch)
-        });
-        let native_ok = match memo {
-            Some(ok) => ok,
-            None => {
-                sess.charge(12.0); // native compile cost
-                let faults_before = sess.faults_seen.get();
-                let ok = match compile_with_retry(
-                    &mut sess,
-                    Some(ist),
-                    &ProgramSpec::mpi_hello_world(Language::C),
-                    cfg.seed,
-                    &cfg.retry,
-                ) {
-                    Ok(hello) => {
-                        sess.stage_file("/home/user/feam/hello_native", hello.image.clone());
-                        launch_with_retry(
-                            &mut sess,
-                            "/home/user/feam/hello_native",
-                            ist,
-                            cfg.nprocs,
-                            &cfg.retry,
-                        )
-                        .success
-                    }
-                    Err(_) => false,
+        let native_ok = match cfg.caches.as_deref() {
+            Some(c) => {
+                let key = (site.name().to_string(), cand.ident(), cfg.seed, cfg.nprocs);
+                let fresh = Freshness {
+                    epoch: c.edc.epoch(site.name()),
+                    ..Freshness::default()
                 };
-                if let Some(c) = caches {
-                    // Same poisoning guard as the description caches: a
-                    // test that saw an injected fault is delivered but
-                    // never becomes the memoized verdict.
-                    if sess.faults_seen.get() == faults_before {
-                        c.stack_tests.put(
-                            site.name(),
-                            &cand.ident(),
-                            cfg.seed,
-                            cfg.nprocs,
-                            epoch,
-                            ok,
-                        );
-                    } else {
-                        c.stack_tests.reject();
-                    }
-                }
+                let test =
+                    |s: &mut Session<'_>| Ok::<_, Infallible>(native_hello_world(s, ist, cfg));
+                let Ok(ok) = c.stack_tests.memoize(&mut sess, key, fresh, test, |_| true);
                 ok
             }
+            None => native_hello_world(&mut sess, ist, cfg),
         };
         if !native_ok {
             rec.event(
@@ -452,7 +435,6 @@ pub fn evaluate(
             cpu += sess.cpu_seconds;
             continue; // advertised but not useable; try the next stack
         }
-        any_functioning = Some(cand.ident());
 
         // ---- Determinant 4: shared libraries under this stack ----------------
         let (missing, extra_dirs) = match binary_image {
@@ -621,8 +603,7 @@ pub fn evaluate(
             ((Compatible, stack), Some((Compatible, detail)))
         }
         Err(Shortfall::Libraries(detail)) => {
-            let ident = any_functioning.unwrap_or_default();
-            let stack = format!("functioning {name} stack: {ident}");
+            let stack = format!("functioning {name} stack: {}", chosen.ident);
             ((Compatible, stack), Some((Incompatible, detail)))
         }
         Err(Shortfall::Transported) => {
@@ -950,6 +931,37 @@ mod tests {
             assert_eq!(libs.verdict, Determination::Incompatible, "{missing}");
             assert_eq!(libs.detail, format!("missing: {missing}"));
         }
+    }
+
+    #[test]
+    fn mpi_stack_detail_names_the_planned_stack_when_none_is_ready() {
+        // Ranger advertises several functioning Open MPI stacks and none
+        // provides libfoo: the MpiStack detail must name the stack the
+        // plan configures (the first functioning one), not the last.
+        let sites = standard_sites(101);
+        let mut spec =
+            feam_elf::ElfSpec::executable(feam_elf::Machine::X86_64, feam_elf::Class::Elf64);
+        spec.needed = [
+            "libmpi.so.0",
+            "libnsl.so.1",
+            "libutil.so.1",
+            "libfoo.so.1",
+            "libc.so.6",
+        ]
+        .map(String::from)
+        .to_vec();
+        let image = Arc::new(spec.build().unwrap());
+        let out = crate::phases::run_target_phase(&sites[RANGER], Some(&image), None, &cfg());
+        let planned = out.evaluation.plan.stack_ident.clone().expect("a plan");
+        let mpi = out
+            .prediction
+            .verdicts
+            .iter()
+            .find(|v| v.determinant == Determinant::MpiStack)
+            .expect("MpiStack verdict");
+        assert_eq!(mpi.detail, format!("functioning Open MPI stack: {planned}"));
+        let functioning = out.evaluation.stack_tests.iter().filter(|t| t.native_ok);
+        assert!(functioning.count() > 1, "the case needs several candidates");
     }
 
     #[test]

@@ -5,12 +5,14 @@
 //! distinct images alias one description; these tests *engineer* a genuine
 //! primary-hash collision between two valid, distinct ELF images and pin
 //! that the full key still discriminates — plus the poisoning-guard
-//! invariant that faulted or degraded computations are never memoized.
+//! invariant that faulted or degraded computations are never memoized, in
+//! any of the three memo layers.
 
 use feam_core::bdc::BinaryDescription;
-use feam_core::cache::{BdcCache, BdcKey, PhaseCaches};
+use feam_core::cache::{BdcKey, Freshness, PhaseCaches};
 use feam_core::phases::{run_target_phase, PhaseConfig};
-use feam_elf::{Class, ElfFile, ElfSpec, ImportSpec, Machine};
+use feam_elf::{Class, ElfFile, ElfSpec, HostArch, ImportSpec, Machine};
+use feam_sim::site::{OsInfo, Session, Site, SiteConfig};
 use std::sync::Arc;
 
 const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
@@ -88,6 +90,28 @@ fn base_image() -> Vec<u8> {
     spec.build().expect("spec builds")
 }
 
+/// A site with nothing installed: a session to run describes through.
+fn bare_site() -> Site {
+    let os = OsInfo::new("CentOS", "5.6", "2.6.18");
+    Site::build(SiteConfig::new("bare", HostArch::X86_64, os, "2.5", 1))
+}
+
+/// Describe `bytes` through the BDC memo under `key`.
+fn through_bdc(
+    caches: &PhaseCaches,
+    key: BdcKey,
+    path: &str,
+    bytes: &[u8],
+) -> Arc<BinaryDescription> {
+    let site = bare_site();
+    let describe = |_: &mut Session<'_>| BinaryDescription::from_bytes(path, bytes).map(Arc::new);
+    let fresh = Freshness::default();
+    let d = caches
+        .bdc
+        .memoize(&mut Session::new(&site), key, fresh, describe, |_| true);
+    d.expect("describes")
+}
+
 /// Aligned file offsets of two words inside the image's .text section.
 fn text_word_offsets(bytes: &[u8]) -> (usize, usize) {
     let f = ElfFile::parse(bytes).expect("base image parses");
@@ -126,21 +150,20 @@ fn engineered_fnv_collision_does_not_alias_cache_entries() {
     );
 
     // The cache must treat them as different binaries.
-    let cache = BdcCache::default();
-    let da = Arc::new(BinaryDescription::from_bytes("/a", &a).unwrap());
-    cache.put(ka, da.clone());
-    assert!(
-        cache.get(&kb).is_none(),
+    let caches = PhaseCaches::new(0);
+    let da = through_bdc(&caches, ka, "/a", &a);
+    let db = through_bdc(&caches, kb, "/b", &b);
+    assert_eq!(
+        caches.bdc.stats().misses,
+        2,
         "a colliding distinct image must miss, not cross-serve"
     );
-    let db = Arc::new(BinaryDescription::from_bytes("/b", &b).unwrap());
-    cache.put(kb, db.clone());
     assert!(
-        Arc::ptr_eq(&cache.get(&ka).unwrap(), &da),
+        Arc::ptr_eq(&through_bdc(&caches, ka, "/a", &a), &da),
         "image A round-trips its own description"
     );
     assert!(
-        Arc::ptr_eq(&cache.get(&kb).unwrap(), &db),
+        Arc::ptr_eq(&through_bdc(&caches, kb, "/b", &b), &db),
         "image B round-trips its own description"
     );
 }
@@ -149,12 +172,10 @@ fn engineered_fnv_collision_does_not_alias_cache_entries() {
 fn forged_keys_sharing_partial_identity_miss() {
     let bytes = base_image();
     let key = BdcKey::of(&bytes);
-    let cache = BdcCache::default();
-    cache.put(
-        key,
-        Arc::new(BinaryDescription::from_bytes("/x", &bytes).unwrap()),
-    );
+    let caches = PhaseCaches::new(0);
+    through_bdc(&caches, key, "/x", &bytes);
 
+    let fresh = Freshness::default();
     for forged in [
         BdcKey {
             alt: key.alt ^ 1,
@@ -170,11 +191,14 @@ fn forged_keys_sharing_partial_identity_miss() {
         },
     ] {
         assert!(
-            cache.get(&forged).is_none(),
+            caches.bdc.peek(&forged, fresh).is_none(),
             "partial key agreement must never serve: {forged:?}"
         );
     }
-    assert!(cache.get(&key).is_some(), "the true key still serves");
+    assert!(
+        caches.bdc.peek(&key, fresh).is_some(),
+        "the true key still serves"
+    );
 }
 
 #[test]
@@ -212,23 +236,22 @@ fn distinct_images_get_distinct_keys_and_round_trip() {
         }
     }
 
-    let cache = BdcCache::default();
+    let caches = PhaseCaches::new(0);
     let descs: Vec<Arc<BinaryDescription>> = images
         .iter()
         .enumerate()
-        .map(|(i, img)| {
-            let d = Arc::new(BinaryDescription::from_bytes(&format!("/bin/{i}"), img).unwrap());
-            cache.put(keys[i], d.clone());
-            d
-        })
+        .map(|(i, img)| through_bdc(&caches, keys[i], &format!("/bin/{i}"), img))
         .collect();
     for (i, key) in keys.iter().enumerate() {
         assert!(
-            Arc::ptr_eq(&cache.get(key).unwrap(), &descs[i]),
+            Arc::ptr_eq(
+                &caches.bdc.peek(key, Freshness::default()).unwrap(),
+                &descs[i]
+            ),
             "image {i} must round-trip its own description"
         );
     }
-    assert_eq!(cache.len(), images.len());
+    assert_eq!(caches.bdc.len(), images.len());
 }
 
 #[test]
@@ -244,13 +267,20 @@ fn key_is_a_pure_function_of_content() {
 
 #[test]
 fn poisoning_guard_keeps_faulted_results_out_of_shared_caches() {
-    use feam_sim::faults::FaultPlan;
-    use feam_workloads::sites::{standard_sites, INDIA};
+    use feam_sim::compile::{compile, ProgramSpec};
+    use feam_sim::faults::{FaultPlan, FaultRate};
+    use feam_sim::toolchain::Language;
+    use feam_workloads::sites::{standard_sites, INDIA, RANGER};
 
     let sites = standard_sites(23);
     let india = &sites[INDIA];
     let image = Arc::new(base_image());
     let caches = Arc::new(PhaseCaches::new(0));
+    let with_faults = |plan: FaultPlan| PhaseConfig {
+        caches: Some(caches.clone()),
+        faults: Arc::new(plan),
+        ..PhaseConfig::default()
+    };
 
     // Persistent faults on every observation channel: the run degrades and
     // nothing may be memoized — the guard must reject, not poison.
@@ -258,12 +288,7 @@ fn poisoning_guard_keeps_faulted_results_out_of_shared_caches() {
         vfs_read: FaultPlan::persistent_vfs(77, 1.0).vfs_read,
         ..FaultPlan::persistent_edc(77, 1.0)
     };
-    let chaotic = PhaseConfig {
-        caches: Some(caches.clone()),
-        faults: Arc::new(plan),
-        ..PhaseConfig::default()
-    };
-    let degraded = run_target_phase(india, Some(&image), None, &chaotic);
+    let degraded = run_target_phase(india, Some(&image), None, &with_faults(plan));
     assert!(
         caches.bdc.is_empty(),
         "faulted BDC result must not be cached"
@@ -283,18 +308,53 @@ fn poisoning_guard_keeps_faulted_results_out_of_shared_caches() {
 
     // A clean run afterwards populates the caches and serves under the
     // same keys the degraded run was denied.
-    let clean = PhaseConfig {
-        caches: Some(caches.clone()),
-        faults: Arc::new(FaultPlan::none()),
-        ..PhaseConfig::default()
-    };
-    let healthy = run_target_phase(india, Some(&image), None, &clean);
+    let healthy = run_target_phase(india, Some(&image), None, &with_faults(FaultPlan::none()));
     assert!(!caches.bdc.is_empty(), "clean description is cached");
     assert!(caches.edc.contains(india.name()));
     assert!(healthy.environment.unobserved.is_empty());
+    let served = caches.bdc.peek(&BdcKey::of(&image), Freshness::default());
     assert_eq!(
-        caches.bdc.get(&BdcKey::of(&image)).unwrap().content_hash,
+        served.unwrap().content_hash,
         healthy.binary.content_hash,
         "the cached entry is the clean run's description"
     );
+
+    // Every native hello-world compile fails: each stack test is served
+    // as failed, but none becomes the memoized verdict.
+    let ranger = &sites[RANGER];
+    let spec = ProgramSpec::new("bt", Language::Fortran);
+    let mpi_app = compile(ranger, Some(&ranger.stacks[1]), &spec, 99)
+        .expect("compiles at its home site")
+        .image;
+    let persistent = FaultRate {
+        transient: 0.0,
+        persistent: 1.0,
+    };
+    let plan = FaultPlan {
+        seed: 77,
+        probe_compile: persistent,
+        ..FaultPlan::none()
+    };
+    let failed = run_target_phase(india, Some(&mpi_app), None, &with_faults(plan));
+    assert!(failed.evaluation.stack_tests.iter().all(|t| !t.native_ok));
+    let rejected = caches.stack_tests.stats().rejected;
+    assert!(rejected > 0, "the guard refuses faulted stack tests");
+    assert!(
+        caches.stack_tests.is_empty(),
+        "no faulted verdict is memoized"
+    );
+
+    // Fault-free reruns: the first memoizes the verdicts, the second hits.
+    let clean = with_faults(FaultPlan::none());
+    let first = run_target_phase(india, Some(&mpi_app), None, &clean);
+    assert!(
+        !caches.stack_tests.is_empty(),
+        "clean verdicts are memoized"
+    );
+    assert_eq!(caches.stack_tests.stats().hits, 0);
+    let second = run_target_phase(india, Some(&mpi_app), None, &clean);
+    assert!(caches.stack_tests.stats().hits > 0, "the rerun hits");
+    assert_eq!(caches.stack_tests.stats().rejected, rejected);
+    assert!(first.evaluation.stack_tests.iter().any(|t| t.native_ok));
+    assert_eq!(first.prediction.ready(), second.prediction.ready());
 }

@@ -42,7 +42,7 @@
 //! entry, never relabel it. Dropping is always safe — a replica that
 //! misses a replicated result merely re-evaluates on its first hit.
 
-use crate::health::{HealthConfig, HealthTracker, NodeState};
+use crate::health::{HealthTracker, NodeState};
 use crate::registry::RegisteredBinary;
 use crate::router::HashRing;
 use crate::service::{Delivery, PredictRequest, PredictResponse, PredictService, SvcError};
@@ -54,20 +54,20 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
+/// Ring points per node; more = smoother balance.
+const VNODES: usize = 64;
+
+/// Seed for ring placement and routing hashes.
+const RING_SEED: u64 = 0xF1EE7;
+
 /// Fleet tuning knobs.
 #[derive(Clone)]
 pub struct FleetConfig {
     /// Replica-set size R: how many nodes a key maps onto.
     pub replication: usize,
-    /// Ring points per node; more = smoother balance.
-    pub vnodes: usize,
-    /// Seed for ring placement and routing hashes.
-    pub ring_seed: u64,
     /// Hedge a pending request to the next viable node after this long;
     /// `None` disables hedging.
     pub hedge_after: Option<Duration>,
-    /// Per-node breaker tuning.
-    pub health: HealthConfig,
     /// Fleet-level telemetry (node gauges, failover/hedge/replication
     /// counters). Per-node service telemetry rides each node's own
     /// recorder.
@@ -78,10 +78,7 @@ impl Default for FleetConfig {
     fn default() -> Self {
         FleetConfig {
             replication: 2,
-            vnodes: 64,
-            ring_seed: 0xF1EE7,
             hedge_after: Some(Duration::from_millis(250)),
-            health: HealthConfig::default(),
             recorder: feam_obs::Recorder::disabled(),
         }
     }
@@ -220,7 +217,7 @@ impl Fleet {
         n: usize,
         factory: impl Fn(usize) -> PredictService,
     ) -> Self {
-        let mut ring = HashRing::new(cfg.ring_seed, cfg.vnodes);
+        let mut ring = HashRing::new(RING_SEED, VNODES);
         let mut nodes = Vec::with_capacity(n);
         for i in 0..n.max(1) {
             let name = format!("node-{i}");
@@ -230,7 +227,7 @@ impl Fleet {
                 svc: factory(i),
                 up: AtomicBool::new(true),
                 partitioned: AtomicBool::new(false),
-                health: Mutex::new(HealthTracker::new(cfg.health.clone())),
+                health: Mutex::new(HealthTracker::new()),
                 applied_epoch: AtomicU64::new(0),
             });
         }
@@ -505,7 +502,7 @@ impl Fleet {
             attempts += 1;
             match inner.dispatch(i, req) {
                 Ok(Delivery::Ready(resp)) => {
-                    inner.observe_success(i, &resp);
+                    inner.observe_success(i);
                     return Ok(FleetResponse {
                         node: inner.nodes[i].name.clone(),
                         failovers,
@@ -602,7 +599,7 @@ impl Fleet {
                 Ok(Delivery::Ready(resp)) => {
                     rec.count("fleet.hedge.fired", 1);
                     rec.count("fleet.hedge.won", 1);
-                    inner.observe_success(b, &resp);
+                    inner.observe_success(b);
                     // The primary's eventual answer is discarded — its
                     // probe slot comes back without an outcome.
                     inner.release_probe(primary);
@@ -830,7 +827,7 @@ impl FleetInner {
     ) -> Result<FleetResponse, FleetError> {
         match out {
             Ok(resp) => {
-                self.observe_success(node_idx, &resp);
+                self.observe_success(node_idx);
                 Ok(FleetResponse {
                     node: self.nodes[node_idx].name.clone(),
                     failovers,
@@ -854,13 +851,13 @@ impl FleetInner {
         }
     }
 
-    fn observe_success(&self, i: usize, resp: &PredictResponse) {
+    fn observe_success(&self, i: usize) {
         let now = self.now_ms();
         self.nodes[i]
             .health
             .lock()
             .expect("health")
-            .record_success(now, resp.latency_us as f64);
+            .record_success(now);
         self.publish_state_gauges();
     }
 

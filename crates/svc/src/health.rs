@@ -1,52 +1,25 @@
 //! Per-node health tracking for the serving fleet: a circuit breaker
-//! driven by consecutive errors and a latency EWMA.
+//! driven by consecutive errors.
 //!
 //! Every fleet node carries a [`HealthTracker`]. The router consults it
 //! before dispatch and feeds it every outcome:
 //!
 //! - **Closed** — healthy; requests route normally.
-//! - **Open** — tripped by `error_threshold` consecutive errors *or* a
-//!   latency EWMA above `latency_threshold_us` (a browned-out node is as
-//!   useless as a dead one); no traffic until `open_cooldown_ms` passes.
-//! - **HalfOpen** — the cooldown elapsed; up to `halfopen_probes`
-//!   in-flight probes are allowed through. `halfopen_successes` clean
-//!   answers close the breaker; any error reopens it and restarts the
-//!   cooldown.
+//! - **Open** — tripped by [`ERROR_THRESHOLD`] consecutive errors; no
+//!   traffic until [`OPEN_COOLDOWN_MS`] passes.
+//! - **HalfOpen** — the cooldown elapsed; one probe at a time is allowed
+//!   through. A clean answer closes the breaker; an error reopens it and
+//!   restarts the cooldown.
 //!
 //! Time is an explicit `now_ms` argument on every transition (the same
 //! convention as `feam_obs`' windowed metrics), so breaker behaviour is
 //! fully deterministic under test and in the simulated fleet bench.
 
-/// Breaker tuning.
-#[derive(Debug, Clone)]
-pub struct HealthConfig {
-    /// Consecutive errors that trip Closed → Open.
-    pub error_threshold: u32,
-    /// Latency EWMA (µs) above which the node is considered browned out
-    /// and the breaker trips; `f64::INFINITY` disables the latency trip.
-    pub latency_threshold_us: f64,
-    /// EWMA smoothing factor in `(0, 1]`; higher = more reactive.
-    pub ewma_alpha: f64,
-    /// How long an Open breaker blocks traffic before probing, in ms.
-    pub open_cooldown_ms: u64,
-    /// Concurrent probes admitted while HalfOpen.
-    pub halfopen_probes: u32,
-    /// Clean probe answers required to close from HalfOpen.
-    pub halfopen_successes: u32,
-}
+/// Consecutive errors that trip Closed → Open.
+pub const ERROR_THRESHOLD: u32 = 3;
 
-impl Default for HealthConfig {
-    fn default() -> Self {
-        HealthConfig {
-            error_threshold: 3,
-            latency_threshold_us: f64::INFINITY,
-            ewma_alpha: 0.3,
-            open_cooldown_ms: 500,
-            halfopen_probes: 1,
-            halfopen_successes: 1,
-        }
-    }
-}
+/// How long an Open breaker blocks traffic before probing, in ms.
+pub const OPEN_COOLDOWN_MS: u64 = 500;
 
 /// Breaker state, in escalation order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,7 +28,7 @@ pub enum NodeState {
     Closed,
     /// Tripped; no traffic until the cooldown elapses.
     Open,
-    /// Probing; limited traffic decides whether to close or reopen.
+    /// Probing; one probe decides whether to close or reopen.
     HalfOpen,
 }
 
@@ -73,33 +46,18 @@ impl NodeState {
 
 /// One node's health state machine. Not internally synchronized — the
 /// fleet wraps each tracker in a mutex.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct HealthTracker {
-    cfg: HealthConfig,
     consecutive_errors: u32,
-    /// Latency EWMA in µs; `None` until the first success.
-    ewma_us: Option<f64>,
     /// `Some(when)` while Open: the instant the breaker tripped.
     opened_at_ms: Option<u64>,
-    /// Probes admitted since entering HalfOpen.
-    halfopen_inflight: u32,
-    /// Clean answers since entering HalfOpen.
-    halfopen_ok: u32,
-    /// Lifetime trips, for the bench report.
-    trips: u64,
+    /// A HalfOpen probe is in flight.
+    probing: bool,
 }
 
 impl HealthTracker {
-    pub fn new(cfg: HealthConfig) -> Self {
-        HealthTracker {
-            cfg,
-            consecutive_errors: 0,
-            ewma_us: None,
-            opened_at_ms: None,
-            halfopen_inflight: 0,
-            halfopen_ok: 0,
-            trips: 0,
-        }
+    pub fn new() -> Self {
+        HealthTracker::default()
     }
 
     /// Current state at `now_ms`. Open lazily decays to HalfOpen once the
@@ -107,58 +65,31 @@ impl HealthTracker {
     pub fn state(&self, now_ms: u64) -> NodeState {
         match self.opened_at_ms {
             None => NodeState::Closed,
-            Some(at) if now_ms.saturating_sub(at) >= self.cfg.open_cooldown_ms => {
-                NodeState::HalfOpen
-            }
+            Some(at) if now_ms.saturating_sub(at) >= OPEN_COOLDOWN_MS => NodeState::HalfOpen,
             Some(_) => NodeState::Open,
         }
     }
 
     /// May a request be dispatched to this node right now? Closed always
-    /// admits; HalfOpen admits while probe slots remain; Open refuses.
-    /// An admitted HalfOpen probe consumes a slot — the caller must
+    /// admits; HalfOpen admits one probe at a time; Open refuses. An
+    /// admitted HalfOpen probe holds the probe slot — the caller must
     /// report its outcome via [`record_success`](Self::record_success) /
-    /// [`record_error`](Self::record_error).
+    /// [`record_error`](Self::record_error) or hand the slot back with
+    /// [`release_probe`](Self::release_probe).
     pub fn admit(&mut self, now_ms: u64) -> bool {
         match self.state(now_ms) {
             NodeState::Closed => true,
             NodeState::Open => false,
-            NodeState::HalfOpen => {
-                if self.halfopen_inflight < self.cfg.halfopen_probes {
-                    self.halfopen_inflight += 1;
-                    true
-                } else {
-                    false
-                }
-            }
+            NodeState::HalfOpen => !std::mem::replace(&mut self.probing, true),
         }
     }
 
-    /// Record a clean answer observed at `now_ms` with the given latency.
-    pub fn record_success(&mut self, now_ms: u64, latency_us: f64) {
+    /// Record a clean answer observed at `now_ms`; a HalfOpen probe's
+    /// clean answer closes the breaker.
+    pub fn record_success(&mut self, now_ms: u64) {
         self.consecutive_errors = 0;
-        let ewma = match self.ewma_us {
-            None => latency_us,
-            Some(prev) => self.cfg.ewma_alpha * latency_us + (1.0 - self.cfg.ewma_alpha) * prev,
-        };
-        self.ewma_us = Some(ewma);
-        match self.state(now_ms) {
-            NodeState::HalfOpen => {
-                // The probe resolved: return its slot and count it.
-                self.halfopen_inflight = self.halfopen_inflight.saturating_sub(1);
-                self.halfopen_ok += 1;
-                if self.halfopen_ok >= self.cfg.halfopen_successes {
-                    self.close();
-                }
-            }
-            NodeState::Closed => {
-                // A browned-out node trips on latency alone: answering
-                // slowly enough is indistinguishable from failing.
-                if ewma > self.cfg.latency_threshold_us {
-                    self.trip(now_ms);
-                }
-            }
-            NodeState::Open => {}
+        if self.state(now_ms) == NodeState::HalfOpen {
+            self.close();
         }
     }
 
@@ -166,12 +97,11 @@ impl HealthTracker {
     /// dispatches that resolved in a way that says nothing about the
     /// node's health (an expired deadline, a request-level rejection, a
     /// hedge loser whose answer was discarded). Without this, a probe
-    /// whose outcome is never attributed would permanently consume a
-    /// HalfOpen slot and wedge the breaker: with `halfopen_probes = 1`
-    /// no further probe could ever be admitted, so no outcome could ever
-    /// close *or* reopen it.
+    /// whose outcome is never attributed would hold the single HalfOpen
+    /// slot forever and wedge the breaker: no further probe could ever be
+    /// admitted, so no outcome could ever close *or* reopen it.
     pub fn release_probe(&mut self) {
-        self.halfopen_inflight = self.halfopen_inflight.saturating_sub(1);
+        self.probing = false;
     }
 
     /// Record a dispatch failure observed at `now_ms`.
@@ -182,7 +112,7 @@ impl HealthTracker {
             // cooldown — the node gets no further traffic for a while.
             NodeState::HalfOpen => self.trip(now_ms),
             NodeState::Closed => {
-                if self.consecutive_errors >= self.cfg.error_threshold {
+                if self.consecutive_errors >= ERROR_THRESHOLD {
                     self.trip(now_ms);
                 }
             }
@@ -191,14 +121,10 @@ impl HealthTracker {
     }
 
     /// Force the breaker open (e.g. the fleet killed the node): no point
-    /// burning the error threshold on a node known to be down.
+    /// burning the error threshold on a node known to be down. A breaker
+    /// already open restarts its cooldown; the node just went down again.
     pub fn force_open(&mut self, now_ms: u64) {
-        if self.opened_at_ms.is_none() {
-            self.trip(now_ms);
-        } else {
-            // Restart the cooldown; the node just went down again.
-            self.opened_at_ms = Some(now_ms);
-        }
+        self.trip(now_ms);
     }
 
     /// Reset to Closed (e.g. the node rejoined after catch-up).
@@ -206,31 +132,15 @@ impl HealthTracker {
         self.close();
     }
 
-    /// Latency EWMA in µs (`None` before the first success).
-    pub fn ewma_us(&self) -> Option<f64> {
-        self.ewma_us
-    }
-
-    /// Lifetime Closed/HalfOpen → Open transitions.
-    pub fn trips(&self) -> u64 {
-        self.trips
-    }
-
     fn trip(&mut self, now_ms: u64) {
         self.opened_at_ms = Some(now_ms);
-        self.halfopen_inflight = 0;
-        self.halfopen_ok = 0;
-        // A latency trip must not instantly re-trip on the stale EWMA
-        // when the breaker half-opens: start the next life fresh.
-        self.ewma_us = None;
-        self.trips += 1;
+        self.probing = false;
     }
 
     fn close(&mut self) {
         self.opened_at_ms = None;
         self.consecutive_errors = 0;
-        self.halfopen_inflight = 0;
-        self.halfopen_ok = 0;
+        self.probing = false;
     }
 }
 
@@ -238,20 +148,18 @@ impl HealthTracker {
 mod tests {
     use super::*;
 
-    fn cfg() -> HealthConfig {
-        HealthConfig {
-            error_threshold: 3,
-            latency_threshold_us: 10_000.0,
-            ewma_alpha: 0.5,
-            open_cooldown_ms: 100,
-            halfopen_probes: 1,
-            halfopen_successes: 2,
+    /// A tracker tripped at t=0 by consecutive errors.
+    fn tripped() -> HealthTracker {
+        let mut h = HealthTracker::new();
+        for _ in 0..ERROR_THRESHOLD {
+            h.record_error(0);
         }
+        h
     }
 
     #[test]
     fn consecutive_errors_trip_and_cooldown_halfopens() {
-        let mut h = HealthTracker::new(cfg());
+        let mut h = HealthTracker::new();
         assert_eq!(h.state(0), NodeState::Closed);
         h.record_error(0);
         h.record_error(1);
@@ -259,17 +167,17 @@ mod tests {
         h.record_error(2);
         assert_eq!(h.state(2), NodeState::Open, "third consecutive trips");
         assert!(!h.admit(50), "open refuses traffic");
-        assert_eq!(h.state(101), NodeState::Open, "cooldown measured from trip");
-        assert_eq!(h.state(102), NodeState::HalfOpen);
-        assert_eq!(h.trips(), 1);
+        let cooled = 2 + OPEN_COOLDOWN_MS;
+        assert_eq!(h.state(cooled - 1), NodeState::Open, "cooldown from trip");
+        assert_eq!(h.state(cooled), NodeState::HalfOpen);
     }
 
     #[test]
     fn success_between_errors_resets_the_streak() {
-        let mut h = HealthTracker::new(cfg());
+        let mut h = HealthTracker::new();
         h.record_error(0);
         h.record_error(1);
-        h.record_success(2, 100.0);
+        h.record_success(2);
         h.record_error(3);
         h.record_error(4);
         assert_eq!(h.state(4), NodeState::Closed, "streak was reset");
@@ -277,82 +185,59 @@ mod tests {
 
     #[test]
     fn halfopen_probe_budget_then_close_or_reopen() {
-        let mut h = HealthTracker::new(cfg());
-        for t in 0..3 {
-            h.record_error(t);
-        }
-        // After cooldown: exactly one probe slot.
-        assert!(h.admit(200));
-        assert!(!h.admit(200), "probe budget exhausted");
-        // First success returns the probe slot but needs a second clean
-        // answer to close.
-        h.record_success(201, 50.0);
-        assert_eq!(h.state(201), NodeState::HalfOpen, "one of two successes");
-        assert!(h.admit(202), "resolved probe returned its slot");
-        h.record_success(203, 50.0);
-        assert_eq!(h.state(203), NodeState::Closed, "two successes close");
+        let mut h = tripped();
+        let t = OPEN_COOLDOWN_MS;
+        // After cooldown: exactly one probe slot; its clean answer closes.
+        assert!(h.admit(t));
+        assert!(!h.admit(t), "probe budget exhausted");
+        h.record_success(t + 1);
+        assert_eq!(h.state(t + 1), NodeState::Closed, "a clean probe closes");
 
         // Reopen path: an error while HalfOpen trips immediately.
-        for t in 300..303 {
-            h.record_error(t);
+        let t = 1_000;
+        for i in 0..ERROR_THRESHOLD as u64 {
+            h.record_error(t + i);
         }
-        assert_eq!(h.state(303), NodeState::Open);
-        assert!(h.admit(500), "half-open again after cooldown");
-        h.record_error(501);
-        assert_eq!(h.state(501), NodeState::Open, "probe failure reopens");
-        assert_eq!(h.state(550), NodeState::Open, "cooldown restarted");
-        assert_eq!(h.state(602), NodeState::HalfOpen);
+        let reopened = t + 2 + OPEN_COOLDOWN_MS;
+        assert!(h.admit(reopened), "half-open again after cooldown");
+        h.record_error(reopened + 1);
+        assert_eq!(
+            h.state(reopened + 1),
+            NodeState::Open,
+            "probe failure reopens"
+        );
+        let restart = reopened + 1 + OPEN_COOLDOWN_MS;
+        assert_eq!(h.state(restart - 1), NodeState::Open, "cooldown restarted");
+        assert_eq!(h.state(restart), NodeState::HalfOpen);
     }
 
     #[test]
     fn released_probe_slots_return_without_an_outcome() {
-        let mut h = HealthTracker::new(cfg());
-        for t in 0..3 {
-            h.record_error(t);
-        }
+        let mut h = tripped();
+        let t = OPEN_COOLDOWN_MS;
         // After cooldown: the single probe slot is admitted, then the
         // dispatch resolves with a request-scoped failure — no outcome.
-        assert!(h.admit(200));
-        assert!(!h.admit(200), "slot consumed");
+        assert!(h.admit(t));
+        assert!(!h.admit(t), "slot consumed");
         h.release_probe();
-        assert_eq!(h.state(201), NodeState::HalfOpen, "nothing was counted");
+        assert_eq!(h.state(t + 1), NodeState::HalfOpen, "nothing was counted");
         // The returned slot admits a fresh probe, which can still close
         // the breaker — the node is not wedged.
-        assert!(h.admit(201), "released slot admits again");
-        h.record_success(202, 50.0);
-        assert!(h.admit(203));
-        h.record_success(204, 50.0);
-        assert_eq!(h.state(204), NodeState::Closed);
-    }
-
-    #[test]
-    fn latency_ewma_trips_the_breaker() {
-        let mut h = HealthTracker::new(cfg());
-        h.record_success(0, 1_000.0);
-        assert_eq!(h.state(0), NodeState::Closed);
-        // One slow answer: EWMA 0.5·30k + 0.5·1k = 15.5k > 10k — brownout.
-        h.record_success(1, 30_000.0);
-        assert_eq!(h.state(1), NodeState::Open, "brownout trips on latency");
-        // After cooldown + clean probes, the EWMA restarts rather than
-        // instantly re-tripping on stale history.
-        assert!(h.admit(200));
-        h.record_success(201, 1_000.0);
-        assert!(h.admit(202));
-        h.record_success(203, 1_000.0);
-        assert_eq!(h.state(204), NodeState::Closed);
-        assert_eq!(h.ewma_us(), Some(1_000.0));
+        assert!(h.admit(t + 1), "released slot admits again");
+        h.record_success(t + 2);
+        assert_eq!(h.state(t + 2), NodeState::Closed);
     }
 
     #[test]
     fn force_open_and_reset() {
-        let mut h = HealthTracker::new(cfg());
+        let mut h = HealthTracker::new();
         h.force_open(10);
         assert_eq!(h.state(10), NodeState::Open);
-        assert_eq!(h.state(109), NodeState::Open);
+        assert_eq!(h.state(9 + OPEN_COOLDOWN_MS), NodeState::Open);
         h.force_open(109); // went down again: cooldown restarts
-        assert_eq!(h.state(208), NodeState::Open);
+        assert_eq!(h.state(108 + OPEN_COOLDOWN_MS), NodeState::Open);
         h.reset();
-        assert_eq!(h.state(208), NodeState::Closed);
+        assert_eq!(h.state(108 + OPEN_COOLDOWN_MS), NodeState::Closed);
     }
 
     #[test]

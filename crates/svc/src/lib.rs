@@ -63,7 +63,7 @@ pub use bench::{
 };
 pub use ensemble::annotate_with_ensemble;
 pub use fleet::{Fleet, FleetConfig, FleetError, FleetResponse};
-pub use health::{HealthConfig, HealthTracker, NodeState};
+pub use health::{HealthTracker, NodeState};
 pub use obsctl::{default_slos, run_observed, ObsRunOutcome, ObsRunParams};
 pub use plan::{Placement, PlanRequest, SitePlacement, SiteSelection};
 pub use registry::{BinaryRegistry, RegisteredBinary, RegistryError};

@@ -8,8 +8,8 @@ use feam_core::cache::BdcKey;
 use feam_core::predict::PredictionMode;
 use feam_sim::faults::FaultPlan;
 use feam_svc::{
-    Fleet, FleetConfig, FleetError, HealthConfig, NodeState, PredictRequest, PredictService,
-    ResultOrigin, ServiceConfig, SvcError,
+    Fleet, FleetConfig, FleetError, NodeState, PredictRequest, PredictService, ResultOrigin,
+    ServiceConfig, SvcError,
 };
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -22,7 +22,6 @@ fn test_fleet(n: usize, r: usize, hedge: Option<Duration>) -> (Fleet, feam_obs::
         replication: r,
         hedge_after: hedge,
         recorder: recorder.clone(),
-        ..FleetConfig::default()
     };
     let mut fleet = Fleet::with_factory(cfg, n, |_| {
         let mut node_cfg = ServiceConfig {
@@ -292,13 +291,7 @@ fn request_scoped_failures_do_not_wedge_a_halfopen_breaker() {
     let cfg = FleetConfig {
         replication: 2,
         hedge_after: None,
-        // Zero cooldown: a tripped breaker is immediately HalfOpen.
-        health: HealthConfig {
-            open_cooldown_ms: 0,
-            ..HealthConfig::default()
-        },
         recorder: recorder.clone(),
-        ..FleetConfig::default()
     };
     let mut fleet = Fleet::with_factory(cfg, 3, |_| {
         let mut node_cfg = ServiceConfig {
@@ -319,6 +312,8 @@ fn request_scoped_failures_do_not_wedge_a_halfopen_breaker() {
     let replicas = fleet.replica_set("app", "india").expect("registered");
     let primary = replicas[0];
     fleet.trip_breaker(primary);
+    assert_eq!(fleet.node_state(primary), NodeState::Open);
+    std::thread::sleep(Duration::from_millis(feam_svc::health::OPEN_COOLDOWN_MS));
     assert_eq!(fleet.node_state(primary), NodeState::HalfOpen);
 
     // Probe 1: an expired deadline is shed — the request's failure.
