@@ -38,6 +38,9 @@ pub struct SourceBundle {
     pub libraries: BTreeMap<String, LibraryCopy>,
     /// Transported hello worlds.
     pub hello_worlds: Vec<HelloWorldProbe>,
+    /// Injected faults the source phase met while gathering this bundle
+    /// (retried or degraded around); a bundle with any is not memoized.
+    pub faults_seen: u64,
 }
 
 /// Manifest entry for one library copy (serializable summary).
@@ -153,6 +156,7 @@ mod tests {
                 stack_ident: "openmpi-1.3-intel-10.1".into(),
                 image: Arc::new(vec![0u8; 500]),
             }],
+            faults_seen: 0,
         };
         assert_eq!(bundle.library_bytes(), 10_000);
         assert_eq!(bundle.total_bytes(), 10_500);

@@ -11,6 +11,7 @@
 //! * missing shared libraries for a given binary (`ldd`, with search
 //!   fallbacks).
 
+use crate::bdc::{is_c_library, locate_library};
 use crate::retry::RetryPolicy;
 use feam_elf::{HostArch, VersionName};
 use feam_sim::faults::Chokepoint;
@@ -18,6 +19,7 @@ use feam_sim::mpi::MpiImpl;
 use feam_sim::site::{InstalledStack, Session, Site};
 use feam_sim::tools::{self, LddResult};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// How a stack was discovered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -365,28 +367,72 @@ pub fn find_installed<'s>(site: &'s Site, d: &DiscoveredStack) -> Option<&'s Ins
     site.stacks.iter().find(|ist| ist.prefix == d.prefix)
 }
 
-/// Missing shared libraries for the binary at `path`, under the session's
-/// current environment. Returns sonames that could not be located at all.
-/// Uses `ldd` when it works, else the BDC's needed-list + search fallback.
-pub fn missing_libraries(sess: &mut Session<'_>, path: &str) -> Vec<String> {
-    sess.charge(0.3);
-    match tools::ldd(sess, path) {
+/// Survey the shared libraries a binary needs under the session's current
+/// environment (§V.C's fourth determinant). Returns the sonames neither the
+/// loader nor FEAM's search can find, and the directories outside the
+/// loader's view where search found a needed library (FEAM adds these to
+/// the generated `LD_LIBRARY_PATH`).
+///
+/// `binary` is the migrated binary and the path to stage it at, when it is
+/// present: `ldd` then lists what the loader cannot resolve, transitive
+/// dependencies included. Without an `ldd` answer the survey works from
+/// `needed`, the BDC's list. Each soname the loader cannot see is searched
+/// for at most once; the C library is never searched for nor missing.
+pub fn survey_libraries<S: AsRef<str>>(
+    sess: &mut Session<'_>,
+    needed: &[S],
+    binary: Option<(&str, &Arc<Vec<u8>>)>,
+) -> (Vec<String>, Vec<String>) {
+    let ldd = binary.map(|(path, image)| {
+        sess.stage_file(path, image.clone());
+        sess.charge(0.3);
+        tools::ldd(sess, path)
+    });
+    let dirs = loader_dirs(sess);
+    // The needed sonames the loader cannot see, with where search found each.
+    let mut unseen: Vec<(&str, Option<String>)> = Vec::new();
+    for so in needed.iter().map(AsRef::as_ref) {
+        let seen = is_c_library(so) || lib_visible(sess, &dirs, so);
+        if !seen && !unseen.iter().any(|(u, _)| *u == so) {
+            unseen.push((so, locate_library(sess, so)));
+        }
+    }
+    let mut extra_dirs: Vec<String> = Vec::new();
+    for path in unseen.iter().filter_map(|(_, hit)| hit.as_deref()) {
+        let dir = feam_sim::vfs::dirname(path);
+        if !extra_dirs.iter().any(|d| d == dir) && !dirs.iter().any(|d| d == dir) {
+            extra_dirs.push(dir.to_string());
+        }
+    }
+    let unfound = |so: &str| match unseen.iter().find(|(u, _)| *u == so) {
+        Some((_, hit)) => hit.is_none(),
+        None => !is_c_library(so) && locate_library(sess, so).is_none(),
+    };
+    let missing = match ldd {
         // What ldd could not resolve through the loader's paths, FEAM also
         // searches for in common locations before declaring it missing (a
         // found-but-unconfigured library is handled by emitting
         // LD_LIBRARY_PATH configuration, not copies).
-        LddResult::Resolved(map) => map
+        Some(LddResult::Resolved(map)) => map
             .into_iter()
-            .filter(|(so, loc)| loc.is_none() && crate::bdc::locate_library(sess, so).is_none())
+            .filter(|(so, loc)| loc.is_none() && unfound(so))
             .map(|(so, _)| so)
             .collect(),
-        LddResult::NotRecognized | LddResult::NotPresent => {
-            let Ok(desc) = crate::bdc::BinaryDescription::from_session(sess, path) else {
-                return Vec::new();
-            };
-            unfound_libraries(sess, &desc.needed)
-        }
-    }
+        Some(LddResult::NotRecognized | LddResult::NotPresent) | None => unseen
+            .iter()
+            .filter(|(_, hit)| hit.is_none())
+            .map(|(so, _)| so.to_string())
+            .collect(),
+    };
+    (missing, extra_dirs)
+}
+
+/// The survey's rule for one soname: present when it is the C library, the
+/// loader can see it, or FEAM's search can locate it.
+pub fn library_present(sess: &Session<'_>, soname: &str) -> bool {
+    is_c_library(soname)
+        || lib_visible(sess, &loader_dirs(sess), soname)
+        || locate_library(sess, soname).is_some()
 }
 
 /// The directories the loader searches in this session, in order: the
@@ -401,45 +447,6 @@ fn loader_dirs(sess: &Session<'_>) -> Vec<String> {
 /// exists for some `dir` in `dirs` (the session's [`loader_dirs`]).
 fn lib_visible(sess: &Session<'_>, dirs: &[String], soname: &str) -> bool {
     dirs.iter().any(|d| sess.exists(&format!("{d}/{soname}")))
-}
-
-/// The missing-library computation without `ldd`: the sonames in `needed`
-/// that the loader cannot see on `LD_LIBRARY_PATH` or the site's default
-/// library directories, and that FEAM's search
-/// ([`crate::bdc::locate_library`]) cannot locate either.
-pub fn unfound_libraries<S: AsRef<str>>(
-    sess: &Session<'_>,
-    needed: impl IntoIterator<Item = S>,
-) -> Vec<String> {
-    let dirs = loader_dirs(sess);
-    needed
-        .into_iter()
-        .map(|so| so.as_ref().to_string())
-        .filter(|so| {
-            !lib_visible(sess, &dirs, so) && crate::bdc::locate_library(sess, so).is_none()
-        })
-        .collect()
-}
-
-/// Directories (beyond the loader defaults and current `LD_LIBRARY_PATH`)
-/// where needed libraries were found by search — FEAM adds these to the
-/// generated environment setup.
-pub fn extra_lib_dirs<S: AsRef<str>>(sess: &mut Session<'_>, needed: &[S]) -> Vec<String> {
-    let mut out: Vec<String> = Vec::new();
-    let visible_dirs = loader_dirs(sess);
-    for so in needed {
-        let so = so.as_ref();
-        if crate::bdc::is_c_library(so) || lib_visible(sess, &visible_dirs, so) {
-            continue;
-        }
-        if let Some(path) = crate::bdc::locate_library(sess, so) {
-            let dir = feam_sim::vfs::dirname(&path).to_string();
-            if !out.contains(&dir) && !visible_dirs.contains(&dir) {
-                out.push(dir);
-            }
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -535,10 +542,10 @@ mod tests {
         let mut spec =
             feam_elf::ElfSpec::executable(feam_elf::Machine::X86_64, feam_elf::Class::Elf64);
         spec.needed = vec!["libfancy.so.9".into(), "libc.so.6".into()];
-        let img = std::sync::Arc::new(spec.build().unwrap());
+        let img = Arc::new(spec.build().unwrap());
         let mut sess = Session::new(ranger);
-        sess.stage_file("/home/user/app", img);
-        let missing = missing_libraries(&mut sess, "/home/user/app");
+        let binary = Some(("/home/user/app", &img));
+        let (missing, _) = survey_libraries(&mut sess, &spec.needed, binary);
         assert_eq!(missing, vec!["libfancy.so.9".to_string()]);
     }
 
@@ -548,7 +555,7 @@ mod tests {
         let ranger = &sites[RANGER];
         let mut sess = Session::new(ranger); // no module loaded
         let needed = vec!["libmpi.so.0".to_string()];
-        let dirs = extra_lib_dirs(&mut sess, &needed);
+        let (_, dirs) = survey_libraries(&mut sess, &needed, None);
         assert!(
             dirs.iter().any(|d| d.contains("openmpi")),
             "search must surface the stack lib dir, got {dirs:?}"

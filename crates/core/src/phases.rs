@@ -235,6 +235,7 @@ pub fn run_source_phase(
         app_stack_ident: Some(ist.stack.ident()),
         libraries,
         hello_worlds,
+        faults_seen: sess.faults_seen.get(),
     })
 }
 

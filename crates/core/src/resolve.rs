@@ -9,7 +9,7 @@
 //! variables." Licensing issues are, as in the paper, out of scope.
 
 use crate::bundle::SourceBundle;
-use crate::edc::unfound_libraries;
+use crate::edc::library_present;
 use crate::predict::c_library_compatible;
 use feam_elf::{HostArch, VersionName};
 use feam_sim::site::Session;
@@ -170,7 +170,7 @@ fn copy_usable(
     let mut verdict: Result<(), ResolutionFailure> = Ok(());
     for dep in &copy.description.needed {
         // Present at the target (loader-visible or findable by search)?
-        if crate::bdc::is_c_library(dep) || unfound_libraries(sess, [dep]).is_empty() {
+        if library_present(sess, dep) {
             continue;
         }
         if copy_usable(
@@ -272,8 +272,7 @@ pub fn resolve_missing(
         sess.stage_file(&path, copy.bytes.clone());
         plan.staged.push((path, copy.bytes.clone()));
         for dep in &copy.description.needed {
-            if !crate::bdc::is_c_library(dep)
-                && !unfound_libraries(sess, [dep]).is_empty()
+            if !library_present(sess, dep)
                 && bundle.libraries.contains_key(dep.as_str())
                 && !staged_set.contains(dep.as_str())
             {
@@ -340,6 +339,7 @@ mod tests {
             app_stack_ident: None,
             libraries: libs.into_iter().map(|l| (l.soname.clone(), l)).collect(),
             hello_worlds: vec![],
+            faults_seen: 0,
         }
     }
 

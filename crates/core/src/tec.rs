@@ -8,7 +8,7 @@
 //! matching configuration (stack selection + environment variables +
 //! staged copies) for the user.
 
-use crate::bdc::{is_c_library, BinaryDescription, MpiIdentification};
+use crate::bdc::{BinaryDescription, MpiIdentification};
 use crate::bundle::SourceBundle;
 use crate::cache::Freshness;
 use crate::edc::{self, EnvironmentDescription};
@@ -211,9 +211,9 @@ enum Shortfall {
     Transported,
 }
 
-/// A candidate stack that passed its native hello world.
+/// A candidate stack that passed its native hello world; its plan names
+/// the stack.
 struct Candidate {
-    ident: String,
     plan: ExecutionPlan,
     resolution: Option<ResolutionPlan>,
     transported_ok: Option<bool>,
@@ -395,6 +395,7 @@ pub fn evaluate(
         let Some(ist) = edc::find_installed(site, cand) else {
             continue;
         };
+        let ident = cand.ident();
         let mut sess = cfg.session(site);
         sess.load_stack(ist);
 
@@ -406,7 +407,7 @@ pub fn evaluate(
         // are installed, under the EDC's configuration epoch.
         let native_ok = match cfg.caches.as_deref() {
             Some(c) => {
-                let key = (site.name().to_string(), cand.ident(), cfg.seed, cfg.nprocs);
+                let key = (site.name().to_string(), ident.clone(), cfg.seed, cfg.nprocs);
                 let fresh = Freshness {
                     epoch: c.edc.epoch(site.name()),
                     ..Freshness::default()
@@ -419,16 +420,16 @@ pub fn evaluate(
             None => native_hello_world(&mut sess, ist, cfg),
         };
         if !native_ok {
-            rec.event(
-                "stack_test",
-                &[
-                    ("stack", cand.ident().as_str().into()),
+            if rec.is_enabled() {
+                let fields = [
+                    ("stack", ident.as_str().into()),
                     ("native_ok", false.into()),
-                ],
-            );
+                ];
+                rec.event("stack_test", &fields);
+            }
             rec.count("stack_tests.failed", 1);
             stack_tests.push(StackTest {
-                stack_ident: cand.ident(),
+                stack_ident: ident,
                 native_ok: false,
                 transported_ok: None,
             });
@@ -437,22 +438,10 @@ pub fn evaluate(
         }
 
         // ---- Determinant 4: shared libraries under this stack ----------------
-        let (missing, extra_dirs) = match binary_image {
-            Some(image) => {
-                sess.stage_file(APP_PATH, (*image).clone());
-                let missing = edc::missing_libraries(&mut sess, APP_PATH);
-                let dirs = edc::extra_lib_dirs(&mut sess, &description.needed);
-                (missing, dirs)
-            }
-            None => {
-                // Binary not present (bundle-only evaluation): work from the
-                // description gathered at the GEE.
-                let dirs = edc::extra_lib_dirs(&mut sess, &description.needed);
-                let needed = description.needed.iter().filter(|so| !is_c_library(so));
-                let missing = edc::unfound_libraries(&sess, needed);
-                (missing, dirs)
-            }
-        };
+        // Without the binary (bundle-only evaluation) the survey works from
+        // the description gathered at the GEE.
+        let binary = binary_image.map(|image| (APP_PATH, image));
+        let (missing, extra_dirs) = edc::survey_libraries(&mut sess, &description.needed, binary);
         for d in &extra_dirs {
             feam_sim::site::env_prepend(&mut sess.env, "LD_LIBRARY_PATH", d);
         }
@@ -523,19 +512,17 @@ pub fn evaluate(
             }
             None => None,
         };
-        {
-            let mut fields: Vec<(&str, feam_obs::FieldValue)> = vec![
-                ("stack", cand.ident().as_str().into()),
-                ("native_ok", true.into()),
-            ];
+        if rec.is_enabled() {
+            let mut fields: Vec<(&str, feam_obs::FieldValue)> =
+                vec![("stack", ident.as_str().into()), ("native_ok", true.into())];
             if let Some(t) = transported_ok {
                 fields.push(("transported_ok", t.into()));
             }
             rec.event("stack_test", &fields);
-            rec.count("stack_tests.passed", 1);
         }
+        rec.count("stack_tests.passed", 1);
         stack_tests.push(StackTest {
-            stack_ident: cand.ident(),
+            stack_ident: ident.clone(),
             native_ok: true,
             transported_ok,
         });
@@ -543,7 +530,7 @@ pub fn evaluate(
         // Assemble this candidate's plan.
         let mut cand_plan = ExecutionPlan {
             stack_index: site.stacks.iter().position(|s| s.prefix == ist.prefix),
-            stack_ident: Some(cand.ident()),
+            stack_ident: Some(ident),
             launch_command: cfg.mpiexec_override.clone(),
             extra_ld_dirs: extra_dirs,
             staged: resolution
@@ -564,7 +551,6 @@ pub fn evaluate(
         let ready = libs.is_ok();
         if ready || chosen.is_none() {
             chosen = Some(Candidate {
-                ident: cand.ident(),
                 plan: cand_plan,
                 resolution,
                 transported_ok,
@@ -592,24 +578,23 @@ pub fn evaluate(
     };
     use Determination::{Compatible, Incompatible};
     let name = bin_impl.name();
+    let ident = chosen.plan.stack_ident.as_deref().unwrap_or_default();
     let ((verdict, detail), libs) = match chosen.libs {
         Ok(detail) => {
             let probe = match chosen.transported_ok {
                 Some(true) => "transported",
                 _ => "native",
             };
-            let ident = chosen.ident;
             let stack = format!("functioning {name} stack: {ident} ({probe} hello world passed)");
             ((Compatible, stack), Some((Compatible, detail)))
         }
         Err(Shortfall::Libraries(detail)) => {
-            let stack = format!("functioning {name} stack: {}", chosen.ident);
+            let stack = format!("functioning {name} stack: {ident}");
             ((Compatible, stack), Some((Incompatible, detail)))
         }
         Err(Shortfall::Transported) => {
             let stack = format!(
-                "stack {} functioning but transported hello world failed (ABI/FP incompatibility)",
-                chosen.ident
+                "stack {ident} functioning but transported hello world failed (ABI/FP incompatibility)"
             );
             ((Incompatible, stack), None)
         }

@@ -5,10 +5,10 @@
 //! content key (the BDC cache key) and — for extended predictions — the
 //! site whose guaranteed execution environment runs the source phase. The
 //! source-phase bundle is memoized **per home-site configuration epoch**:
-//! however many extended requests arrive, the source phase runs once, but
-//! a reconfiguration of the home site (epoch bump) orphans the memo so the
-//! planner can never rank against a source description gathered in a
-//! stale environment.
+//! however many extended requests arrive, the source phase runs once (once
+//! it completes without an injected fault), but a reconfiguration of the
+//! home site (epoch bump) orphans the memo so the planner can never rank
+//! against a source description gathered in a stale environment.
 //!
 //! Names bind content: re-registering an existing name with *different*
 //! content is rejected ([`RegistryError::ContentConflict`]) so every
@@ -21,6 +21,7 @@
 
 use feam_core::bundle::SourceBundle;
 use feam_core::cache::BdcKey;
+use feam_sim::faults::FaultPlan;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
@@ -52,7 +53,8 @@ struct BundleMemo {
     /// Home-site EDC epoch the bundle was gathered under.
     epoch: u64,
     /// `None` records a failed source phase (e.g. a non-MPI image) so it
-    /// is not retried per request within the same epoch.
+    /// is not retried per request within the same epoch; only a failure
+    /// under a silent fault plan is recorded.
     bundle: Option<Arc<SourceBundle>>,
 }
 
@@ -89,14 +91,29 @@ impl RegisteredBinary {
         }
     }
 
-    /// The memoized source-phase bundle for `epoch`; `compute` runs at
-    /// most once per epoch — a stale-epoch memo (the home site was
-    /// reconfigured since the bundle was gathered) is discarded and
-    /// recomputed. Concurrent extended requests for the same binary
-    /// serialize here, which is exactly the single-computation guarantee.
+    /// [`bundle_under`](RegisteredBinary::bundle_under) for a caller whose
+    /// fault plan is silent: `compute` runs at most once per epoch.
     pub fn bundle_for_epoch(
         &self,
         epoch: u64,
+        compute: impl FnOnce() -> Option<Arc<SourceBundle>>,
+    ) -> Option<Arc<SourceBundle>> {
+        self.bundle_under(epoch, &FaultPlan::none(), compute)
+    }
+
+    /// The memoized source-phase bundle for `epoch`, computed under
+    /// `faults` on a miss. A stale-epoch memo (the home site was
+    /// reconfigured since the bundle was gathered) is discarded and
+    /// recomputed. Only a fault-free outcome is memoized: a bundle whose
+    /// source phase met no fault, or a failure under a silent plan (a
+    /// failure carries no fault count). Under a silent plan `compute` thus
+    /// runs at most once per epoch. Concurrent extended requests for the
+    /// same binary serialize here, which is exactly the single-computation
+    /// guarantee.
+    pub fn bundle_under(
+        &self,
+        epoch: u64,
+        faults: &FaultPlan,
         compute: impl FnOnce() -> Option<Arc<SourceBundle>>,
     ) -> Option<Arc<SourceBundle>> {
         let mut memo = self.bundle.lock().expect("bundle memo");
@@ -106,10 +123,16 @@ impl RegisteredBinary {
             }
         }
         let bundle = compute();
-        *memo = Some(BundleMemo {
-            epoch,
-            bundle: bundle.clone(),
-        });
+        let clean = match &bundle {
+            Some(b) => b.faults_seen == 0,
+            None => faults.is_none(),
+        };
+        if clean {
+            *memo = Some(BundleMemo {
+                epoch,
+                bundle: bundle.clone(),
+            });
+        }
         bundle
     }
 
@@ -267,7 +290,10 @@ mod tests {
                 None
             });
         }
-        assert_eq!(calls, 1, "source phase memoized, even when it failed");
+        assert_eq!(
+            calls, 1,
+            "under a silent plan the source phase is memoized, even when it failed"
+        );
         assert_eq!(b.bundle_epoch(), Some(0));
 
         // An epoch bump (home site reconfigured) orphans the memo.
@@ -282,6 +308,49 @@ mod tests {
             None
         });
         assert_eq!(calls, 2, "fresh-epoch memo is reused");
+    }
+
+    #[test]
+    fn faulted_source_phase_is_recomputed_on_the_next_call() {
+        use feam_core::phases::{run_source_phase, PhaseConfig};
+        use feam_workloads::sites::{standard_sites, RANGER};
+
+        let b = demo_binary(4);
+        let sites = standard_sites(4);
+        // Transient description-file and module-database faults: retries
+        // absorb them, so the source phase succeeds, but the bundle records
+        // that it met them.
+        let faults = Arc::new(FaultPlan::chaos(1, 0.5));
+        let cfg = PhaseConfig {
+            faults: faults.clone(),
+            ..PhaseConfig::default()
+        };
+        let mut calls = 0;
+        for expected in 1..=2 {
+            let bundle = b.bundle_under(0, &faults, || {
+                calls += 1;
+                run_source_phase(&sites[RANGER], &b.image, &cfg)
+                    .ok()
+                    .map(Arc::new)
+            });
+            let faulted = bundle.expect("retries absorb transient faults");
+            assert!(faulted.faults_seen > 0, "the plan must fault this phase");
+            assert_eq!(calls, expected, "a faulted bundle is never memoized");
+        }
+        assert_eq!(b.bundle_epoch(), None);
+
+        // A failure under a faulting plan may be the fault's doing: it is
+        // recomputed too.
+        for expected in 3..=4 {
+            assert!(b
+                .bundle_under(0, &faults, || {
+                    calls += 1;
+                    None
+                })
+                .is_none());
+            assert_eq!(calls, expected, "a failure under faults is never memoized");
+        }
+        assert_eq!(b.bundle_epoch(), None);
     }
 
     #[test]

@@ -873,14 +873,15 @@ fn process(inner: &Inner, job: Job) {
 
     // Extended predictions need the source-phase bundle from the binary's
     // home site; computed once per home-site configuration epoch, then
-    // memoized. A reconfigured home site (epoch bump) orphans the memo.
+    // memoized unless a fault touched it. A reconfigured home site (epoch
+    // bump) orphans the memo.
     let bundle = if job.mode == PredictionMode::Extended {
         let home_epoch = inner
             .caches
             .as_ref()
             .map(|c| c.edc.epoch(&binary.home_site))
             .unwrap_or(0);
-        binary.bundle_for_epoch(home_epoch, || {
+        binary.bundle_under(home_epoch, &inner.phase_cfg.faults, || {
             let _span = rec.span("svc.source_phase");
             let home = inner
                 .site_idx

@@ -116,8 +116,9 @@ fn missing_library_detection_without_ldd() {
         "libm.so.6".into(),
         "libc.so.6".into(),
     ];
-    sess.stage_file("/home/user/app", std::sync::Arc::new(spec.build().unwrap()));
-    let missing = feam::core::edc::missing_libraries(&mut sess, "/home/user/app");
+    let image = std::sync::Arc::new(spec.build().unwrap());
+    let binary = Some(("/home/user/app", &image));
+    let (missing, _) = feam::core::edc::survey_libraries(&mut sess, &spec.needed, binary);
     assert_eq!(missing, vec!["libnotthere.so.5".to_string()]);
 }
 

@@ -6,14 +6,17 @@
 //! * Persistent VFS faults: no panic anywhere in the phase.
 //! * Transient faults at realistic rates: the retry policy recovers and
 //!   the prediction matches the fault-free run.
+//! * Persistent VFS faults never turn an `Incompatible` determinant into a
+//!   `Compatible` one: a fault may only degrade a verdict to `Unknown`.
 
-use feam::core::phases::{run_source_phase, run_target_phase, PhaseConfig};
-use feam::core::predict::Determination;
+use feam::core::phases::{run_source_phase, run_target_phase, PhaseConfig, TargetOutcome};
+use feam::core::predict::{Determinant, DeterminantVerdict, Determination};
 use feam::core::report::report_json;
+use feam::core::tec::APP_PATH;
 use feam::sim::compile::{compile, ProgramSpec};
-use feam::sim::faults::{FaultPlan, FaultRate};
+use feam::sim::faults::{Chokepoint, FaultPlan, FaultRate};
 use feam::sim::toolchain::Language;
-use feam::workloads::sites::{standard_sites, FIR, INDIA};
+use feam::workloads::sites::{standard_sites, FIR, FORGE, INDIA, RANGER};
 use std::sync::Arc;
 
 fn gnu_binary(sites: &[feam::sim::site::Site]) -> Arc<Vec<u8>> {
@@ -163,4 +166,112 @@ fn source_phase_survives_transient_faults() {
         !bundle.hello_worlds.is_empty(),
         "hello-world probes compiled despite transient compiler faults"
     );
+}
+
+fn with_faults(plan: FaultPlan) -> PhaseConfig {
+    PhaseConfig {
+        faults: Arc::new(plan),
+        ..PhaseConfig::default()
+    }
+}
+
+fn verdict_of(outcome: &TargetOutcome, d: Determinant) -> Option<&DeterminantVerdict> {
+    outcome
+        .prediction
+        .verdicts
+        .iter()
+        .find(|v| v.determinant == d)
+}
+
+#[test]
+fn vfs_fault_on_the_staged_binary_does_not_hide_a_missing_library() {
+    // Built at Forge (glibc 2.12) with a portable glibc appetite, a Fortran
+    // binary passes Ranger's C-library check, but Ranger has no
+    // libgfortran.so.3 and Forge's copy of it needs a newer glibc.
+    let sites = standard_sites(7);
+    let (forge, ranger) = (&sites[FORGE], &sites[RANGER]);
+    let mut prog = ProgramSpec::new("cg", Language::Fortran);
+    prog.glibc_appetite = 0.0;
+    let image = compile(forge, Some(&forge.stacks[0]), &prog, 7)
+        .unwrap()
+        .image;
+    let clean_cfg = with_faults(FaultPlan::none());
+    let bundle = run_source_phase(forge, &image, &clean_cfg).expect("source phase at Forge");
+    let clean = run_target_phase(ranger, Some(&image), Some(&bundle), &clean_cfg);
+    let libs = verdict_of(&clean, Determinant::SharedLibraries).expect("determinant 4");
+    assert_eq!(libs.verdict, Determination::Incompatible, "{}", libs.detail);
+
+    // A persistent VFS plan under which Ranger cannot read the staged
+    // binary back (the BDC falls back to the bundle's description, and
+    // `ldd` cannot read it either) but can read the hello-world probes.
+    let key = |path: &str| format!("{}:{path}", ranger.name());
+    let faults = |plan: &FaultPlan, path: &str| plan.roll(Chokepoint::VfsRead, &key(path), 1);
+    let probes = [
+        "/home/user/feam/hello_native",
+        "/home/user/feam/hello_transported",
+    ];
+    let plan = (0..)
+        .map(|seed| FaultPlan::persistent_vfs(seed, 0.05))
+        .find(|p| faults(p, APP_PATH).is_some() && probes.iter().all(|h| faults(p, h).is_none()))
+        .expect("some seed faults the staged binary only");
+    let faulted = run_target_phase(ranger, Some(&image), Some(&bundle), &with_faults(plan));
+    let libs = verdict_of(&faulted, Determinant::SharedLibraries).expect("determinant 4");
+    assert_ne!(
+        libs.detail, "all required shared libraries present",
+        "the fault hid the missing library"
+    );
+    assert_ne!(libs.verdict, Determination::Compatible, "{}", libs.detail);
+}
+
+#[test]
+fn persistent_vfs_faults_never_turn_a_failed_determinant_into_a_pass() {
+    // A small extended-mode sweep: binaries from three home sites, each
+    // evaluated at every site fault-free and under persistent VFS plans.
+    let sites = standard_sites(7);
+    let homes = [
+        (FORGE, Language::Fortran),
+        (INDIA, Language::C),
+        (FIR, Language::Fortran),
+    ];
+    let clean_cfg = with_faults(FaultPlan::none());
+    let mut checked = 0;
+    for (home, language) in homes {
+        let site = &sites[home];
+        let image = compile(
+            site,
+            Some(&site.stacks[0]),
+            &ProgramSpec::new("ft", language),
+            7,
+        )
+        .unwrap()
+        .image;
+        let bundle = run_source_phase(site, &image, &clean_cfg).expect("bundle");
+        for target in &sites {
+            let clean = run_target_phase(target, Some(&image), Some(&bundle), &clean_cfg);
+            for seed in 0..6 {
+                let cfg = with_faults(FaultPlan::persistent_vfs(seed, 0.3));
+                let faulted = run_target_phase(target, Some(&image), Some(&bundle), &cfg);
+                for v in &clean.prediction.verdicts {
+                    if v.verdict != Determination::Incompatible {
+                        continue;
+                    }
+                    checked += 1;
+                    if let Some(f) = verdict_of(&faulted, v.determinant) {
+                        assert_ne!(
+                            f.verdict,
+                            Determination::Compatible,
+                            "{} built at {} evaluated at {} (seed {seed}): fault-free {:?}, \
+                             faulted {:?}",
+                            v.determinant.name(),
+                            site.name(),
+                            target.name(),
+                            v.detail,
+                            f.detail
+                        );
+                    }
+                }
+            }
+        }
+    }
+    assert!(checked > 0, "the sweep must meet failed determinants");
 }
