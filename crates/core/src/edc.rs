@@ -12,7 +12,7 @@
 //!   fallbacks).
 
 use crate::bdc::{is_c_library, locate_library};
-use crate::retry::RetryPolicy;
+use crate::retry::{note_retry, RetryPolicy};
 use feam_elf::{HostArch, VersionName};
 use feam_sim::faults::Chokepoint;
 use feam_sim::mpi::MpiImpl;
@@ -169,16 +169,7 @@ fn observe<T>(
         }
         if attempt < max {
             let delay = retry.jittered_delay_before(attempt + 1, what);
-            sess.charge(delay);
-            sess.recorder.event(
-                "retry_attempt",
-                &[
-                    ("what", what.into()),
-                    ("attempt", (attempt + 1).into()),
-                    ("delay_s", delay.into()),
-                ],
-            );
-            sess.recorder.count("retry.attempts", 1);
+            note_retry(sess, what, attempt + 1, delay);
         }
     }
     None

@@ -117,19 +117,41 @@ impl ResolutionPlan {
     }
 }
 
+/// What one [`resolve_missing`] call has decided so far.
+#[derive(Default)]
+struct Decisions {
+    /// Usability verdict per bundle copy.
+    verdicts: BTreeMap<String, Result<(), ResolutionFailure>>,
+    /// [`library_present`] per soname. Nothing a presence check reads
+    /// changes within one call: it leaves the env alone, `exists` rolls no
+    /// fault, the library search reads only the `Site`, and staged copies
+    /// reach the loader path only after the call returns.
+    present: BTreeMap<String, bool>,
+}
+
+impl Decisions {
+    fn present(&mut self, sess: &Session<'_>, soname: &str) -> bool {
+        if let Some(&present) = self.present.get(soname) {
+            return present;
+        }
+        let present = library_present(sess, soname);
+        self.present.insert(soname.to_string(), present);
+        present
+    }
+}
+
 /// Recursive usability check for one copy: FEAM's prediction model applied
-/// to the library (§IV). `visiting` breaks dependency cycles; `memo`
-/// caches verdicts.
+/// to the library (§IV). `visiting` breaks dependency cycles.
 fn copy_usable(
     sess: &Session<'_>,
     bundle: &SourceBundle,
     soname: &str,
     target_arch: HostArch,
     target_c_library: Option<&VersionName>,
-    memo: &mut BTreeMap<String, Result<(), ResolutionFailure>>,
+    memo: &mut Decisions,
     visiting: &mut Vec<String>,
 ) -> Result<(), ResolutionFailure> {
-    if let Some(cached) = memo.get(soname) {
+    if let Some(cached) = memo.verdicts.get(soname) {
         return cached.clone();
     }
     if visiting.iter().any(|v| v == soname) {
@@ -137,7 +159,7 @@ fn copy_usable(
     }
     let Some(copy) = bundle.libraries.get(soname) else {
         let r = Err(ResolutionFailure::NoCopyAvailable);
-        memo.insert(soname.to_string(), r.clone());
+        memo.verdicts.insert(soname.to_string(), r.clone());
         return r;
     };
     // Determinant 1: ISA.
@@ -147,7 +169,7 @@ fn copy_usable(
             copy.description.machine.name(),
             copy.description.class.bits()
         )));
-        memo.insert(soname.to_string(), r.clone());
+        memo.verdicts.insert(soname.to_string(), r.clone());
         return r;
     }
     // Determinant 3: C library requirement of the copy itself.
@@ -161,7 +183,7 @@ fn copy_usable(
                 .unwrap_or_default(),
             target: target_c_library.map(|v| v.render()),
         });
-        memo.insert(soname.to_string(), r.clone());
+        memo.verdicts.insert(soname.to_string(), r.clone());
         return r;
     }
     // Determinant 4, recursively: every dependency of the copy must be
@@ -170,7 +192,7 @@ fn copy_usable(
     let mut verdict: Result<(), ResolutionFailure> = Ok(());
     for dep in &copy.description.needed {
         // Present at the target (loader-visible or findable by search)?
-        if library_present(sess, dep) {
+        if memo.present(sess, dep) {
             continue;
         }
         if copy_usable(
@@ -191,7 +213,7 @@ fn copy_usable(
         }
     }
     visiting.pop();
-    memo.insert(soname.to_string(), verdict.clone());
+    memo.verdicts.insert(soname.to_string(), verdict.clone());
     verdict
 }
 
@@ -209,7 +231,7 @@ pub fn resolve_missing(
         staging_dir: staging_dir.to_string(),
         ..Default::default()
     };
-    let mut memo = BTreeMap::new();
+    let mut memo = Decisions::default();
     let mut to_stage: Vec<String> = Vec::new();
     for soname in missing {
         sess.charge(0.2);
@@ -272,7 +294,7 @@ pub fn resolve_missing(
         sess.stage_file(&path, copy.bytes.clone());
         plan.staged.push((path, copy.bytes.clone()));
         for dep in &copy.description.needed {
-            if !library_present(sess, dep)
+            if !memo.present(sess, dep)
                 && bundle.libraries.contains_key(dep.as_str())
                 && !staged_set.contains(dep.as_str())
             {

@@ -105,7 +105,7 @@ impl RetryPolicy {
 
 /// Record one consumed retry: charge its backoff to the simulated clock
 /// and emit a `retry_attempt` event.
-fn note_retry(sess: &mut Session<'_>, what: &str, attempt: u32, delay: f64) {
+pub(crate) fn note_retry(sess: &mut Session<'_>, what: &str, attempt: u32, delay: f64) {
     sess.charge(delay);
     sess.recorder.event(
         "retry_attempt",

@@ -2,8 +2,8 @@
 //!
 //! A [`FaultPlan`] is attached to a [`crate::site::Session`] and consulted at
 //! the chokepoints FEAM actually exercises: VFS reads, `/proc`//`/etc`
-//! description files, module/softenv databases, probe compiles, `mpiexec`
-//! daemon spawns and batch-queue submissions. Every draw is a pure function
+//! description files, module/softenv databases, probe compiles and
+//! `mpiexec` daemon spawns. Every draw is a pure function
 //! of `(plan seed, chokepoint, key, attempt)` via [`crate::rng`], so a chaos
 //! run is exactly reproducible from its seed.
 //!
@@ -48,8 +48,6 @@ pub enum Chokepoint {
     ProbeCompile,
     /// `mpiexec` daemon spawn — the paper's §VI.C failure mode.
     DaemonSpawn,
-    /// Batch queue `submit` rejections.
-    QueueSubmit,
 }
 
 impl Chokepoint {
@@ -61,18 +59,16 @@ impl Chokepoint {
             Chokepoint::ModuleDb => "module_db",
             Chokepoint::ProbeCompile => "probe_compile",
             Chokepoint::DaemonSpawn => "daemon_spawn",
-            Chokepoint::QueueSubmit => "queue_submit",
         }
     }
 
     /// Every chokepoint, for iteration in sweeps and docs.
-    pub const ALL: [Chokepoint; 6] = [
+    pub const ALL: [Chokepoint; 5] = [
         Chokepoint::VfsRead,
         Chokepoint::DescriptionFile,
         Chokepoint::ModuleDb,
         Chokepoint::ProbeCompile,
         Chokepoint::DaemonSpawn,
-        Chokepoint::QueueSubmit,
     ];
 }
 
@@ -112,7 +108,6 @@ pub struct FaultPlan {
     pub module_db: FaultRate,
     pub probe_compile: FaultRate,
     pub daemon_spawn: FaultRate,
-    pub queue_submit: FaultRate,
 }
 
 impl FaultPlan {
@@ -144,7 +139,6 @@ impl FaultPlan {
             module_db: r,
             probe_compile: r,
             daemon_spawn: r,
-            queue_submit: r,
         }
     }
 
@@ -180,7 +174,7 @@ impl FaultPlan {
     /// Build a plan from `FEAM_CHAOS_RATE` / `FEAM_CHAOS_SEED`.
     ///
     /// Restricted to the transient, retry-covered chokepoints (probe
-    /// compiles, daemon spawns, queue submissions) so that exact-outcome
+    /// compiles, daemon spawns) so that exact-outcome
     /// unit tests keep passing while the retry paths stay exercised.
     /// Returns [`FaultPlan::none`] when the rate is unset or unparsable.
     pub fn from_env() -> Self {
@@ -234,7 +228,6 @@ impl FaultPlan {
             seed,
             probe_compile: r,
             daemon_spawn: r,
-            queue_submit: r,
             ..FaultPlan::default()
         }
     }
@@ -247,7 +240,6 @@ impl FaultPlan {
             Chokepoint::ModuleDb => self.module_db,
             Chokepoint::ProbeCompile => self.probe_compile,
             Chokepoint::DaemonSpawn => self.daemon_spawn,
-            Chokepoint::QueueSubmit => self.queue_submit,
         }
     }
 
@@ -366,7 +358,6 @@ mod tests {
         assert_eq!(p.seed, 7);
         assert_eq!(p.probe_compile.transient, 0.05);
         assert_eq!(p.daemon_spawn.transient, 0.05);
-        assert_eq!(p.queue_submit.transient, 0.05);
         assert!(p.vfs_read.is_zero(), "VFS reads stay out of ambient chaos");
     }
 

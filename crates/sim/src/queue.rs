@@ -6,20 +6,9 @@
 //! debug queue at sites." This module gives that claim a mechanical
 //! backing: sites expose batch queues with walltime limits and queue-depth
 //! dependent wait times; jobs that exceed a queue's walltime are killed.
-//!
-//! [`submit_retrying`] adds the robustness layer: submissions roll against
-//! an injected [`FaultPlan`] (scheduler outages are the
-//! [`Chokepoint::QueueSubmit`] chokepoint), transient rejections are
-//! retried in place, and walltime kills / hard rejections escalate to the
-//! next queue in the caller's list (debug → production).
 
-use crate::faults::{Chokepoint, FaultKind, FaultPlan};
 use crate::rng;
 use serde::{Deserialize, Serialize};
-
-/// Rejection reason used for injected transient scheduler outages; a
-/// resubmission to the same queue re-rolls, so retries can succeed.
-pub const TRANSIENT_REJECTION: &str = "scheduler temporarily unavailable";
 
 /// One batch queue at a site (PBS/SGE/SLURM-style).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -95,39 +84,6 @@ impl QueueOutcome {
     }
 }
 
-/// [`submit`] wrapped in a trace span: records a `queue.submit` span, a
-/// `queue_outcome` event, and the simulated wait in the `queue.wait_s`
-/// histogram.
-pub fn submit_traced(
-    rec: &feam_obs::Recorder,
-    queue: &QueueSpec,
-    job_id: &str,
-    nprocs: u32,
-    cpu_seconds: f64,
-    seed: u64,
-) -> QueueOutcome {
-    let _span = rec.span("queue.submit");
-    let outcome = submit(queue, job_id, nprocs, cpu_seconds, seed);
-    let (status, wait) = match &outcome {
-        QueueOutcome::Completed { wait_seconds, .. } => ("completed", Some(*wait_seconds)),
-        QueueOutcome::WalltimeExceeded { .. } => ("walltime-exceeded", None),
-        QueueOutcome::Rejected { .. } => ("rejected", None),
-    };
-    rec.event(
-        "queue_outcome",
-        &[
-            ("queue", queue.name.as_str().into()),
-            ("job", job_id.into()),
-            ("status", status.into()),
-            ("wait_s", wait.unwrap_or(0.0).into()),
-        ],
-    );
-    if let Some(w) = wait {
-        rec.observe("queue.wait_s", w);
-    }
-    outcome
-}
-
 /// Submit a job needing `cpu_seconds` of work on `nprocs` processes.
 /// `seed`/`job_id` make the queue wait deterministic per submission.
 pub fn submit(
@@ -159,107 +115,6 @@ pub fn submit(
         wait_seconds,
         run_seconds,
     }
-}
-
-/// [`submit`] with the fault plan consulted first. A persistent fault
-/// rejects this (job, queue) pair on every attempt; a transient fault
-/// rejects with [`TRANSIENT_REJECTION`] and clears on re-roll.
-pub fn submit_with_faults(
-    queue: &QueueSpec,
-    job_id: &str,
-    nprocs: u32,
-    cpu_seconds: f64,
-    seed: u64,
-    faults: &FaultPlan,
-    attempt: u32,
-) -> QueueOutcome {
-    let key = format!("{job_id}@{}", queue.name);
-    match faults.roll(Chokepoint::QueueSubmit, &key, attempt) {
-        Some(FaultKind::Persistent) => QueueOutcome::Rejected {
-            reason: format!(
-                "queue {} rejects this submission (scheduler policy)",
-                queue.name
-            ),
-        },
-        Some(FaultKind::Transient) => QueueOutcome::Rejected {
-            reason: TRANSIENT_REJECTION.into(),
-        },
-        None => submit(queue, job_id, nprocs, cpu_seconds, seed),
-    }
-}
-
-/// Submit with bounded retries and queue escalation.
-///
-/// Queues are tried in order (typically `[debug, normal]`). Transient
-/// rejections are resubmitted to the same queue; walltime kills and hard
-/// rejections (persistent faults, size limits) escalate to the next queue.
-/// At most `max_attempts` submissions are made in total. Returns the final
-/// outcome and the number of submissions consumed; every submission emits a
-/// `queue_outcome` event and consumed retries emit `retry_attempt` events.
-#[allow(clippy::too_many_arguments)]
-pub fn submit_retrying(
-    rec: &feam_obs::Recorder,
-    queues: &[QueueSpec],
-    job_id: &str,
-    nprocs: u32,
-    cpu_seconds: f64,
-    seed: u64,
-    faults: &FaultPlan,
-    max_attempts: u32,
-) -> (QueueOutcome, u32) {
-    let max_attempts = max_attempts.max(1);
-    let mut qi = 0usize;
-    let mut attempts = 0u32;
-    let mut last = QueueOutcome::Rejected {
-        reason: "no queues configured".into(),
-    };
-    while attempts < max_attempts && qi < queues.len() {
-        attempts += 1;
-        let queue = &queues[qi];
-        let _span = rec.span("queue.submit");
-        let outcome =
-            submit_with_faults(queue, job_id, nprocs, cpu_seconds, seed, faults, attempts);
-        let (status, wait) = match &outcome {
-            QueueOutcome::Completed { wait_seconds, .. } => ("completed", Some(*wait_seconds)),
-            QueueOutcome::WalltimeExceeded { .. } => ("walltime-exceeded", None),
-            QueueOutcome::Rejected { .. } => ("rejected", None),
-        };
-        rec.event(
-            "queue_outcome",
-            &[
-                ("queue", queue.name.as_str().into()),
-                ("job", job_id.into()),
-                ("status", status.into()),
-                ("wait_s", wait.unwrap_or(0.0).into()),
-            ],
-        );
-        if let Some(w) = wait {
-            rec.observe("queue.wait_s", w);
-        }
-        match &outcome {
-            QueueOutcome::Completed { .. } => return (outcome, attempts),
-            QueueOutcome::Rejected { reason } if reason == TRANSIENT_REJECTION => {
-                // Same queue, next attempt re-rolls the transient fault.
-            }
-            _ => {
-                // Hard rejection or walltime kill: escalate.
-                qi += 1;
-            }
-        }
-        if attempts < max_attempts && qi < queues.len() {
-            rec.event(
-                "retry_attempt",
-                &[
-                    ("what", "queue.submit".into()),
-                    ("attempt", (attempts + 1).into()),
-                    ("queue", queues[qi].name.as_str().into()),
-                ],
-            );
-            rec.count("retry.attempts", 1);
-        }
-        last = outcome;
-    }
-    (last, attempts)
 }
 
 #[cfg(test)]
@@ -322,96 +177,5 @@ mod tests {
         assert_eq!(a, b);
         let c = submit(&q, "other-job", 4, 10.0, 9);
         assert_ne!(a, c, "different jobs draw different waits");
-    }
-
-    #[test]
-    fn walltime_kill_escalates_to_production_queue() {
-        // A job too long for debug is killed there, and the retry lands on
-        // the normal (production) queue, which completes it.
-        let rec = feam_obs::Recorder::disabled();
-        let queues = [QueueSpec::debug(), QueueSpec::normal()];
-        let heavy_cpu = 16.0 * 3600.0 * 4.0;
-        let (out, attempts) = submit_retrying(
-            &rec,
-            &queues,
-            "milc-production",
-            4,
-            heavy_cpu,
-            1,
-            &FaultPlan::none(),
-            5,
-        );
-        assert!(out.completed(), "{out:?}");
-        assert_eq!(attempts, 2, "one debug kill, one normal success");
-    }
-
-    #[test]
-    fn hard_rejection_escalates_to_production_queue() {
-        // 1024 ranks exceed debug's size limit; the retry lands on normal.
-        let rec = feam_obs::Recorder::disabled();
-        let queues = [QueueSpec::debug(), QueueSpec::normal()];
-        let (out, attempts) =
-            submit_retrying(&rec, &queues, "wide", 1024, 10.0, 1, &FaultPlan::none(), 5);
-        assert!(out.completed(), "{out:?}");
-        assert_eq!(attempts, 2);
-    }
-
-    #[test]
-    fn transient_outage_retries_on_the_debug_queue() {
-        // Find a seed where the first submission hits a transient fault but
-        // a later attempt clears: the retry must land on the SAME (debug)
-        // queue and complete there, never touching production.
-        let queues = [QueueSpec::debug(), QueueSpec::normal()];
-        let mut exercised = false;
-        for fault_seed in 0..64u64 {
-            let plan = FaultPlan {
-                seed: fault_seed,
-                queue_submit: crate::faults::FaultRate {
-                    transient: 0.6,
-                    persistent: 0.0,
-                },
-                ..FaultPlan::default()
-            };
-            let first = submit_with_faults(&queues[0], "probe", 4, 30.0, 1, &plan, 1);
-            let second = submit_with_faults(&queues[0], "probe", 4, 30.0, 1, &plan, 2);
-            if first
-                == (QueueOutcome::Rejected {
-                    reason: TRANSIENT_REJECTION.into(),
-                })
-                && second.completed()
-            {
-                let rec = feam_obs::Recorder::disabled();
-                let (out, attempts) = submit_retrying(&rec, &queues, "probe", 4, 30.0, 1, &plan, 5);
-                assert!(out.completed(), "{out:?}");
-                assert_eq!(attempts, 2, "retried once, on the debug queue");
-                assert!(
-                    out.turnaround().unwrap() < QueueSpec::normal().base_wait,
-                    "completed on debug, not production"
-                );
-                exercised = true;
-                break;
-            }
-        }
-        assert!(exercised, "no seed in 0..64 exercised the transient path");
-    }
-
-    #[test]
-    fn persistent_outage_exhausts_both_queues() {
-        let rec = feam_obs::Recorder::disabled();
-        let queues = [QueueSpec::debug(), QueueSpec::normal()];
-        let plan = FaultPlan {
-            seed: 3,
-            queue_submit: crate::faults::FaultRate {
-                transient: 0.0,
-                persistent: 1.0,
-            },
-            ..FaultPlan::default()
-        };
-        let (out, attempts) = submit_retrying(&rec, &queues, "doomed", 4, 30.0, 1, &plan, 5);
-        assert!(
-            matches!(&out, QueueOutcome::Rejected { reason } if reason.contains("scheduler policy")),
-            "{out:?}"
-        );
-        assert_eq!(attempts, 2, "one hard rejection per queue");
     }
 }

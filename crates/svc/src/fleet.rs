@@ -4,10 +4,11 @@
 //!
 //! ## Failure domains
 //!
-//! Each node is a full single-node service — worker pool, BDC/EDC shard,
-//! result cache — so a node loss costs capacity and cache warmth, never
-//! correctness. The router consistent-hashes `(binary content hash,
-//! target site)` onto a replica set of `replication` nodes and walks it:
+//! A node is logical state — cache shard, breaker, epoch, op-log cursor —
+//! and every node's work runs on one shared worker pool, so a node loss
+//! costs cache warmth, never correctness. The router consistent-hashes
+//! `(binary content hash, target site)` onto a replica set of
+//! `replication` nodes and walks it:
 //!
 //! 1. **Primary** — the first replica whose breaker admits traffic and
 //!    whose process is up and reachable.
@@ -29,13 +30,13 @@
 //! down or partitioned replays the missed suffix (catch-up) before it is
 //! ever dispatched to again — a rejoined node can never serve from stale
 //! configuration. Result replication is asynchronous and epoch-gated:
-//! each cacheable answer is forwarded to the rest of its replica set
-//! tagged with the fleet epoch captured *before* the answer was
-//! computed — so any config op landing while the answer was in flight
-//! makes the stamp stale — and the installer drops any payload whose
-//! epoch no longer matches both the target node and the current fleet
-//! epoch (`fleet.replication.{applied,dropped}`, lag on
-//! `fleet.replication.lag_us`). As a last line of defence the install
+//! each cacheable answer is queued on the shared pool as an install task
+//! for the rest of its replica set, tagged with the fleet epoch captured
+//! *before* the answer was computed — so any config op landing while the
+//! answer was in flight makes the stamp stale — and the installer drops
+//! any payload whose epoch no longer matches both the target node and
+//! the current fleet epoch (`fleet.replication.{applied,dropped}`, lag
+//! on `fleet.replication.lag_us`). As a last line of defence the install
 //! itself re-verifies the payload's origin coordinates (content key,
 //! EDC epoch) against the target's current state and keys the entry by
 //! those coordinates, so an op racing the install can only orphan the
@@ -43,12 +44,11 @@
 //! misses a replicated result merely re-evaluates on its first hit.
 
 use crate::health::{HealthTracker, NodeState};
+use crate::pool::Pool;
 use crate::registry::RegisteredBinary;
 use crate::router::HashRing;
 use crate::service::{Delivery, PredictRequest, PredictResponse, PredictService, SvcError};
 use feam_core::cache::BdcKey;
-use feam_core::predict::{Prediction, PredictionMode};
-use feam_core::tec::TargetEvaluation;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -165,25 +165,6 @@ impl FleetNode {
     }
 }
 
-/// An asynchronous replication payload: one cacheable answer headed for
-/// the rest of its replica set, tagged with the fleet epoch captured
-/// before it was computed and the origin coordinates (content key, EDC
-/// epoch) it was computed under.
-struct ReplicationJob {
-    binary_ref: String,
-    site: String,
-    mode: PredictionMode,
-    prediction: Prediction,
-    evaluation: TargetEvaluation,
-    /// Fleet epoch captured before the winner evaluated.
-    epoch: u64,
-    /// The coordinates (content key, EDC epoch) the answer was computed
-    /// under.
-    origin: crate::service::ResultOrigin,
-    targets: Vec<usize>,
-    enqueued: Instant,
-}
-
 struct FleetInner {
     cfg: FleetConfig,
     nodes: Vec<FleetNode>,
@@ -203,8 +184,8 @@ struct FleetInner {
 /// from any thread.
 pub struct Fleet {
     inner: Arc<FleetInner>,
-    repl_tx: Option<mpsc::Sender<ReplicationJob>>,
-    repl_handle: Option<std::thread::JoinHandle<()>>,
+    /// The one executor every node and every replication install runs on.
+    pool: Arc<Pool>,
 }
 
 impl Fleet {
@@ -217,14 +198,17 @@ impl Fleet {
         n: usize,
         factory: impl Fn(usize) -> PredictService,
     ) -> Self {
+        let pool = Arc::<Pool>::default();
         let mut ring = HashRing::new(RING_SEED, VNODES);
         let mut nodes = Vec::with_capacity(n);
         for i in 0..n.max(1) {
             let name = format!("node-{i}");
             ring.add(&name);
+            let mut svc = factory(i);
+            svc.use_pool(pool.clone());
             nodes.push(FleetNode {
                 name,
-                svc: factory(i),
+                svc,
                 up: AtomicBool::new(true),
                 partitioned: AtomicBool::new(false),
                 health: Mutex::new(HealthTracker::new()),
@@ -241,28 +225,14 @@ impl Fleet {
                 routes: Mutex::new(HashMap::new()),
                 t0: Instant::now(),
             }),
-            repl_tx: None,
-            repl_handle: None,
+            pool,
         }
     }
 
-    /// Spawn every node's worker pool plus the replication thread.
+    /// Spawn the shared pool's threads: node 0's `workers` (the factory
+    /// contract makes every node's the same). Idempotent.
     pub fn start(&mut self) {
-        for node in &mut Arc::get_mut(&mut self.inner)
-            .expect("start before sharing the fleet")
-            .nodes
-        {
-            node.svc.start();
-        }
-        let (tx, rx) = mpsc::channel::<ReplicationJob>();
-        let inner = self.inner.clone();
-        self.repl_tx = Some(tx);
-        self.repl_handle = Some(
-            std::thread::Builder::new()
-                .name("feam-fleet-repl".into())
-                .spawn(move || replication_loop(&inner, rx))
-                .expect("spawn replication thread"),
-        );
+        self.inner.nodes[0].svc.start_pool();
     }
 
     /// Node count (fixed at build; kill/revive toggles availability, not
@@ -502,14 +472,7 @@ impl Fleet {
             attempts += 1;
             match inner.dispatch(i, req) {
                 Ok(Delivery::Ready(resp)) => {
-                    inner.observe_success(i);
-                    return Ok(FleetResponse {
-                        node: inner.nodes[i].name.clone(),
-                        failovers,
-                        hedged: false,
-                        degraded_route,
-                        response: resp,
-                    });
+                    return inner.settle(i, Ok(resp), failovers, false, degraded_route);
                 }
                 Ok(Delivery::Pending(rx)) => {
                     return self.await_answer(
@@ -599,17 +562,11 @@ impl Fleet {
                 Ok(Delivery::Ready(resp)) => {
                     rec.count("fleet.hedge.fired", 1);
                     rec.count("fleet.hedge.won", 1);
-                    inner.observe_success(b);
+                    let won = inner.settle(b, Ok(resp), failovers, true, degraded_route);
                     // The primary's eventual answer is discarded — its
                     // probe slot comes back without an outcome.
                     inner.release_probe(primary);
-                    return Ok(FleetResponse {
-                        node: inner.nodes[b].name.clone(),
-                        failovers,
-                        hedged: true,
-                        degraded_route,
-                        response: resp,
-                    });
+                    return won;
                 }
                 Ok(Delivery::Pending(hrx)) => {
                     rec.count("fleet.hedge.fired", 1);
@@ -677,34 +634,27 @@ impl Fleet {
             }
         }
     }
-
-    /// Fleet shutdown: stop replication, then drop the nodes (each joins
-    /// its workers).
-    pub fn shutdown(&mut self) {
-        self.repl_tx = None; // closes the channel; the thread drains and exits
-        if let Some(h) = self.repl_handle.take() {
-            let _ = h.join();
-        }
-    }
 }
 
 impl Drop for Fleet {
+    /// Drain and join the pool before `inner` goes: a queued replication
+    /// task holds it, and a pool thread dropping the last holder would drop
+    /// the nodes, then the pool, and join itself.
     fn drop(&mut self) {
-        self.shutdown();
+        self.pool.shutdown();
     }
 }
 
 impl Fleet {
-    /// Hand a cacheable answer to the replication thread (non-blocking).
-    /// `epoch` is the fleet epoch captured *before* the answer was
-    /// computed; the origin coordinates (content key, EDC epoch) are
-    /// read from the winner. Any config op landing anywhere in the
-    /// window is caught by the epoch gate in `replication_loop` (epochs
-    /// only grow, so a stale stamp can never match again) or, for ops
-    /// racing the install itself, by the coordinate verification inside
-    /// `install_result`.
+    /// Queue a task on the pool that installs a cacheable answer on the
+    /// rest of its replica set (non-blocking). `epoch` is the fleet epoch
+    /// captured *before* the answer was computed; the origin coordinates
+    /// (content key, EDC epoch) are read from the winner. Any config op
+    /// landing anywhere in the window is caught by the task's epoch gate
+    /// (epochs only grow, so a stale stamp can never match again) or, for
+    /// ops racing the install itself, by the coordinate verification
+    /// inside `install_result`.
     fn replicate(&self, req: &PredictRequest, winner: usize, resp: &PredictResponse, epoch: u64) {
-        let Some(tx) = &self.repl_tx else { return };
         let Some(replicas) = self.replica_set(&req.binary_ref, &req.target_site) else {
             return;
         };
@@ -716,16 +666,34 @@ impl Fleet {
         let Some(origin) = svc.result_origin(&req.binary_ref, &req.target_site) else {
             return;
         };
-        let _ = tx.send(ReplicationJob {
-            binary_ref: req.binary_ref.clone(),
-            site: req.target_site.clone(),
-            mode: req.mode,
-            prediction: resp.prediction.clone(),
-            evaluation: resp.evaluation.clone(),
-            epoch,
-            origin,
-            targets,
-            enqueued: Instant::now(),
+        let inner = self.inner.clone();
+        let (binary_ref, site, mode) = (req.binary_ref.clone(), req.target_site.clone(), req.mode);
+        let (prediction, evaluation) = (resp.prediction.clone(), resp.evaluation.clone());
+        let enqueued = Instant::now();
+        self.pool.push(move || {
+            let rec = &inner.cfg.recorder;
+            let lag_us = enqueued.elapsed().as_micros() as f64;
+            for t in targets {
+                let node = &inner.nodes[t];
+                let fresh = node.reachable()
+                    && node.applied_epoch.load(Ordering::SeqCst) == epoch
+                    && inner.epoch.load(Ordering::SeqCst) == epoch;
+                let installed = fresh
+                    && node.svc.install_result(
+                        &binary_ref,
+                        &site,
+                        mode,
+                        origin,
+                        &prediction,
+                        &evaluation,
+                    );
+                if installed {
+                    rec.count("fleet.replication.applied", 1);
+                } else {
+                    rec.count("fleet.replication.dropped", 1);
+                }
+            }
+            rec.observe("fleet.replication.lag_us", lag_us);
         });
     }
 
@@ -896,35 +864,5 @@ impl FleetInner {
                 .recorder
                 .gauge(&format!("fleet.node.state.{}", node.name), state.as_gauge());
         }
-    }
-}
-
-/// The replication thread: installs cacheable answers on replica peers,
-/// dropping anything whose epoch went stale in flight.
-fn replication_loop(inner: &FleetInner, rx: mpsc::Receiver<ReplicationJob>) {
-    let rec = &inner.cfg.recorder;
-    while let Ok(job) = rx.recv() {
-        let lag_us = job.enqueued.elapsed().as_micros() as f64;
-        for &t in &job.targets {
-            let node = &inner.nodes[t];
-            let fresh = node.reachable()
-                && node.applied_epoch.load(Ordering::SeqCst) == job.epoch
-                && inner.epoch.load(Ordering::SeqCst) == job.epoch;
-            let installed = fresh
-                && node.svc.install_result(
-                    &job.binary_ref,
-                    &job.site,
-                    job.mode,
-                    job.origin,
-                    &job.prediction,
-                    &job.evaluation,
-                );
-            if installed {
-                rec.count("fleet.replication.applied", 1);
-            } else {
-                rec.count("fleet.replication.dropped", 1);
-            }
-        }
-        rec.observe("fleet.replication.lag_us", lag_us);
     }
 }

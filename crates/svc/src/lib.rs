@@ -15,8 +15,8 @@
 //!   everything derived from the stale environment.
 //! * **Single-flight coalescing.** Concurrent requests for the same key
 //!   share one evaluation — N callers, one phase run, N answers.
-//! * **Bounded admission.** A fixed-capacity queue feeds the worker pool;
-//!   when it is full the service sheds with a *retryable*
+//! * **Bounded admission.** A fixed-capacity queue feeds one worker pool
+//!   (shared by a whole [`Fleet`]); a full queue sheds with a *retryable*
 //!   [`SvcError::Overloaded`] instead of building unbounded backlog.
 //! * **Placement planning.** [`plan`] fans one binary out to per-site
 //!   evaluations running concurrently on the same pool and returns a
@@ -54,6 +54,7 @@ pub mod fleet;
 pub mod health;
 pub mod obsctl;
 pub mod plan;
+mod pool;
 pub mod registry;
 pub mod router;
 pub mod service;

@@ -4,7 +4,7 @@
 //! answers the question schedulers actually ask: given a binary, evaluate
 //! *every* candidate site and rank them by execution readiness. One
 //! source-phase description fans out to per-site target evaluations that
-//! run concurrently on the service's worker pool, sharing the BDC/EDC
+//! run concurrently on the service's one worker pool, sharing the BDC/EDC
 //! description caches and the single-flight machinery, so an all-sites
 //! plan costs little more than the slowest single evaluation.
 //!

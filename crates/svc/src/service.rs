@@ -25,11 +25,12 @@ use feam_core::tec::TargetEvaluation;
 use feam_obs::TraceCtx;
 use feam_sim::faults::FaultPlan;
 use feam_sim::site::Site;
-use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, RwLock};
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc, Mutex, RwLock};
 use std::time::Instant;
 
+use crate::pool::Pool;
 use crate::registry::{BinaryRegistry, RegisteredBinary, RegistryError};
 
 /// One prediction query.
@@ -268,8 +269,9 @@ struct Inner {
     caches: Option<Arc<PhaseCaches>>,
     results: Mutex<HashMap<RequestKey, Arc<(Prediction, TargetEvaluation)>>>,
     inflight: Mutex<HashMap<RequestKey, Flight>>,
-    queue: Mutex<VecDeque<Job>>,
-    available: Condvar,
+    /// Admission-queue depth: raised under the inflight lock, where the
+    /// capacity check runs; lowered when a pool thread dequeues the job.
+    queued: AtomicUsize,
     shutdown: AtomicBool,
     /// Evaluations actually run by the worker pool (i.e. not answered by
     /// the result cache or coalesced onto another request's flight).
@@ -279,10 +281,11 @@ struct Inner {
 /// The long-running prediction service. Construct, register binaries,
 /// [`start`](PredictService::start) the workers, then
 /// [`predict`](PredictService::predict) / [`submit`](PredictService::submit)
-/// from any thread. Dropping the service joins the workers.
+/// from any thread. Dropping the service drains and joins its pool, which
+/// sits beside `inner` so that a queued task never owns its own pool.
 pub struct PredictService {
     inner: Arc<Inner>,
-    handles: Vec<std::thread::JoinHandle<()>>,
+    pool: Arc<Pool>,
 }
 
 impl PredictService {
@@ -319,12 +322,11 @@ impl PredictService {
                 caches,
                 results: Mutex::new(HashMap::new()),
                 inflight: Mutex::new(HashMap::new()),
-                queue: Mutex::new(VecDeque::new()),
-                available: Condvar::new(),
+                queued: AtomicUsize::new(0),
                 shutdown: AtomicBool::new(false),
                 evaluated: AtomicU64::new(0),
             }),
-            handles: Vec::new(),
+            pool: Arc::default(),
         }
     }
 
@@ -369,22 +371,23 @@ impl PredictService {
         generation
     }
 
-    /// Spawn the worker pool. Idempotent; tests submit against an
+    /// Spawn `workers` pool threads. Idempotent; tests submit against an
     /// unstarted service to observe queueing, coalescing and shedding
     /// deterministically.
     pub fn start(&mut self) {
-        if !self.handles.is_empty() {
-            return;
-        }
-        for i in 0..self.inner.cfg.workers.max(1) {
-            let inner = self.inner.clone();
-            self.handles.push(
-                std::thread::Builder::new()
-                    .name(format!("feam-svc-{i}"))
-                    .spawn(move || worker_loop(&inner))
-                    .expect("spawn worker"),
-            );
-        }
+        self.start_pool();
+    }
+
+    /// `start` through a shared reference (the fleet starts via node 0).
+    pub(crate) fn start_pool(&self) {
+        self.pool.start(self.inner.cfg.workers);
+    }
+
+    /// Run this service's evaluations on the fleet's shared `pool`; only
+    /// for a service with nothing queued.
+    pub(crate) fn use_pool(&mut self, pool: Arc<Pool>) {
+        self.pool.shutdown();
+        self.pool = pool;
     }
 
     /// Number of registered binaries.
@@ -423,7 +426,7 @@ impl PredictService {
 
     /// Current admission-queue depth.
     pub fn queue_depth(&self) -> usize {
-        self.inner.queue.lock().expect("queue").len()
+        self.inner.queued.load(Ordering::SeqCst)
     }
 
     /// The shared description caches (None when caching is off).
@@ -497,7 +500,7 @@ impl PredictService {
     }
 
     /// Submit without blocking: either an immediate cached answer or a
-    /// receiver the worker pool will deliver on.
+    /// receiver a pool thread will deliver on.
     pub fn submit(&self, req: &PredictRequest) -> Result<Delivery, SvcError> {
         self.submit_traced(req, TraceCtx::NONE)
     }
@@ -618,11 +621,9 @@ impl PredictService {
         }
 
         // Admission control: shed when the queue is full.
-        let mut queue = inner.queue.lock().expect("queue");
-        if queue.len() >= inner.cfg.queue_capacity {
+        let depth = inner.queued.load(Ordering::SeqCst);
+        if depth >= inner.cfg.queue_capacity {
             rec.count("queue.shed", 1);
-            let depth = queue.len();
-            drop(queue);
             drop(inflight);
             rec.event_at("svc.shed", ctx, &[("queue_depth", depth.into())]);
             rec.span_end_at("svc.request", ctx, t0.elapsed().as_micros() as u64);
@@ -636,7 +637,11 @@ impl PredictService {
                 waiters: vec![waiter],
             },
         );
-        queue.push_back(Job {
+        let depth = inner.queued.fetch_add(1, Ordering::SeqCst) + 1;
+        drop(inflight);
+        rec.observe("queue.depth", depth as f64);
+        rec.gauge("svc.queue.depth", depth as f64);
+        let job = Job {
             key,
             ctx,
             enqueued: Instant::now(),
@@ -645,12 +650,9 @@ impl PredictService {
             generation,
             site_idx,
             mode: req.mode,
-        });
-        rec.observe("queue.depth", queue.len() as f64);
-        rec.gauge("svc.queue.depth", queue.len() as f64);
-        drop(queue);
-        drop(inflight);
-        inner.available.notify_one();
+        };
+        let task_inner = inner.clone();
+        self.pool.push(move || process(&task_inner, job));
         Ok(Delivery::Pending(rx))
     }
 
@@ -746,10 +748,7 @@ impl PredictService {
 impl Drop for PredictService {
     fn drop(&mut self) {
         self.inner.shutdown.store(true, Ordering::SeqCst);
-        self.inner.available.notify_all();
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
+        self.pool.shutdown();
     }
 }
 
@@ -790,30 +789,13 @@ fn result_hit(
     None
 }
 
-fn worker_loop(inner: &Inner) {
-    loop {
-        let (job, depth) = {
-            let mut queue = inner.queue.lock().expect("queue");
-            loop {
-                if let Some(job) = queue.pop_front() {
-                    break (job, queue.len());
-                }
-                if inner.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                queue = inner.available.wait(queue).expect("queue wait");
-            }
-        };
-        // Sample the depth at dequeue as well as at enqueue, so a
-        // draining queue is visible even with no new submissions.
-        inner.cfg.recorder.gauge("svc.queue.depth", depth as f64);
-        process(inner, job);
-    }
-}
-
 /// Evaluate one queued request and fan the answer out to every waiter.
 fn process(inner: &Inner, job: Job) {
     let rec = &inner.cfg.recorder;
+    // Sample the depth at dequeue as well as at enqueue, so a draining
+    // queue is visible even with no new submissions.
+    let depth = inner.queued.fetch_sub(1, Ordering::SeqCst) - 1;
+    rec.gauge("svc.queue.depth", depth as f64);
     // Queue wait is everything between enqueue and this dequeue —
     // separated from evaluation time so breakdowns can tell "slow
     // because busy" from "slow because expensive".

@@ -91,7 +91,6 @@ fn chaos_run_pages_the_fault_rate_slo_with_a_fault_naming_exemplar() {
         "module_db",
         "probe_compile",
         "daemon_spawn",
-        "queue_submit",
     ];
     assert!(
         with_fault
