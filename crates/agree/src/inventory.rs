@@ -54,7 +54,11 @@ pub struct SiteInventory {
 /// in that order. Deliberately *all* stacks at once: the checkers model
 /// "installed at the site", not "visible under one loaded module".
 pub fn inventory_dirs(site: &Site) -> Vec<String> {
-    let mut dirs = site.default_lib_dirs();
+    let mut dirs: Vec<String> = site
+        .default_lib_dirs()
+        .iter()
+        .map(|d| d.to_string())
+        .collect();
     for ist in &site.stacks {
         dirs.push(ist.lib_dir());
     }

@@ -1,10 +1,16 @@
 //! Microbenchmarks of the substrates: ELF synthesis/parsing throughput,
-//! loader closure resolution, and site materialization.
+//! loader closure resolution, the simulated site tools (`ldd`, library
+//! search, a job launch), and site materialization.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use feam_core::bdc::locate_library;
 use feam_elf::{Class, ElfSpec, ImportSpec, LazyElf, Machine};
+use feam_sim::compile::{compile, ProgramSpec};
+use feam_sim::exec::{run_mpi, DEFAULT_ATTEMPTS};
 use feam_sim::loader::resolve_closure;
 use feam_sim::site::{Session, Site};
+use feam_sim::toolchain::Language;
+use feam_sim::tools::{self, LddResult};
 use feam_workloads::sites::{ranger, standard_sites, FIR};
 use std::hint::black_box;
 use std::sync::Arc;
@@ -56,10 +62,10 @@ fn bench(c: &mut Criterion) {
     let sites = standard_sites(42);
     let fir = &sites[FIR];
     let item_stack = fir.stacks[1].clone(); // openmpi-gnu
-    let bin = feam_sim::compile::compile(
+    let bin = compile(
         fir,
         Some(&item_stack),
-        &feam_sim::compile::ProgramSpec::new("bt", feam_sim::toolchain::Language::Fortran),
+        &ProgramSpec::new("bt", Language::Fortran),
         42,
     )
     .unwrap();
@@ -70,6 +76,45 @@ fn bench(c: &mut Criterion) {
             sess.load_stack(&item_stack);
             sess.stage_file("/r/bt", Arc::clone(&bin.image));
             black_box(resolve_closure(&sess, "/r/bt").unwrap())
+        })
+    });
+    g.finish();
+
+    // The simulated site tools FEAM's phases call on a miss: `ldd` of a
+    // staged MPI binary, the locate/find chain for a soname the site does
+    // not have, and a hello-world launch under the site's own stack.
+    let mut sess = Session::new(fir);
+    sess.load_stack(&item_stack);
+    sess.stage_file("/r/bt", Arc::clone(&bin.image));
+    assert!(
+        matches!(tools::ldd(&sess, "/r/bt"), LddResult::Resolved(_)),
+        "the benched binary must not draw ldd's flaky verdict"
+    );
+    let hello = compile(
+        fir,
+        Some(&item_stack),
+        &ProgramSpec::mpi_hello_world(Language::C),
+        42,
+    )
+    .unwrap();
+    sess.stage_file("/r/hello", Arc::clone(&hello.image));
+    let mut g = c.benchmark_group("sim_tools");
+    g.sample_size(2000);
+    g.bench_function("ldd_staged_mpi_binary", |b| {
+        b.iter(|| black_box(tools::ldd(&sess, black_box("/r/bt"))))
+    });
+    g.bench_function("locate_library_absent", |b| {
+        b.iter(|| black_box(locate_library(&sess, black_box("libghost.so.9"))))
+    });
+    g.bench_function("run_mpi_hello_world", |b| {
+        b.iter(|| {
+            black_box(run_mpi(
+                &mut sess,
+                "/r/hello",
+                &item_stack,
+                2,
+                DEFAULT_ATTEMPTS,
+            ))
         })
     });
     g.finish();

@@ -213,7 +213,7 @@ impl<'a> World<'a> {
     /// Current `LD_LIBRARY_PATH` dirs followed by the loader defaults.
     fn visible_dirs(&self) -> Vec<String> {
         let mut v = self.ld.clone();
-        v.extend(self.site.default_lib_dirs());
+        v.extend(self.site.default_lib_dirs().iter().map(|d| d.to_string()));
         v
     }
 
@@ -243,7 +243,7 @@ impl<'a> World<'a> {
         roots.extend(self.ld.iter().cloned());
         let mut found: Vec<String> = Vec::new();
         for r in &roots {
-            found.extend(self.site.vfs.find_by_name(r, soname));
+            found.extend(find_by_name(self.site, r, soname));
         }
         found.sort();
         found.dedup();
@@ -269,7 +269,7 @@ impl<'a> World<'a> {
         }
         dirs.extend(self.ld.iter().cloned());
         dirs.extend(split(&obj.runpath));
-        dirs.extend(self.site.default_lib_dirs());
+        dirs.extend(self.site.default_lib_dirs().iter().map(|d| d.to_string()));
         dirs
     }
 
@@ -449,6 +449,23 @@ impl<'a> World<'a> {
     }
 }
 
+/// `find <root> -name <name>` by a scan of every path in the tree, so a
+/// fault in the VFS's name index shows up as a divergence instead of being
+/// shared by the pipeline and its judge.
+fn find_by_name(site: &Site, root: &str, name: &str) -> Vec<String> {
+    let root = vfs::normalize(root);
+    let prefix = if root == "/" {
+        "/".to_string()
+    } else {
+        format!("{root}/")
+    };
+    site.vfs
+        .all_paths()
+        .filter(|p| (p.starts_with(&prefix) || *p == root) && vfs::basename(p) == name)
+        .map(str::to_string)
+        .collect()
+}
+
 fn is_c_library(soname: &str) -> bool {
     soname.starts_with("libc.so") || soname.starts_with("ld-linux") || soname.starts_with("ld.so")
 }
@@ -565,7 +582,7 @@ pub fn discovered_order(site: &Site) -> Vec<&InstalledStack> {
                 site.vfs.locate("libmpi")
             } else {
                 let find = |name: &str| -> Vec<String> {
-                    let mut v = site.vfs.find_by_name("/opt", name);
+                    let mut v = find_by_name(site, "/opt", name);
                     v.sort();
                     v.dedup();
                     v
@@ -746,7 +763,11 @@ impl InvEntry {
 pub type CheckerInventory = Vec<InvEntry>;
 
 pub fn checker_inventory(site: &Site) -> CheckerInventory {
-    let mut dirs = site.default_lib_dirs();
+    let mut dirs: Vec<String> = site
+        .default_lib_dirs()
+        .iter()
+        .map(|d| d.to_string())
+        .collect();
     for ist in &site.stacks {
         dirs.push(ist.lib_dir());
     }

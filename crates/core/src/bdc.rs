@@ -276,13 +276,10 @@ pub struct LibraryCopy {
 /// `ldd` output (caller passes it in) → `locate` → `find` over common
 /// locations and `LD_LIBRARY_PATH`.
 pub fn locate_library(sess: &Session<'_>, soname: &str) -> Option<String> {
-    // locate: exact basename match among substring hits.
-    if let Some(hits) = tools::locate(sess.site, soname) {
-        if let Some(hit) = hits
-            .into_iter()
-            .find(|p| p.rsplit('/').next() == Some(soname) && sess.site.vfs.exists(p))
-        {
-            return Some(hit);
+    // locate: the first existing exact basename match among its hits.
+    if let Some(hits) = tools::locate_exact(sess.site, soname) {
+        if let Some(hit) = hits.iter().find(|p| sess.site.vfs.exists(p)) {
+            return Some(hit.clone());
         }
     }
     // find over common library locations and LD_LIBRARY_PATH entries.

@@ -430,7 +430,7 @@ pub fn library_present(sess: &Session<'_>, soname: &str) -> bool {
 /// current `LD_LIBRARY_PATH`, then the site's default library directories.
 fn loader_dirs(sess: &Session<'_>) -> Vec<String> {
     let mut dirs = sess.ld_library_path();
-    dirs.extend(sess.site.default_lib_dirs());
+    dirs.extend(sess.site.default_lib_dirs().iter().map(|d| d.to_string()));
     dirs
 }
 

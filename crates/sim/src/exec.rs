@@ -11,11 +11,12 @@
 //!   timeouts) — seeded-random per (binary, site), persistent or
 //!   transient; the paper retries five times "spaced in time".
 
-use crate::loader::{resolve_closure, LoadError, ObjectMeta};
+use crate::loader::{object_read, resolve_closure_from, LoadError, ObjectMeta};
 use crate::rng;
 use crate::site::{InstalledStack, Session};
 use crate::toolchain::CompilerFamily;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Default number of launch attempts (§VI.C: "five execution attempts").
 pub const DEFAULT_ATTEMPTS: u32 = 5;
@@ -193,7 +194,7 @@ pub fn binary_fingerprint(bytes: &[u8]) -> u64 {
 /// loader, and FPE triggers; no MPI launcher involved.
 pub fn run_serial(sess: &mut Session<'_>, path: &str) -> ExecOutcome {
     sess.charge(0.5);
-    match launch_once(sess, path, None) {
+    match launch_once(sess, path, None, None) {
         Ok(()) => ExecOutcome::ok(1),
         Err(cause) => ExecOutcome::fail(1, cause),
     }
@@ -231,10 +232,15 @@ fn run_mpi_attempts(
 ) -> ExecOutcome {
     let max_attempts = max_attempts.max(1);
     let site_seed = sess.site.config.seed;
-    let fp = sess
-        .read_bytes(path)
-        .map(|b| binary_fingerprint(&b))
-        .unwrap_or(0);
+    // Parsed once here; the fingerprint seeds the system-error draws and
+    // the metadata goes to the launch.
+    let image = sess.read_bytes(path);
+    let described = image.as_ref().map(|b| object_read(sess, path, b));
+    let fp = match (&image, &described) {
+        (Some(_), Some(Ok(meta))) => meta.fingerprint,
+        (Some(bytes), _) => binary_fingerprint(bytes),
+        (None, _) => 0,
+    };
     let key = format!("{fp:x}@{}", launcher.stack.ident());
     let attempt_event = |sess: &Session<'_>, attempt: u32, outcome: &str| {
         sess.recorder.event(
@@ -301,7 +307,7 @@ fn run_mpi_attempts(
             attempt_event(sess, attempt, "retry");
             continue;
         }
-        return match launch_once(sess, path, Some(launcher)) {
+        return match launch_once(sess, path, Some(launcher), described.as_ref()) {
             Ok(()) => {
                 attempt_event(sess, attempt, "ok");
                 ExecOutcome::ok(attempt)
@@ -315,17 +321,24 @@ fn run_mpi_attempts(
     unreachable!("loop always returns")
 }
 
-/// One launch attempt: deterministic checks only.
+/// One launch attempt: deterministic checks only. `described` is the
+/// caller's [`object_read`] of the same image, when it already made one.
 fn launch_once(
     sess: &mut Session<'_>,
     path: &str,
     launcher: Option<&InstalledStack>,
+    described: Option<&feam_elf::Result<Arc<ObjectMeta>>>,
 ) -> Result<(), FailureCause> {
-    // The binary itself must be readable and a valid ELF for this hardware.
+    // The binary itself must be readable (the launch's own VFS read) and a
+    // valid ELF for this hardware.
     let bytes = sess
         .read_bytes(path)
         .ok_or_else(|| FailureCause::NotExecutable(format!("{path}: no such file")))?;
-    let meta = ObjectMeta::parse(&bytes).map_err(|e| FailureCause::NotExecutable(e.to_string()))?;
+    let meta = match described {
+        Some(d) => d.clone(),
+        None => object_read(sess, path, &bytes),
+    }
+    .map_err(|e| FailureCause::NotExecutable(e.to_string()))?;
     if !sess.site.config.arch.executes(meta.machine, meta.class) {
         return Err(FailureCause::NotExecutable(format!(
             "{} {}-bit binary on {} hardware",
@@ -336,7 +349,7 @@ fn launch_once(
     }
 
     // Dynamic loading.
-    resolve_closure(sess, path).map_err(FailureCause::Load)?;
+    resolve_closure_from(sess, path, Arc::clone(&meta)).map_err(FailureCause::Load)?;
 
     // MPI launcher / binary implementation agreement.
     if let Some(launcher) = launcher {

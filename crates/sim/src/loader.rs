@@ -6,13 +6,25 @@
 //! and symbol bindings across the loaded set. Nothing here consults FEAM's
 //! prediction logic — the two must be able to disagree, or the paper's
 //! accuracy tables would be meaningless.
+//!
+//! Each image is parsed into an [`ObjectMeta`] once: installed objects
+//! when the site is built (the site's metadata cache), staged overlay
+//! images when a call first reads them. Callers that have just read and
+//! described the root (`tools::ldd`, a launch) hand that metadata to
+//! [`ldd_map_from`] / [`resolve_closure_from`] instead of having it read
+//! and parsed again. Symbol binding binary-searches each loaded object's
+//! sorted export list. These save simulator time only: the answers, the
+//! simulated-CPU charges and the fault draws are those of the plain walk.
 
-use crate::site::Session;
+use crate::exec::binary_fingerprint;
+use crate::site::{path_list, Session};
+use crate::vfs::normalized;
 use feam_elf::{Class, FileKind, LazyElf, Machine, VersionRef};
-use std::collections::{BTreeMap, HashSet};
+use std::collections::HashSet;
 use std::sync::Arc;
 
-/// Parsed metadata of one ELF object, cached per site install.
+/// Parsed metadata of one ELF object: parsed once per installed image when
+/// the site is built, once per staged image per loader call.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ObjectMeta {
     pub soname: Option<String>,
@@ -23,7 +35,8 @@ pub struct ObjectMeta {
     pub version_refs: Vec<VersionRef>,
     /// Names of versions this object defines.
     pub version_defs: Vec<String>,
-    /// (name, version) of every exported (defined) dynamic symbol.
+    /// (name, version) of every exported (defined) dynamic symbol, sorted
+    /// and deduplicated so a binding is a binary search.
     pub exports: Vec<(String, Option<String>)>,
     /// (name, version, weak) of every imported (undefined) dynamic symbol.
     pub imports: Vec<(String, Option<String>, bool)>,
@@ -32,12 +45,22 @@ pub struct ObjectMeta {
     pub comments: Vec<String>,
     /// On-disk size in bytes.
     pub size: usize,
+    /// [`binary_fingerprint`] of the image's bytes.
+    pub fingerprint: u64,
 }
 
 impl ObjectMeta {
     /// Extract metadata from an ELF image.
     pub fn parse(bytes: &[u8]) -> feam_elf::Result<Self> {
         let f = LazyElf::parse(bytes)?;
+        let mut exports: Vec<(String, Option<String>)> = f
+            .dynamic_symbols()
+            .iter()
+            .filter(|s| !s.undefined && !s.name.is_empty())
+            .map(|s| (s.name.to_string(), s.version.map(str::to_string)))
+            .collect();
+        exports.sort_unstable();
+        exports.dedup();
         Ok(ObjectMeta {
             soname: f.soname().map(str::to_string),
             needed: f.needed().iter().map(|s| s.to_string()).collect(),
@@ -50,12 +73,7 @@ impl ObjectMeta {
                 .iter()
                 .map(|d| d.name.to_string())
                 .collect(),
-            exports: f
-                .dynamic_symbols()
-                .iter()
-                .filter(|s| !s.undefined && !s.name.is_empty())
-                .map(|s| (s.name.to_string(), s.version.map(str::to_string)))
-                .collect(),
+            exports,
             imports: f
                 .dynamic_symbols()
                 .iter()
@@ -66,7 +84,23 @@ impl ObjectMeta {
             runpath: f.runpath().map(str::to_string),
             comments: f.comments().to_vec(),
             size: f.size(),
+            fingerprint: binary_fingerprint(bytes),
         })
+    }
+
+    /// Does this object export `name` at `version`? A reference without a
+    /// version binds to the name at any version.
+    pub fn exports_symbol(&self, name: &str, version: Option<&str>) -> bool {
+        match version {
+            Some(v) => self
+                .exports
+                .binary_search_by(|(n, ev)| (n.as_str(), ev.as_deref()).cmp(&(name, Some(v))))
+                .is_ok(),
+            None => {
+                let i = self.exports.partition_point(|(n, _)| n.as_str() < name);
+                self.exports.get(i).is_some_and(|(n, _)| n == name)
+            }
+        }
     }
 }
 
@@ -156,18 +190,42 @@ impl Closure {
     }
 }
 
+/// The site's cached metadata for `path`, unless the session's overlay
+/// holds a file there (the overlay shadows the site, as for reads).
+fn installed_meta(sess: &Session<'_>, path: &str) -> Option<Arc<ObjectMeta>> {
+    if sess.staged.contains_key(normalized(path).as_ref()) {
+        return None;
+    }
+    sess.site.meta_for(path)
+}
+
 /// Fetch + parse an object at `path` within a session, using the site's
-/// metadata cache when possible.
+/// metadata cache for installed objects.
 fn object_at(sess: &Session<'_>, path: &str) -> Option<Arc<ObjectMeta>> {
-    if let Some(m) = sess.site.meta_for(path) {
+    if let Some(m) = installed_meta(sess, path) {
         return Some(m);
     }
     let bytes = sess.read_bytes(path)?;
     ObjectMeta::parse(&bytes).ok().map(Arc::new)
 }
 
+/// Metadata of the object at `path` whose `bytes` the caller has just read
+/// through the session: the site's cached entry for an installed object,
+/// else a parse of `bytes`. The image is not read or parsed again.
+pub fn object_read(
+    sess: &Session<'_>,
+    path: &str,
+    bytes: &[u8],
+) -> feam_elf::Result<Arc<ObjectMeta>> {
+    match installed_meta(sess, path) {
+        Some(m) => Ok(m),
+        None => ObjectMeta::parse(bytes).map(Arc::new),
+    }
+}
+
 /// Search one directory for `soname`; returns the path when the file exists
-/// there (directly or via symlink) and is a compatible ELF object.
+/// there (directly or via symlink) and is a compatible ELF object. A site
+/// path is resolved once and its metadata looked up by the real path.
 fn probe_dir(
     sess: &Session<'_>,
     dir: &str,
@@ -176,35 +234,49 @@ fn probe_dir(
     machine: Machine,
 ) -> Option<(String, Arc<ObjectMeta>)> {
     let candidate = format!("{}/{soname}", dir.trim_end_matches('/'));
-    if !sess.exists(&candidate) {
-        return None;
-    }
-    let meta = object_at(sess, &candidate)?;
+    let installed = if sess.staged.contains_key(normalized(&candidate).as_ref()) {
+        None
+    } else {
+        let (real, _) = sess.site.vfs.resolved(&candidate)?;
+        sess.site.meta_at(&real)
+    };
+    let meta = match installed {
+        Some(m) => m,
+        None => {
+            let bytes = sess.read_bytes(&candidate)?;
+            Arc::new(ObjectMeta::parse(&bytes).ok()?)
+        }
+    };
     (meta.class == class && meta.machine == machine).then_some((candidate, meta))
 }
 
 /// The loader's search-path order for one object (glibc semantics):
 /// `DT_RPATH` (when no RUNPATH) → `LD_LIBRARY_PATH` → `DT_RUNPATH` →
 /// default directories.
-fn search_order(obj: &ObjectMeta, sess: &Session<'_>) -> Vec<String> {
+fn search_order<'a>(obj: &'a ObjectMeta, sess: &'a Session<'_>) -> Vec<&'a str> {
     let mut dirs = Vec::new();
-    let split = |s: &Option<String>| -> Vec<String> {
-        s.as_deref()
-            .map(|v| {
-                v.split(':')
-                    .filter(|d| !d.is_empty())
-                    .map(str::to_string)
-                    .collect()
-            })
-            .unwrap_or_default()
-    };
     if obj.runpath.is_none() {
-        dirs.extend(split(&obj.rpath));
+        dirs.extend(path_list(obj.rpath.as_deref()));
     }
-    dirs.extend(sess.ld_library_path());
-    dirs.extend(split(&obj.runpath));
+    dirs.extend(path_list(
+        sess.env.get("LD_LIBRARY_PATH").map(String::as_str),
+    ));
+    dirs.extend(path_list(obj.runpath.as_deref()));
     dirs.extend(sess.site.default_lib_dirs());
     dirs
+}
+
+/// The first compatible provider of `soname` along `order`.
+fn find_provider(
+    sess: &Session<'_>,
+    order: &[&str],
+    soname: &str,
+    class: Class,
+    machine: Machine,
+) -> Option<(String, Arc<ObjectMeta>)> {
+    order
+        .iter()
+        .find_map(|dir| probe_dir(sess, dir, soname, class, machine))
 }
 
 /// Resolve the full load closure of the binary at `root_path`.
@@ -215,6 +287,16 @@ fn search_order(obj: &ObjectMeta, sess: &Session<'_>) -> Vec<String> {
 pub fn resolve_closure(sess: &Session<'_>, root_path: &str) -> Result<Closure, LoadError> {
     let root_meta =
         object_at(sess, root_path).ok_or_else(|| LoadError::NotLoadable(root_path.to_string()))?;
+    resolve_closure_from(sess, root_path, root_meta)
+}
+
+/// [`resolve_closure`] for a root whose metadata the caller already holds
+/// (see [`object_read`]).
+pub fn resolve_closure_from(
+    sess: &Session<'_>,
+    root_path: &str,
+    root_meta: Arc<ObjectMeta>,
+) -> Result<Closure, LoadError> {
     let class = root_meta.class;
     let machine = root_meta.machine;
 
@@ -223,34 +305,28 @@ pub fn resolve_closure(sess: &Session<'_>, root_path: &str) -> Result<Closure, L
         path: root_path.to_string(),
         meta: root_meta,
     }];
-    let mut loaded: BTreeMap<String, usize> = BTreeMap::new(); // soname → index
+    let mut loaded: HashSet<String> = HashSet::new(); // sonames
     let mut queue = 0usize;
     while queue < objects.len() {
-        let current = objects[queue].clone();
-        for dep in current.meta.needed.clone() {
-            if loaded.contains_key(&dep) {
+        let current = Arc::clone(&objects[queue].meta);
+        let order = search_order(&current, sess);
+        for dep in &current.needed {
+            if loaded.contains(dep) {
                 continue;
             }
-            let mut found = None;
-            for dir in search_order(&current.meta, sess) {
-                if let Some(hit) = probe_dir(sess, &dir, &dep, class, machine) {
-                    found = Some(hit);
-                    break;
-                }
-            }
-            match found {
+            match find_provider(sess, &order, dep, class, machine) {
                 Some((path, meta)) => {
-                    loaded.insert(dep.clone(), objects.len());
+                    loaded.insert(dep.clone());
                     objects.push(LoadedObject {
-                        request: dep,
+                        request: dep.clone(),
                         path,
                         meta,
                     });
                 }
                 None => {
                     return Err(LoadError::MissingLibrary {
-                        soname: dep,
-                        needed_by: current.path.clone(),
+                        soname: dep.clone(),
+                        needed_by: objects[queue].path.clone(),
                     })
                 }
             }
@@ -286,24 +362,15 @@ pub fn resolve_closure(sess: &Session<'_>, root_path: &str) -> Result<Closure, L
     }
 
     // Symbol binding: every strong import must be exported somewhere.
-    let mut export_index: HashSet<(&str, Option<&str>)> = HashSet::new();
-    let mut unversioned: HashSet<&str> = HashSet::new();
-    for obj in &objects {
-        for (name, ver) in &obj.meta.exports {
-            export_index.insert((name.as_str(), ver.as_deref()));
-            unversioned.insert(name.as_str());
-        }
-    }
     for obj in &objects {
         for (name, ver, weak) in &obj.meta.imports {
             if *weak {
                 continue;
             }
-            let satisfied = match ver.as_deref() {
-                Some(v) => export_index.contains(&(name.as_str(), Some(v))),
-                None => unversioned.contains(name.as_str()),
-            };
-            if !satisfied {
+            if !objects
+                .iter()
+                .any(|o| o.meta.exports_symbol(name, ver.as_deref()))
+            {
                 return Err(LoadError::MissingSymbol {
                     symbol: name.clone(),
                     version: ver.clone(),
@@ -325,24 +392,26 @@ pub fn ldd_map(
 ) -> Result<Vec<(String, Option<String>)>, LoadError> {
     let root_meta =
         object_at(sess, root_path).ok_or_else(|| LoadError::NotLoadable(root_path.to_string()))?;
+    Ok(ldd_map_from(sess, root_meta))
+}
+
+/// [`ldd_map`] for a root whose metadata the caller already holds.
+pub fn ldd_map_from(
+    sess: &Session<'_>,
+    root_meta: Arc<ObjectMeta>,
+) -> Vec<(String, Option<String>)> {
     let class = root_meta.class;
     let machine = root_meta.machine;
     let mut results: Vec<(String, Option<String>)> = Vec::new();
     let mut seen: HashSet<String> = HashSet::new();
     let mut frontier: Vec<Arc<ObjectMeta>> = vec![root_meta];
     while let Some(current) = frontier.pop() {
+        let order = search_order(&current, sess);
         for dep in &current.needed {
             if !seen.insert(dep.clone()) {
                 continue;
             }
-            let mut found = None;
-            for dir in search_order(&current, sess) {
-                if let Some((path, meta)) = probe_dir(sess, &dir, dep, class, machine) {
-                    found = Some((path, meta));
-                    break;
-                }
-            }
-            match found {
+            match find_provider(sess, &order, dep, class, machine) {
                 Some((path, meta)) => {
                     results.push((dep.clone(), Some(path)));
                     frontier.push(meta);
@@ -351,7 +420,7 @@ pub fn ldd_map(
             }
         }
     }
-    Ok(results)
+    results
 }
 
 #[cfg(test)]

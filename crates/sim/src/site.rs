@@ -35,14 +35,17 @@ pub fn env_prepend(env: &mut EnvMap, key: &str, dir: &str) {
 
 /// Split a `:`-separated path variable into directories.
 pub fn env_dirs(env: &EnvMap, key: &str) -> Vec<String> {
-    env.get(key)
-        .map(|v| {
-            v.split(':')
-                .filter(|s| !s.is_empty())
-                .map(str::to_string)
-                .collect()
-        })
-        .unwrap_or_default()
+    path_list(env.get(key).map(String::as_str))
+        .map(str::to_string)
+        .collect()
+}
+
+/// The non-empty entries of a `:`-separated directory list (a path
+/// variable, `DT_RPATH`, `DT_RUNPATH`), borrowed.
+pub fn path_list(list: Option<&str>) -> impl Iterator<Item = &str> {
+    list.into_iter()
+        .flat_map(|v| v.split(':'))
+        .filter(|d| !d.is_empty())
 }
 
 /// Operating-system identity of a site (Table II column 2).
@@ -507,10 +510,10 @@ impl Site {
 
     /// Default library directories searched by the loader (ld.so.cache
     /// stand-in).
-    pub fn default_lib_dirs(&self) -> Vec<String> {
+    pub fn default_lib_dirs(&self) -> &'static [&'static str] {
         match self.config.arch.native_target().1 {
-            feam_elf::Class::Elf64 => vec!["/lib64".into(), "/usr/lib64".into()],
-            feam_elf::Class::Elf32 => vec!["/lib".into(), "/usr/lib".into()],
+            feam_elf::Class::Elf64 => &["/lib64", "/usr/lib64"],
+            feam_elf::Class::Elf32 => &["/lib", "/usr/lib"],
         }
     }
 
@@ -525,8 +528,14 @@ impl Site {
     /// Cached metadata for an installed ELF at `path` (resolved through
     /// symlinks).
     pub fn meta_for(&self, path: &str) -> Option<Arc<ObjectMeta>> {
-        let (real, _) = self.vfs.resolve(path).ok()?;
-        self.meta.get(&real).cloned()
+        let (real, _) = self.vfs.resolved(path)?;
+        self.meta_at(&real)
+    }
+
+    /// Cached metadata for the installed ELF whose real (resolved, normal)
+    /// path is `real`.
+    pub fn meta_at(&self, real: &str) -> Option<Arc<ObjectMeta>> {
+        self.meta.get(real).cloned()
     }
 
     /// Find the installed compiler matching `family` (any version).
@@ -643,6 +652,9 @@ impl<'s> Session<'s> {
         key: &str,
         attempt: u32,
     ) -> Option<crate::faults::FaultKind> {
+        if self.faults.rate(c).is_zero() {
+            return None;
+        }
         // Scope the draw to this site: the same chokepoint key (e.g.
         // "/proc/version") must fault independently at different sites,
         // not globally for every session sharing the plan seed.
@@ -686,14 +698,14 @@ impl<'s> Session<'s> {
     /// VFS fault makes the read fail as if the file were unreadable —
     /// staged overlays included (NFS does not care who wrote the file).
     pub fn read_bytes(&self, path: &str) -> Option<Arc<Vec<u8>>> {
-        let norm = crate::vfs::normalize(path);
+        let norm = crate::vfs::normalized(path);
         if self
             .roll_fault(crate::faults::Chokepoint::VfsRead, &norm, 1)
             .is_some()
         {
             return None;
         }
-        if let Some(b) = self.staged.get(&norm) {
+        if let Some(b) = self.staged.get(norm.as_ref()) {
             return Some(b.clone());
         }
         match self.site.vfs.read(&norm).ok()? {
@@ -704,8 +716,8 @@ impl<'s> Session<'s> {
 
     /// Does a path exist in overlay or site?
     pub fn exists(&self, path: &str) -> bool {
-        let norm = crate::vfs::normalize(path);
-        self.staged.contains_key(&norm) || self.site.vfs.exists(&norm)
+        let norm = crate::vfs::normalized(path);
+        self.staged.contains_key(norm.as_ref()) || self.site.vfs.exists(&norm)
     }
 
     /// Directories currently on `LD_LIBRARY_PATH`.

@@ -8,8 +8,7 @@
 //! exercised (`ldd` "cannot be relied on to always provide this
 //! information", `locate` may be missing, module systems vary).
 
-use crate::exec::binary_fingerprint;
-use crate::loader::{ldd_map, LoadError};
+use crate::loader::{ldd_map_from, object_read};
 use crate::rng;
 use crate::site::{EnvMgmt, Session, Site};
 
@@ -75,7 +74,7 @@ pub enum LddResult {
 }
 
 /// Emulated `ldd -v`: per-binary flakiness is deterministic in the site
-/// seed and the binary's fingerprint.
+/// seed and the fingerprint of the bytes `ldd` read.
 pub fn ldd(sess: &Session<'_>, path: &str) -> LddResult {
     if !sess.site.config.ldd_present {
         return LddResult::NotPresent;
@@ -83,25 +82,37 @@ pub fn ldd(sess: &Session<'_>, path: &str) -> LddResult {
     let Some(bytes) = sess.read_bytes(path) else {
         return LddResult::NotRecognized;
     };
-    let fp = binary_fingerprint(&bytes);
-    if rng::chance(
-        sess.site.config.seed,
-        &[&format!("{fp:x}"), "ldd-flaky"],
-        sess.site.config.ldd_flaky_rate,
-    ) {
+    // `root` describes exactly these bytes (staged or installed), so its
+    // fingerprint is the one of the image read.
+    let Ok(root) = object_read(sess, path, &bytes) else {
+        return LddResult::NotRecognized;
+    };
+    let flaky_rate = sess.site.config.ldd_flaky_rate;
+    if flaky_rate > 0.0
+        && rng::chance(
+            sess.site.config.seed,
+            &[&format!("{:x}", root.fingerprint), "ldd-flaky"],
+            flaky_rate,
+        )
+    {
         return LddResult::NotRecognized;
     }
-    match ldd_map(sess, path) {
-        Ok(map) => LddResult::Resolved(map),
-        Err(LoadError::NotLoadable(_)) => LddResult::NotRecognized,
-        Err(_) => LddResult::NotRecognized,
-    }
+    LddResult::Resolved(ldd_map_from(sess, root))
 }
 
 /// Emulated `locate <pattern>` (basename substring match); `None` when the
 /// tool or its database is absent.
 pub fn locate(site: &Site, pattern: &str) -> Option<Vec<String>> {
     site.config.locate_present.then(|| site.vfs.locate(pattern))
+}
+
+/// `locate <name>` narrowed to exact basename matches: the same paths, in
+/// the same order, as filtering [`locate`]'s substring hits, read from the
+/// name index. `None` when the tool or its database is absent.
+pub fn locate_exact<'s>(site: &'s Site, name: &str) -> Option<&'s [String]> {
+    site.config
+        .locate_present
+        .then(|| site.vfs.paths_named(name))
 }
 
 /// Emulated `find <roots...> -name <name>`.

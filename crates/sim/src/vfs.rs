@@ -5,8 +5,17 @@
 //! ELF images from `feam-elf`) and tool binaries. FEAM's discovery logic
 //! runs against this tree exactly as it would against a real filesystem:
 //! `find`-style walks, `locate`-style name lookups, symlink resolution.
+//!
+//! Two things keep the simulator's primitives cheap without changing what
+//! they return. An exact-name index (basename → sorted paths), kept in
+//! step with every mutation, answers `find -name` from one entry instead of
+//! a walk over every node. And [`normalized`] hands back an already-normal
+//! path as is, so lookups and existence checks allocate only for unusual
+//! spellings or when a symlink is followed. Both speed up the simulation
+//! only; a real site's `find` costs what it costs.
 
-use std::collections::BTreeMap;
+use std::borrow::Cow;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 /// File contents: binary images are shared (`Arc`) because library images
@@ -95,12 +104,30 @@ pub fn normalize(path: &str) -> String {
     out
 }
 
+/// [`normalize`] without the copy when `path` is already normal: absolute,
+/// no empty, `.` or `..` component, no trailing `/` (except `/` itself).
+pub fn normalized(path: &str) -> Cow<'_, str> {
+    let normal = path == "/"
+        || path
+            .strip_prefix('/')
+            .is_some_and(|rest| rest.split('/').all(|c| !matches!(c, "" | "." | "..")));
+    if normal {
+        Cow::Borrowed(path)
+    } else {
+        Cow::Owned(normalize(path))
+    }
+}
+
 /// Join a possibly-relative `name` onto the directory of `base`.
 pub fn join(base_dir: &str, name: &str) -> String {
     if name.starts_with('/') {
-        normalize(name)
+        normalized(name).into_owned()
     } else {
-        normalize(&format!("{base_dir}/{name}"))
+        let joined = format!("{base_dir}/{name}");
+        match normalized(&joined) {
+            Cow::Borrowed(_) => joined,
+            Cow::Owned(normal) => normal,
+        }
     }
 }
 
@@ -118,41 +145,82 @@ pub fn dirname(path: &str) -> &str {
     }
 }
 
+/// Is the normal path `path` the normal directory `root` or below it?
+fn is_under(path: &str, root: &str) -> bool {
+    root == "/"
+        || path
+            .strip_prefix(root)
+            .is_some_and(|rest| rest.is_empty() || rest.starts_with('/'))
+}
+
+/// Where a symlink walk ended.
+enum Walk<'p, 'a> {
+    Found(Cow<'p, str>, &'a Node),
+    Missing(Cow<'p, str>),
+    Loop,
+}
+
 /// The in-memory filesystem. Paths are absolute, normalized strings.
+///
+/// Beside the tree it keeps an exact-name index: basename → every path
+/// with that basename, sorted. Every insertion and removal updates both,
+/// so `find -name` reads one index entry instead of walking the tree.
 #[derive(Debug, Clone, Default)]
 pub struct Vfs {
     nodes: BTreeMap<String, Node>,
+    names: HashMap<String, Vec<String>>,
 }
 
 impl Vfs {
     /// An empty filesystem containing only `/`.
     pub fn new() -> Self {
-        let mut nodes = BTreeMap::new();
-        nodes.insert("/".to_string(), Node::Dir);
-        Vfs { nodes }
+        let mut fs = Vfs::default();
+        fs.insert("/".to_string(), Node::Dir);
+        fs
+    }
+
+    /// Put `node` at the normal path `path`, indexing the path when new.
+    fn insert(&mut self, path: String, node: Node) {
+        if let Some(slot) = self.nodes.get_mut(&path) {
+            *slot = node;
+            return;
+        }
+        let paths = self.names.entry(basename(&path).to_string()).or_default();
+        if let Err(i) = paths.binary_search(&path) {
+            paths.insert(i, path.clone());
+        }
+        self.nodes.insert(path, node);
     }
 
     /// Create a directory and all missing parents.
     pub fn mkdir_p(&mut self, path: &str) {
-        let path = normalize(path);
+        let path = normalized(path);
         let mut cur = String::new();
         for comp in path.split('/').filter(|c| !c.is_empty()) {
             cur.push('/');
             cur.push_str(comp);
-            self.nodes.entry(cur.clone()).or_insert(Node::Dir);
+            if !self.nodes.contains_key(&cur) {
+                self.insert(cur.clone(), Node::Dir);
+            }
         }
-        self.nodes.entry("/".to_string()).or_insert(Node::Dir);
+        if !self.nodes.contains_key("/") {
+            self.insert("/".to_string(), Node::Dir);
+        }
     }
 
     /// Write a file, creating parents; overwrites an existing file.
     pub fn write(&mut self, path: &str, content: Content) {
+        self.put_file(path, content, false);
+    }
+
+    fn put_file(&mut self, path: &str, content: Content, executable: bool) {
         let path = normalize(path);
         self.mkdir_p(dirname(&path));
-        self.nodes.insert(
+        self.insert(
             path,
             Node::File {
                 content,
-                executable: false,
+                executable,
             },
         );
     }
@@ -169,15 +237,7 @@ impl Vfs {
 
     /// Write an executable binary file.
     pub fn write_executable(&mut self, path: &str, bytes: Arc<Vec<u8>>) {
-        let path = normalize(path);
-        self.mkdir_p(dirname(&path));
-        self.nodes.insert(
-            path,
-            Node::File {
-                content: Content::Bytes(bytes),
-                executable: true,
-            },
-        );
+        self.put_file(path, Content::Bytes(bytes), true);
     }
 
     /// Mark an existing file executable.
@@ -198,7 +258,7 @@ impl Vfs {
     pub fn symlink(&mut self, path: &str, target: &str) {
         let path = normalize(path);
         self.mkdir_p(dirname(&path));
-        self.nodes.insert(
+        self.insert(
             path,
             Node::Symlink {
                 target: target.to_string(),
@@ -210,40 +270,82 @@ impl Vfs {
     pub fn remove(&mut self, path: &str) {
         let path = normalize(path);
         let prefix = format!("{path}/");
-        self.nodes
-            .retain(|p, _| p != &path && !p.starts_with(&prefix));
+        let mut doomed: Vec<String> = self
+            .nodes
+            .range(prefix.clone()..)
+            .map(|(p, _)| p)
+            .take_while(|p| p.starts_with(&prefix))
+            .cloned()
+            .collect();
+        if self.nodes.contains_key(&path) {
+            doomed.push(path);
+        }
+        for p in doomed {
+            self.nodes.remove(&p);
+            let name = basename(&p);
+            if let Some(paths) = self.names.get_mut(name) {
+                if let Ok(i) = paths.binary_search(&p) {
+                    paths.remove(i);
+                }
+                if paths.is_empty() {
+                    self.names.remove(name);
+                }
+            }
+        }
     }
 
     /// Raw node lookup without following symlinks.
     pub fn lookup(&self, path: &str) -> Option<&Node> {
-        self.nodes.get(&normalize(path))
+        self.nodes.get(&*normalized(path))
+    }
+
+    /// Follow symlinks from `path` (bounded depth). Allocates only when
+    /// `path` is not normal or a link is followed.
+    fn walk<'p, 'a>(&'a self, path: &'p str) -> Walk<'p, 'a> {
+        let mut cur = normalized(path);
+        for _ in 0..16 {
+            match self.nodes.get(cur.as_ref()) {
+                None => return Walk::Missing(cur),
+                Some(Node::Symlink { target }) => {
+                    cur = Cow::Owned(join(dirname(&cur), target));
+                }
+                Some(node) => return Walk::Found(cur, node),
+            }
+        }
+        Walk::Loop
     }
 
     /// Resolve a path, following symlinks (bounded depth).
     pub fn resolve(&self, path: &str) -> Result<(String, &Node), VfsError> {
-        let mut cur = normalize(path);
-        for _ in 0..16 {
-            match self.nodes.get(&cur) {
-                None => return Err(VfsError::NotFound(cur)),
-                Some(Node::Symlink { target }) => {
-                    cur = join(dirname(&cur), target);
-                }
-                Some(node) => return Ok((cur, node)),
-            }
+        match self.walk(path) {
+            Walk::Found(real, node) => Ok((real.into_owned(), node)),
+            Walk::Missing(p) => Err(VfsError::NotFound(p.into_owned())),
+            Walk::Loop => Err(VfsError::SymlinkLoop(normalize(path))),
         }
-        Err(VfsError::SymlinkLoop(normalize(path)))
+    }
+
+    /// [`Vfs::resolve`] without the error detail: the real path and its
+    /// node, borrowed from `path` when it is normal and no link was
+    /// followed.
+    pub fn resolved<'p, 'a>(&'a self, path: &'p str) -> Option<(Cow<'p, str>, &'a Node)> {
+        match self.walk(path) {
+            Walk::Found(real, node) => Some((real, node)),
+            Walk::Missing(_) | Walk::Loop => None,
+        }
     }
 
     /// Does the path exist (following symlinks)?
     pub fn exists(&self, path: &str) -> bool {
-        self.resolve(path).is_ok()
+        self.resolved(path).is_some()
     }
 
     /// Read file contents, following symlinks.
     pub fn read(&self, path: &str) -> Result<&Content, VfsError> {
-        match self.resolve(path)? {
-            (_, Node::File { content, .. }) => Ok(content),
-            (p, _) => Err(VfsError::NotAFile(p)),
+        match self.walk(path) {
+            Walk::Found(_, Node::File { content, .. }) => Ok(content),
+            Walk::Found(p, _) => Err(VfsError::NotAFile(p.into_owned())),
+            Walk::Missing(p) => Err(VfsError::NotFound(p.into_owned())),
+            Walk::Loop => Err(VfsError::SymlinkLoop(normalize(path))),
         }
     }
 
@@ -257,8 +359,8 @@ impl Vfs {
     /// Is the path an executable regular file (following symlinks)?
     pub fn is_executable(&self, path: &str) -> bool {
         matches!(
-            self.resolve(path),
-            Ok((
+            self.resolved(path),
+            Some((
                 _,
                 Node::File {
                     executable: true,
@@ -298,18 +400,19 @@ impl Vfs {
         self.nodes.keys().map(String::as_str)
     }
 
+    /// The exact-name index entry: every path whose basename is `name`,
+    /// sorted. Link paths are listed as links, not followed.
+    pub fn paths_named(&self, name: &str) -> &[String] {
+        self.names.get(name).map_or(&[], Vec::as_slice)
+    }
+
     /// `find <root> -name <name>`-style search: every path under `root`
     /// whose basename equals `name`. Follows nothing; reports link paths.
     pub fn find_by_name(&self, root: &str, name: &str) -> Vec<String> {
-        let root = normalize(root);
-        let prefix = if root == "/" {
-            "/".to_string()
-        } else {
-            format!("{root}/")
-        };
-        self.nodes
-            .keys()
-            .filter(|p| (p.starts_with(&prefix) || **p == root) && basename(p) == name)
+        let root = normalized(root);
+        self.paths_named(name)
+            .iter()
+            .filter(|p| is_under(p, &root))
             .cloned()
             .collect()
     }

@@ -2,11 +2,17 @@
 //! deterministic case generator (the registry is unreachable offline, so
 //! no proptest; the cases are seeded and reproducible).
 
-use feam_elf::{Class, ElfSpec, HostArch, ImportSpec, Machine};
-use feam_sim::loader::{ldd_map, resolve_closure};
-use feam_sim::rng::mix;
+use feam_elf::{
+    Class, DefinedVersion, ElfSpec, ExportSpec, HostArch, ImportSpec, LazyElf, Machine,
+};
+use feam_sim::exec::binary_fingerprint;
+use feam_sim::loader::{ldd_map, resolve_closure, LoadError};
+use feam_sim::rng::{chance, mix};
 use feam_sim::site::{OsInfo, Session, Site, SiteConfig};
 use feam_sim::toolchain::{Compiler, CompilerFamily};
+use feam_sim::tools::{ldd, LddResult};
+use feam_sim::vfs::Node;
+use std::collections::HashSet;
 use std::sync::Arc;
 
 fn site() -> Site {
@@ -159,4 +165,140 @@ fn closure_members_unique_and_include_libc() {
         assert_eq!(paths.len(), before, "case {case}: no object loaded twice");
         assert!(closure.provider("libc.so.6").is_some(), "case {case}");
     }
+}
+
+/// Versions every generated library defines, so version references always
+/// resolve and only symbol binding decides.
+const VERSIONS: &[Option<&str>] = &[None, Some("PROP_1"), Some("PROP_2")];
+const SYMBOLS: &[&str] = &["f", "g", "h", "k"];
+const LIBS: &[&str] = &["libpa.so.1", "libpb.so.1", "libpc.so.1"];
+
+/// Symbol binding agrees with a brute-force union over the loaded
+/// objects' dynamic symbols, on closures whose libraries export the same
+/// name twice, under several versions and unversioned, and whose binary
+/// mixes strong and weak imports.
+#[test]
+fn symbol_binding_matches_brute_force_union() {
+    let site = site();
+    let mut failures = 0;
+    for case in 0..96u64 {
+        let mut g = Gen::new(case ^ 0x5359_4d42); // "SYMB"
+        let mut sess = Session::new(&site);
+        feam_sim::site::env_prepend(&mut sess.env, "LD_LIBRARY_PATH", "/p/lib");
+        let mut versioned: HashSet<(String, String)> = HashSet::new();
+        let mut names: HashSet<String> = HashSet::new();
+        for lib in LIBS {
+            let mut spec = ElfSpec::shared_library(lib, Machine::X86_64, Class::Elf64);
+            spec.defined_versions = ["PROP_1", "PROP_2"]
+                .iter()
+                .map(|v| DefinedVersion {
+                    name: v.to_string(),
+                    parents: vec![],
+                })
+                .collect();
+            let n = g.range(0, 7);
+            spec.exports = (0..n)
+                .map(|_| {
+                    let s = SYMBOLS[g.range(0, SYMBOLS.len())];
+                    ExportSpec::new(s, VERSIONS[g.range(0, VERSIONS.len())])
+                })
+                .collect();
+            let bytes = spec.build().unwrap();
+            for s in LazyElf::parse(&bytes).unwrap().dynamic_symbols().iter() {
+                if s.undefined || s.name.is_empty() {
+                    continue;
+                }
+                names.insert(s.name.to_string());
+                if let Some(v) = s.version {
+                    versioned.insert((s.name.to_string(), v.to_string()));
+                }
+            }
+            sess.stage_file(&format!("/p/lib/{lib}"), Arc::new(bytes));
+        }
+        let mut spec = ElfSpec::executable(Machine::X86_64, Class::Elf64);
+        spec.needed = LIBS.iter().map(|l| l.to_string()).collect();
+        let n = g.range(1, 6);
+        spec.imports = (0..n)
+            .map(|_| ImportSpec {
+                symbol: SYMBOLS[g.range(0, SYMBOLS.len())].to_string(),
+                file: LIBS[g.range(0, LIBS.len())].to_string(),
+                version: VERSIONS[g.range(0, VERSIONS.len())].map(str::to_string),
+                weak: g.range(0, 4) == 0,
+            })
+            .collect();
+        let bin = spec.build().unwrap();
+        let first_unbound = LazyElf::parse(&bin)
+            .unwrap()
+            .dynamic_symbols()
+            .iter()
+            .filter(|s| s.undefined && !s.name.is_empty() && !s.weak)
+            .find(|s| match s.version {
+                Some(v) => !versioned.contains(&(s.name.to_string(), v.to_string())),
+                None => !names.contains(s.name),
+            })
+            .map(|s| (s.name.to_string(), s.version.map(str::to_string)));
+        sess.stage_file("/p/bin", Arc::new(bin));
+        match (resolve_closure(&sess, "/p/bin"), first_unbound) {
+            (Ok(_), None) => {}
+            (
+                Err(LoadError::MissingSymbol {
+                    symbol, version, ..
+                }),
+                Some(expect),
+            ) => {
+                assert_eq!((symbol, version), expect, "case {case}");
+                failures += 1;
+            }
+            (got, expect) => panic!("case {case}: loader {got:?}, brute force {expect:?}"),
+        }
+    }
+    // Both verdicts occur, so the comparison covers each.
+    assert!(failures > 0 && failures < 96, "{failures} of 96 unbound");
+}
+
+/// `tools::ldd`'s flaky draw is the one keyed on `binary_fingerprint` of
+/// the bytes it read: for a staged image, for an installed library reached
+/// through a symlink, and for a staged image shadowing that installed path.
+#[test]
+fn ldd_flaky_draw_keys_on_fingerprint_of_bytes_read() {
+    let mut seen = [0usize; 2];
+    for seed in 0..24u64 {
+        let mut cfg = SiteConfig::new(
+            "ldd-flaky-prop",
+            HostArch::X86_64,
+            OsInfo::new("CentOS", "5.6", "2.6.18"),
+            "2.5",
+            seed,
+        );
+        cfg.compilers = vec![Compiler::new(CompilerFamily::Gnu, "4.1.2")];
+        cfg.ldd_flaky_rate = 0.5;
+        let site = Site::build(cfg);
+        assert!(matches!(
+            site.vfs.lookup("/lib64/libm.so.6"),
+            Some(Node::Symlink { .. })
+        ));
+        let mut sess = Session::new(&site);
+        let bin = binary_with(&["libm.so.6".to_string(), "libc.so.6".to_string()]);
+        sess.stage_file("/p/bin", bin);
+        let mut probe = |sess: &Session<'_>, path: &str| {
+            let bytes = sess.read_bytes(path).unwrap();
+            let fp = binary_fingerprint(&bytes);
+            let flaky = chance(seed, &[&format!("{fp:x}"), "ldd-flaky"], 0.5);
+            let got = ldd(sess, path);
+            assert_eq!(
+                got == LddResult::NotRecognized,
+                flaky,
+                "seed {seed} {path}: {got:?}"
+            );
+            seen[usize::from(flaky)] += 1;
+        };
+        probe(&sess, "/p/bin");
+        probe(&sess, "/lib64/libm.so.6");
+        // A staged copy of another library over the installed link: ldd
+        // reads, and draws on, the staged bytes.
+        let libc = sess.read_bytes("/lib64/libc.so.6").unwrap();
+        sess.stage_file("/lib64/libm.so.6", libc);
+        probe(&sess, "/lib64/libm.so.6");
+    }
+    assert!(seen[0] > 0 && seen[1] > 0, "both draws occur: {seen:?}");
 }

@@ -18,6 +18,18 @@ use std::time::{Duration, Instant};
 /// caching on) with one registered binary "app", plus the fleet recorder.
 fn test_fleet(n: usize, r: usize, hedge: Option<Duration>) -> (Fleet, feam_obs::Recorder) {
     let (recorder, _sink) = feam_obs::Recorder::memory();
+    let fleet = fleet_with(n, r, hedge, &recorder, feam_obs::Recorder::disabled());
+    (fleet, recorder)
+}
+
+/// [`test_fleet`] with the fleet's recorder and the one every node uses.
+fn fleet_with(
+    n: usize,
+    r: usize,
+    hedge: Option<Duration>,
+    recorder: &feam_obs::Recorder,
+    node_recorder: feam_obs::Recorder,
+) -> Fleet {
     let cfg = FleetConfig {
         replication: r,
         hedge_after: hedge,
@@ -28,6 +40,7 @@ fn test_fleet(n: usize, r: usize, hedge: Option<Duration>) -> (Fleet, feam_obs::
             workers: 2,
             caching: true,
             fault_plan: Some(Arc::new(FaultPlan::none())),
+            recorder: node_recorder.clone(),
             ..ServiceConfig::default()
         };
         node_cfg.result_cache = true;
@@ -38,7 +51,7 @@ fn test_fleet(n: usize, r: usize, hedge: Option<Duration>) -> (Fleet, feam_obs::
         .register_binary("app", demo.image.clone(), &demo.home_site)
         .expect("fresh name registers fleet-wide");
     fleet.start();
-    (fleet, recorder)
+    fleet
 }
 
 fn req(site: &str) -> PredictRequest {
@@ -263,11 +276,35 @@ fn rejoining_nodes_catch_up_missed_epochs_before_serving() {
     }
 }
 
-/// A zero hedge window fires a hedge for every cold request; the answer
-/// is still correct and the hedge counters move.
+/// A node sink that holds every evaluation (the `svc.eval` span opening on
+/// a pool thread) until the fleet recorder shows a fired hedge, so a
+/// primary is slow by construction, not by how fast a cold evaluation
+/// runs or how the client thread is scheduled.
+struct HoldEvalsUntilHedged(feam_obs::Recorder);
+
+impl feam_obs::Sink for HoldEvalsUntilHedged {
+    fn record(&self, event: &feam_obs::Event) {
+        if event.name != "svc.eval" {
+            return;
+        }
+        // Bounded, so a hedge that never fires fails the assertion below
+        // instead of hanging the test.
+        let give_up = Instant::now() + Duration::from_secs(30);
+        while !self.0.snapshot().counters.contains_key("fleet.hedge.fired")
+            && Instant::now() < give_up
+        {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+}
+
+/// A primary that has not answered within the hedge window gets a hedge;
+/// the answer is still correct and the hedge counters move.
 #[test]
 fn hedging_fires_for_slow_primaries() {
-    let (fleet, rec) = test_fleet(2, 2, Some(Duration::from_millis(0)));
+    let (rec, _sink) = feam_obs::Recorder::memory();
+    let held = feam_obs::Recorder::with_sink(Box::new(HoldEvalsUntilHedged(rec.clone())));
+    let fleet = fleet_with(2, 2, Some(Duration::from_millis(0)), &rec, held);
     let resp = fleet
         .predict(&req("india"))
         .expect("hedged request answers");
@@ -276,7 +313,7 @@ fn hedging_fires_for_slow_primaries() {
     assert_eq!(
         counters.get("fleet.hedge.fired"),
         Some(&1),
-        "cold evaluation is slower than a zero hedge window"
+        "the primary's evaluation is held past the hedge window"
     );
 }
 
