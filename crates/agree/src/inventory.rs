@@ -81,7 +81,7 @@ impl SiteInventory {
             ..SiteInventory::default()
         };
         for dir in inv.dirs.clone() {
-            let Ok(names) = site.vfs.list_dir(&dir) else {
+            let Ok(names) = site.vfs().list_dir(&dir) else {
                 continue;
             };
             for name in names {

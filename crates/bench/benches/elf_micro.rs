@@ -2,7 +2,7 @@
 //! loader closure resolution, the simulated site tools (`ldd`, library
 //! search, a job launch), and site materialization.
 
-use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use feam_core::bdc::locate_library;
 use feam_elf::{Class, ElfSpec, ImportSpec, LazyElf, Machine};
 use feam_sim::compile::{compile, ProgramSpec};
@@ -102,6 +102,18 @@ fn bench(c: &mut Criterion) {
     g.sample_size(2000);
     g.bench_function("ldd_staged_mpi_binary", |b| {
         b.iter(|| black_box(tools::ldd(&sess, black_box("/r/bt"))))
+    });
+    // The same `ldd` on a buffer no call has seen: the cold parse the
+    // per-buffer metadata memo saves on every later call.
+    g.bench_function("ldd_fresh_staged_buffer", |b| {
+        b.iter_batched(
+            || Arc::new(bin.image.to_vec()),
+            |image| {
+                sess.stage_file("/r/fresh", image);
+                black_box(tools::ldd(&sess, "/r/fresh"))
+            },
+            BatchSize::SmallInput,
+        )
     });
     g.bench_function("locate_library_absent", |b| {
         b.iter(|| black_box(locate_library(&sess, black_box("libghost.so.9"))))

@@ -183,7 +183,7 @@ impl<'a> World<'a> {
 
     fn exists(&self, path: &str) -> bool {
         let np = vfs::normalize(path);
-        self.overlay.contains_key(&np) || self.site.vfs.exists(&np)
+        self.overlay.contains_key(&np) || self.site.vfs().exists(&np)
     }
 
     fn meta_of(&mut self, path: &str) -> Option<Arc<Meta>> {
@@ -201,7 +201,7 @@ impl<'a> World<'a> {
         }
         let m = self
             .site
-            .vfs
+            .vfs()
             .read(&np)
             .ok()
             .and_then(|c| parse_meta(c.as_bytes()))
@@ -228,10 +228,10 @@ impl<'a> World<'a> {
     /// only) → `find` over common roots + `LD_LIBRARY_PATH`.
     fn locate_library(&self, soname: &str) -> Option<String> {
         if self.site.config.locate_present {
-            let hits = self.site.vfs.locate(soname);
+            let hits = self.site.vfs().locate(soname);
             if let Some(hit) = hits
                 .into_iter()
-                .find(|p| p.rsplit('/').next() == Some(soname) && self.site.vfs.exists(p))
+                .find(|p| p.rsplit('/').next() == Some(soname) && self.site.vfs().exists(p))
             {
                 return Some(hit);
             }
@@ -459,7 +459,7 @@ fn find_by_name(site: &Site, root: &str, name: &str) -> Vec<String> {
     } else {
         format!("{root}/")
     };
-    site.vfs
+    site.vfs()
         .all_paths()
         .filter(|p| (p.starts_with(&prefix) || *p == root) && vfs::basename(p) == name)
         .map(str::to_string)
@@ -579,7 +579,7 @@ pub fn discovered_order(site: &Site) -> Vec<&InstalledStack> {
         EnvMgmt::SoftEnv => site.stacks.iter().collect(),
         EnvMgmt::None => {
             let candidates: Vec<String> = if site.config.locate_present {
-                site.vfs.locate("libmpi")
+                site.vfs().locate("libmpi")
             } else {
                 let find = |name: &str| -> Vec<String> {
                     let mut v = find_by_name(site, "/opt", name);
@@ -779,11 +779,11 @@ pub fn checker_inventory(site: &Site) -> CheckerInventory {
 
     let mut entries = Vec::new();
     for dir in &dirs {
-        let Ok(names) = site.vfs.list_dir(dir) else {
+        let Ok(names) = site.vfs().list_dir(dir) else {
             continue;
         };
         for name in names {
-            let Ok(content) = site.vfs.read(&format!("{dir}/{name}")) else {
+            let Ok(content) = site.vfs().read(&format!("{dir}/{name}")) else {
                 continue;
             };
             let bytes = content.as_bytes();

@@ -278,7 +278,7 @@ pub struct LibraryCopy {
 pub fn locate_library(sess: &Session<'_>, soname: &str) -> Option<String> {
     // locate: the first existing exact basename match among its hits.
     if let Some(hits) = tools::locate_exact(sess.site, soname) {
-        if let Some(hit) = hits.iter().find(|p| sess.site.vfs.exists(p)) {
+        if let Some(hit) = hits.iter().find(|p| sess.site.vfs().exists(p)) {
             return Some(hit.clone());
         }
     }

@@ -35,6 +35,7 @@
 
 use crate::bdc::BinaryDescription;
 use crate::edc::EnvironmentDescription;
+use feam_sim::memo::AllocMemo;
 use feam_sim::site::Session;
 use std::collections::HashMap;
 use std::convert::Infallible;
@@ -113,34 +114,12 @@ impl BdcKey {
 /// The serving layer re-hashes the same multi-MB images on every request:
 /// the simulated VFS hands out `Arc`-shared buffers
 /// ([`feam_sim::site::Session::read_bytes`] clones the stored `Arc`), so
-/// the *allocation* is a sound memo key for as long as it stays alive. The
-/// memo stores a `Weak` alongside the key and only serves a hit when the
-/// weak still upgrades to the *same* allocation — a dead entry whose
-/// address was reused by a new buffer fails the upgrade and is recomputed,
-/// so the key remains a pure function of the bytes.
+/// the *allocation* is a sound memo key for as long as it stays alive
+/// ([`AllocMemo`] keeps it sound under address reuse), and the key
+/// remains a pure function of the bytes.
 pub fn content_key_of(bytes: &Arc<Vec<u8>>) -> BdcKey {
-    use std::sync::{OnceLock, Weak};
-    // Past this many entries, dead weaks are purged before inserting; the
-    // table tracks live buffers (corpus + library images), far below this.
-    const PURGE_AT: usize = 4096;
-    type Memo = Mutex<HashMap<usize, (Weak<Vec<u8>>, BdcKey)>>;
-    static MEMO: OnceLock<Memo> = OnceLock::new();
-    let memo = MEMO.get_or_init(|| Mutex::new(HashMap::new()));
-    let ptr = Arc::as_ptr(bytes) as usize;
-    if let Some((weak, key)) = memo.lock().expect("content key memo").get(&ptr) {
-        if let Some(live) = weak.upgrade() {
-            if Arc::ptr_eq(&live, bytes) {
-                return *key;
-            }
-        }
-    }
-    let key = BdcKey::of(bytes);
-    let mut m = memo.lock().expect("content key memo");
-    if m.len() >= PURGE_AT {
-        m.retain(|_, (weak, _)| weak.strong_count() > 0);
-    }
-    m.insert(ptr, (Arc::downgrade(bytes), key));
-    key
+    static KEYS: AllocMemo<Vec<u8>, BdcKey> = AllocMemo::new();
+    KEYS.get_or_insert_with(bytes, |b| BdcKey::of(b))
 }
 
 /// Is caching enabled for this process? `FEAM_CACHE=0` (or `false`/`off`)

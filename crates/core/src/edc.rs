@@ -437,7 +437,8 @@ fn loader_dirs(sess: &Session<'_>) -> Vec<String> {
 /// The loader-visibility rule: `soname` is visible when `<dir>/<soname>`
 /// exists for some `dir` in `dirs` (the session's [`loader_dirs`]).
 fn lib_visible(sess: &Session<'_>, dirs: &[String], soname: &str) -> bool {
-    dirs.iter().any(|d| sess.exists(&format!("{d}/{soname}")))
+    dirs.iter()
+        .any(|d| feam_sim::loader::dir_has(sess, d, soname))
 }
 
 #[cfg(test)]

@@ -28,7 +28,8 @@ use crate::toolchain::{
 };
 use feam_elf::{strip_section_headers, Class, ElfSpec, ImportSpec, Machine};
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex};
 
 /// How a binary is packaged — the hostile-binary axes of the provenance
 /// evaluation. `Normal` is a cooperative dynamic executable; the others
@@ -224,8 +225,20 @@ pub fn compile_traced(
     prog: &ProgramSpec,
     seed: u64,
 ) -> Result<CompiledBinary, CompileError> {
+    traced(rec, site, prog, || compile(site, stack, prog, seed))
+}
+
+/// Run one compile inside a `compile` span, then record its
+/// `compile_done` event and the `compile.runs` / `compile.failures`
+/// counts.
+fn traced(
+    rec: &feam_obs::Recorder,
+    site: &Site,
+    prog: &ProgramSpec,
+    build: impl FnOnce() -> Result<CompiledBinary, CompileError>,
+) -> Result<CompiledBinary, CompileError> {
     let _span = rec.span("compile");
-    let result = compile(site, stack, prog, seed);
+    let result = build();
     rec.event(
         "compile_done",
         &[
@@ -241,9 +254,64 @@ pub fn compile_traced(
     result
 }
 
-/// [`compile_traced`] with the session's fault plan consulted first: probe
-/// compiles can fail with injected transient flakiness (retryable) or a
-/// persistently broken toolchain. `attempt` re-rolls transient faults.
+/// What a [`compile`] at a given site is a function of: the stack (only
+/// its identity is read), every field of the program, and the seed.
+#[derive(PartialEq, Eq, Hash)]
+struct ProbeKey {
+    stack: Option<crate::mpi::MpiStack>,
+    name: String,
+    language: Language,
+    uses_mpi: bool,
+    glibc_appetite: u64,
+    mpi_abi_marker_prob: u64,
+    text_size: usize,
+    seed: u64,
+}
+
+impl ProbeKey {
+    fn of(stack: Option<&InstalledStack>, prog: &ProgramSpec, seed: u64) -> Self {
+        ProbeKey {
+            stack: stack.map(|ist| ist.stack.clone()),
+            name: prog.name.clone(),
+            language: prog.language,
+            uses_mpi: prog.uses_mpi,
+            glibc_appetite: prog.glibc_appetite.to_bits(),
+            mpi_abi_marker_prob: prog.mpi_abi_marker_prob.to_bits(),
+            text_size: prog.text_size,
+            seed,
+        }
+    }
+}
+
+/// A site's memo of probe compiles (see [`Site`]): the first build of a key
+/// is the one every later request gets, so the image is also one shared
+/// allocation.
+#[derive(Default)]
+pub(crate) struct ProbeBuilds(Mutex<HashMap<ProbeKey, Result<CompiledBinary, CompileError>>>);
+
+impl ProbeBuilds {
+    fn get_or_build(
+        &self,
+        site: &Site,
+        stack: Option<&InstalledStack>,
+        prog: &ProgramSpec,
+        seed: u64,
+    ) -> Result<CompiledBinary, CompileError> {
+        let key = ProbeKey::of(stack, prog, seed);
+        let lock = || self.0.lock().unwrap_or_else(|e| e.into_inner());
+        if let Some(hit) = lock().get(&key) {
+            return hit.clone();
+        }
+        let built = compile(site, stack, prog, seed);
+        lock().entry(key).or_insert(built).clone()
+    }
+}
+
+/// A probe compile within a session. The session's fault plan is consulted
+/// first: probe compiles can fail with injected transient flakiness
+/// (retryable) or a persistently broken toolchain, and `attempt` re-rolls
+/// transient faults. Past that roll the answer is the site's memoized
+/// build. Either way the call is traced as [`compile_traced`] traces it.
 pub fn compile_in_session(
     sess: &crate::site::Session<'_>,
     stack: Option<&InstalledStack>,
@@ -256,32 +324,18 @@ pub fn compile_in_session(
         .map(|i| i.stack.ident())
         .unwrap_or_else(|| "serial".to_string());
     let key = format!("{}@{}@{}", prog.name, stack_tag, site.name());
-    if let Some(kind) = sess.roll_fault(crate::faults::Chokepoint::ProbeCompile, &key, attempt) {
-        let rec = &sess.recorder;
-        let _span = rec.span("compile");
-        rec.event(
-            "compile_done",
-            &[
-                ("program", prog.name.as_str().into()),
-                ("site", site.name().into()),
-                ("ok", false.into()),
-            ],
-        );
-        rec.count("compile.runs", 1);
-        rec.count("compile.failures", 1);
-        return Err(match kind {
-            crate::faults::FaultKind::Transient => CompileError::TransientToolFailure(format!(
-                "{}: compiler license server timed out",
-                prog.name
-            )),
-            crate::faults::FaultKind::Persistent => CompileError::DoesNotCompile {
-                program: prog.name.clone(),
-                stack: stack_tag,
-                reason: "toolchain wrapper persistently broken".into(),
-            },
-        });
-    }
-    compile_traced(&sess.recorder, site, stack, prog, seed)
+    let fault = sess.roll_fault(crate::faults::Chokepoint::ProbeCompile, &key, attempt);
+    traced(&sess.recorder, site, prog, || match fault {
+        None => site.probe_builds.get_or_build(site, stack, prog, seed),
+        Some(crate::faults::FaultKind::Transient) => Err(CompileError::TransientToolFailure(
+            format!("{}: compiler license server timed out", prog.name),
+        )),
+        Some(crate::faults::FaultKind::Persistent) => Err(CompileError::DoesNotCompile {
+            program: prog.name.clone(),
+            stack: stack_tag,
+            reason: "toolchain wrapper persistently broken".into(),
+        }),
+    })
 }
 
 /// Compile `prog` at `site` using `stack` (or no stack for serial

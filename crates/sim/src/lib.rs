@@ -56,6 +56,7 @@ pub mod faults;
 pub mod libc;
 pub mod libgen;
 pub mod loader;
+pub mod memo;
 pub mod mpi;
 pub mod queue;
 pub mod rng;

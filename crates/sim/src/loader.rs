@@ -8,23 +8,28 @@
 //! accuracy tables would be meaningless.
 //!
 //! Each image is parsed into an [`ObjectMeta`] once: installed objects
-//! when the site is built (the site's metadata cache), staged overlay
-//! images when a call first reads them. Callers that have just read and
-//! described the root (`tools::ldd`, a launch) hand that metadata to
-//! [`ldd_map_from`] / [`resolve_closure_from`] instead of having it read
-//! and parsed again. Symbol binding binary-searches each loaded object's
-//! sorted export list. These save simulator time only: the answers, the
-//! simulated-CPU charges and the fault draws are those of the plain walk.
+//! when the site is built (the site's metadata cache), any other image
+//! once per buffer (a memo keyed by the buffer's allocation). A search
+//! path probe of `<dir>/<soname>` is answered from the site's probe memo
+//! ([`crate::site::Site::probe`]) unless the session has staged a file in
+//! that directory. Callers that have just read and described the root
+//! (`tools::ldd`, a launch) hand that metadata to [`ldd_map_from`] /
+//! [`resolve_closure_from`] instead of having it read again. Symbol
+//! binding binary-searches each loaded object's sorted export list. These
+//! save simulator time only: the answers, the simulated-CPU charges and
+//! the fault draws are those of the plain walk, since every memoized
+//! probe outcome (absent, installed ELF) is one that reads nothing.
 
 use crate::exec::binary_fingerprint;
-use crate::site::{path_list, Session};
+use crate::memo::AllocMemo;
+use crate::site::{path_list, DirProbe, Session};
 use crate::vfs::normalized;
 use feam_elf::{Class, FileKind, LazyElf, Machine, VersionRef};
 use std::collections::HashSet;
 use std::sync::Arc;
 
 /// Parsed metadata of one ELF object: parsed once per installed image when
-/// the site is built, once per staged image per loader call.
+/// the site is built, once per buffer for any other image.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ObjectMeta {
     pub soname: Option<String>,
@@ -199,34 +204,77 @@ fn installed_meta(sess: &Session<'_>, path: &str) -> Option<Arc<ObjectMeta>> {
     sess.site.meta_for(path)
 }
 
+/// The metadata of a read image, parsed once per buffer: the memo is keyed
+/// by the buffer's allocation, which the VFS, the overlay and every bundle
+/// share.
+fn parsed(bytes: &Arc<Vec<u8>>) -> feam_elf::Result<Arc<ObjectMeta>> {
+    static PARSED: AllocMemo<Vec<u8>, feam_elf::Result<Arc<ObjectMeta>>> = AllocMemo::new();
+    PARSED.get_or_insert_with(bytes, |b| ObjectMeta::parse(b).map(Arc::new))
+}
+
 /// Fetch + parse an object at `path` within a session, using the site's
 /// metadata cache for installed objects.
 fn object_at(sess: &Session<'_>, path: &str) -> Option<Arc<ObjectMeta>> {
     if let Some(m) = installed_meta(sess, path) {
         return Some(m);
     }
-    let bytes = sess.read_bytes(path)?;
-    ObjectMeta::parse(&bytes).ok().map(Arc::new)
+    parsed(&sess.read_bytes(path)?).ok()
 }
 
 /// Metadata of the object at `path` whose `bytes` the caller has just read
 /// through the session: the site's cached entry for an installed object,
-/// else a parse of `bytes`. The image is not read or parsed again.
+/// else the parse of `bytes`. The image is not read again.
 pub fn object_read(
     sess: &Session<'_>,
     path: &str,
-    bytes: &[u8],
+    bytes: &Arc<Vec<u8>>,
 ) -> feam_elf::Result<Arc<ObjectMeta>> {
     match installed_meta(sess, path) {
         Some(m) => Ok(m),
-        None => ObjectMeta::parse(bytes).map(Arc::new),
+        None => parsed(bytes),
+    }
+}
+
+/// The site's memoized [`DirProbe`] of `<dir>/<name>`, unless the overlay
+/// holds a file in `dir` or the spelling is not the normal one; then the
+/// caller reads as a loader without the memo would.
+fn site_probe(sess: &Session<'_>, dir: &str, name: &str) -> Option<DirProbe> {
+    if sess.stages_under(dir) {
+        return None;
+    }
+    sess.site.probe(dir, name)
+}
+
+/// Does `<dir>/<name>` exist in the session, overlay or site, following
+/// symlinks? The loader-visibility test FEAM's environment discovery uses.
+pub fn dir_has(sess: &Session<'_>, dir: &str, name: &str) -> bool {
+    match site_probe(sess, dir, name) {
+        Some(probe) => !matches!(probe, DirProbe::Absent),
+        None => sess.exists(&format!("{dir}/{name}")),
     }
 }
 
 /// Search one directory for `soname`; returns the path when the file exists
-/// there (directly or via symlink) and is a compatible ELF object. A site
-/// path is resolved once and its metadata looked up by the real path.
+/// there (directly or via symlink) and is a compatible ELF object.
 fn probe_dir(
+    sess: &Session<'_>,
+    dir: &str,
+    soname: &str,
+    class: Class,
+    machine: Machine,
+) -> Option<(String, Arc<ObjectMeta>)> {
+    let meta = match site_probe(sess, dir, soname) {
+        Some(DirProbe::Absent) => return None,
+        Some(DirProbe::Elf(meta)) => meta,
+        Some(DirProbe::Other) | None => return read_dir_entry(sess, dir, soname, class, machine),
+    };
+    (meta.class == class && meta.machine == machine).then(|| (format!("{dir}/{soname}"), meta))
+}
+
+/// [`probe_dir`] by reading: the overlay first, else the site path is
+/// resolved once and its metadata looked up by the real path, else the
+/// file is read and parsed.
+fn read_dir_entry(
     sess: &Session<'_>,
     dir: &str,
     soname: &str,
@@ -237,15 +285,12 @@ fn probe_dir(
     let installed = if sess.staged.contains_key(normalized(&candidate).as_ref()) {
         None
     } else {
-        let (real, _) = sess.site.vfs.resolved(&candidate)?;
+        let (real, _) = sess.site.vfs().resolved(&candidate)?;
         sess.site.meta_at(&real)
     };
     let meta = match installed {
         Some(m) => m,
-        None => {
-            let bytes = sess.read_bytes(&candidate)?;
-            Arc::new(ObjectMeta::parse(&bytes).ok()?)
-        }
+        None => parsed(&sess.read_bytes(&candidate)?).ok()?,
     };
     (meta.class == class && meta.machine == machine).then_some((candidate, meta))
 }

@@ -8,16 +8,19 @@
 //! mutable state (selected stack, staged library copies) lives in a cheap
 //! [`Session`] overlay so the evaluation can fan out across threads.
 
+use crate::compile::ProbeBuilds;
 use crate::libc;
 use crate::libgen::build_library;
 use crate::loader::ObjectMeta;
 use crate::mpi::{infiniband_blueprints, MpiStack, Network};
 use crate::rng;
 use crate::toolchain::{runtime_blueprints, Compiler, CompilerFamily};
-use crate::vfs::{Content, Vfs};
+use crate::vfs::{normalized, Content, Vfs};
 use feam_elf::{Endian, HostArch, VersionName};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
-use std::sync::Arc;
+use std::ops::Bound;
+use std::sync::{Arc, RwLock};
 
 /// Environment variables of a shell.
 pub type EnvMap = BTreeMap<String, String>;
@@ -241,15 +244,46 @@ impl SiteConfig {
     }
 }
 
+/// Past this many memoized directory probes a site answers further new
+/// pairs without storing them, so odd inputs cannot grow it without bound.
+const PROBE_MEMO_CAP: usize = 1 << 16;
+
+/// What a site's own tree (no session overlay) holds at `<dir>/<name>`.
+#[derive(Debug, Clone)]
+pub enum DirProbe {
+    /// Nothing there, even through a symlink.
+    Absent,
+    /// An installed ELF; its metadata is the site's cached entry.
+    Elf(Arc<ObjectMeta>),
+    /// Something else: a non-ELF file, a directory. A loader reads it.
+    Other,
+}
+
 /// A fully materialized site. Immutable after construction; share freely
 /// across threads.
+///
+/// The filesystem is private and read through [`Site::vfs`], so nothing
+/// changes a site after [`Site::build`]. Three memos rely on that; each
+/// stores the answer to a pure question about the site the first time it
+/// is asked:
+/// * the metadata of every installed ELF, parsed at build time, by real
+///   path ([`Site::meta_at`]);
+/// * directory probes, `(normal dir, name)` → [`DirProbe`]
+///   ([`Site::probe`]), read by the loader's search and FEAM's
+///   loader-visibility rule;
+/// * probe compiles, `(stack, program, seed)` → the built binary
+///   ([`crate::compile::compile_in_session`]).
 pub struct Site {
     pub config: SiteConfig,
-    pub vfs: Vfs,
+    vfs: Vfs,
     pub stacks: Vec<InstalledStack>,
     pub compilers: Vec<InstalledCompiler>,
     /// Parsed metadata for every installed ELF, keyed by resolved path.
     meta: HashMap<String, Arc<ObjectMeta>>,
+    /// Directory probes, dir → name → what is there.
+    probes: RwLock<HashMap<String, HashMap<String, DirProbe>>>,
+    /// Probe compiles, filled by `compile_in_session`.
+    pub(crate) probe_builds: ProbeBuilds,
 }
 
 impl std::fmt::Debug for Site {
@@ -495,7 +529,14 @@ impl Site {
             stacks,
             compilers,
             meta,
+            probes: RwLock::default(),
+            probe_builds: ProbeBuilds::default(),
         }
+    }
+
+    /// The site's filesystem.
+    pub fn vfs(&self) -> &Vfs {
+        &self.vfs
     }
 
     /// Site name.
@@ -536,6 +577,36 @@ impl Site {
     /// path is `real`.
     pub fn meta_at(&self, real: &str) -> Option<Arc<ObjectMeta>> {
         self.meta.get(real).cloned()
+    }
+
+    /// What the site holds at `<dir>/<name>`, worked out once per pair:
+    /// `None` unless `dir` is a normal directory path other than `/` and
+    /// `name` one plain component, the spellings for which
+    /// `"{dir}/{name}"` is the normal path. Overlays are the caller's
+    /// business.
+    pub fn probe(&self, dir: &str, name: &str) -> Option<DirProbe> {
+        let plain_name = !name.is_empty() && !name.contains('/') && name != "." && name != "..";
+        if !plain_name || dir == "/" || matches!(normalized(dir), Cow::Owned(_)) {
+            return None;
+        }
+        let probes = self.probes.read().unwrap_or_else(|e| e.into_inner());
+        if let Some(hit) = probes.get(dir).and_then(|names| names.get(name)) {
+            return Some(hit.clone());
+        }
+        let stored = probes.values().map(HashMap::len).sum::<usize>();
+        drop(probes);
+        let probe = match self.vfs.resolved(&format!("{dir}/{name}")) {
+            None => DirProbe::Absent,
+            Some((real, _)) => self.meta_at(&real).map_or(DirProbe::Other, DirProbe::Elf),
+        };
+        if stored < PROBE_MEMO_CAP {
+            let mut probes = self.probes.write().unwrap_or_else(|e| e.into_inner());
+            probes
+                .entry(dir.to_string())
+                .or_default()
+                .insert(name.to_string(), probe.clone());
+        }
+        Some(probe)
     }
 
     /// Find the installed compiler matching `family` (any version).
@@ -718,6 +789,17 @@ impl<'s> Session<'s> {
     pub fn exists(&self, path: &str) -> bool {
         let norm = crate::vfs::normalized(path);
         self.staged.contains_key(norm.as_ref()) || self.site.vfs.exists(&norm)
+    }
+
+    /// Does the overlay hold a file under the normal directory `dir`, at
+    /// any depth?
+    pub(crate) fn stages_under(&self, dir: &str) -> bool {
+        // Every key with `dir` as a prefix sorts in one run after `dir`.
+        self.staged
+            .range::<str, _>((Bound::Excluded(dir), Bound::Unbounded))
+            .map(|(p, _)| p)
+            .take_while(|p| p.starts_with(dir))
+            .any(|p| p.as_bytes().get(dir.len()) == Some(&b'/'))
     }
 
     /// Directories currently on `LD_LIBRARY_PATH`.

@@ -31,7 +31,7 @@ pub fn proc_version(sess: &Session<'_>, attempt: u32) -> Option<String> {
         return None;
     }
     sess.site
-        .vfs
+        .vfs()
         .read_text("/proc/version")
         .ok()
         .map(str::to_string)
@@ -54,7 +54,7 @@ pub fn etc_release(sess: &Session<'_>, attempt: u32) -> Option<String> {
         "/etc/SuSE-release",
         "/etc/os-release",
     ] {
-        if let Ok(text) = sess.site.vfs.read_text(path) {
+        if let Ok(text) = sess.site.vfs().read_text(path) {
             return Some(text.to_string());
         }
     }
@@ -103,7 +103,9 @@ pub fn ldd(sess: &Session<'_>, path: &str) -> LddResult {
 /// Emulated `locate <pattern>` (basename substring match); `None` when the
 /// tool or its database is absent.
 pub fn locate(site: &Site, pattern: &str) -> Option<Vec<String>> {
-    site.config.locate_present.then(|| site.vfs.locate(pattern))
+    site.config
+        .locate_present
+        .then(|| site.vfs().locate(pattern))
 }
 
 /// `locate <name>` narrowed to exact basename matches: the same paths, in
@@ -112,14 +114,14 @@ pub fn locate(site: &Site, pattern: &str) -> Option<Vec<String>> {
 pub fn locate_exact<'s>(site: &'s Site, name: &str) -> Option<&'s [String]> {
     site.config
         .locate_present
-        .then(|| site.vfs.paths_named(name))
+        .then(|| site.vfs().paths_named(name))
 }
 
 /// Emulated `find <roots...> -name <name>`.
 pub fn find_name(site: &Site, roots: &[&str], name: &str) -> Vec<String> {
     let mut out = Vec::new();
     for root in roots {
-        out.extend(site.vfs.find_by_name(root, name));
+        out.extend(site.vfs().find_by_name(root, name));
     }
     out.sort();
     out.dedup();
@@ -140,10 +142,10 @@ pub fn module_avail(sess: &Session<'_>, attempt: u32) -> Option<Vec<String>> {
         return None;
     }
     let mut names = Vec::new();
-    if let Ok(groups) = site.vfs.list_dir("/usr/share/Modules/modulefiles") {
+    if let Ok(groups) = site.vfs().list_dir("/usr/share/Modules/modulefiles") {
         for g in groups {
             if let Ok(mods) = site
-                .vfs
+                .vfs()
                 .list_dir(&format!("/usr/share/Modules/modulefiles/{g}"))
             {
                 names.extend(mods);
@@ -185,7 +187,7 @@ pub fn softenv_keys(sess: &Session<'_>, attempt: u32) -> Option<Vec<String>> {
     {
         return None;
     }
-    let db = site.vfs.read_text("/etc/softenv/softenv.db").ok()?;
+    let db = site.vfs().read_text("/etc/softenv/softenv.db").ok()?;
     Some(
         db.lines()
             .filter(|l| l.starts_with('+'))
@@ -210,10 +212,10 @@ pub struct WrapperInfo {
 
 /// Probe a wrapper executable (`<path> -V` equivalent).
 pub fn wrapper_info(site: &Site, path: &str) -> Option<WrapperInfo> {
-    if !site.vfs.is_executable(path) {
+    if !site.vfs().is_executable(path) {
         return None;
     }
-    let text = site.vfs.read_text(path).ok()?;
+    let text = site.vfs().read_text(path).ok()?;
     if !text.starts_with("#!feam-sim-wrapper") {
         return None;
     }
@@ -238,7 +240,7 @@ pub fn wrapper_info(site: &Site, path: &str) -> Option<WrapperInfo> {
 pub fn which(sess: &Session<'_>, name: &str) -> Option<String> {
     for dir in crate::site::env_dirs(&sess.env, "PATH") {
         let candidate = format!("{dir}/{name}");
-        if sess.site.vfs.is_executable(&candidate) {
+        if sess.site.vfs().is_executable(&candidate) {
             return Some(candidate);
         }
     }

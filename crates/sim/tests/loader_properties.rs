@@ -5,11 +5,14 @@
 use feam_elf::{
     Class, DefinedVersion, ElfSpec, ExportSpec, HostArch, ImportSpec, LazyElf, Machine,
 };
-use feam_sim::exec::binary_fingerprint;
-use feam_sim::loader::{ldd_map, resolve_closure, LoadError};
+use feam_sim::compile::{compile, compile_in_session, ProgramSpec};
+use feam_sim::exec::{binary_fingerprint, run_mpi, DEFAULT_ATTEMPTS};
+use feam_sim::faults::{FaultPlan, FaultRate};
+use feam_sim::loader::{dir_has, ldd_map, object_read, resolve_closure, LoadError, ObjectMeta};
+use feam_sim::mpi::{MpiImpl, MpiStack, Network};
 use feam_sim::rng::{chance, mix};
 use feam_sim::site::{OsInfo, Session, Site, SiteConfig};
-use feam_sim::toolchain::{Compiler, CompilerFamily};
+use feam_sim::toolchain::{Compiler, CompilerFamily, Language};
 use feam_sim::tools::{ldd, LddResult};
 use feam_sim::vfs::Node;
 use std::collections::HashSet;
@@ -274,7 +277,7 @@ fn ldd_flaky_draw_keys_on_fingerprint_of_bytes_read() {
         cfg.ldd_flaky_rate = 0.5;
         let site = Site::build(cfg);
         assert!(matches!(
-            site.vfs.lookup("/lib64/libm.so.6"),
+            site.vfs().lookup("/lib64/libm.so.6"),
             Some(Node::Symlink { .. })
         ));
         let mut sess = Session::new(&site);
@@ -301,4 +304,280 @@ fn ldd_flaky_draw_keys_on_fingerprint_of_bytes_read() {
         probe(&sess, "/lib64/libm.so.6");
     }
     assert!(seen[0] > 0 && seen[1] > 0, "both draws occur: {seen:?}");
+}
+
+/// Directory spellings the overlay cases put on `LD_LIBRARY_PATH` and in
+/// `DT_RPATH`/`DT_RUNPATH`: normal ones, odd spellings of the same
+/// directories, the root, and directories holding non-ELF files.
+const DIRS: &[&str] = &[
+    "/lib64",
+    "/usr/lib64",
+    "/p/lib",
+    "/usr//lib64",
+    "/usr/lib64/",
+    "/opt/../lib64",
+    "lib64",
+    "/./lib64",
+    "/p//lib",
+    "/",
+    "/etc",
+    "/usr/bin",
+    "/usr",
+    "/proc",
+];
+/// Names no library has: non-ELF files, a non-ELF stub behind a symlink
+/// (the dynamic loader's own name), directories.
+const ODD_NAMES: &[&str] = &[
+    "redhat-release",
+    "gcc",
+    "version",
+    "ld-linux-x86-64.so.2",
+    "lib64",
+    "bin",
+];
+
+/// One overlay case: a session with a random `LD_LIBRARY_PATH`, random
+/// staged files (a library shadowing an installed soname in a searched
+/// directory, a wrong-class impostor, a staged copy, a staged non-ELF
+/// file, a file in a subdirectory of a searched directory) and a staged
+/// binary needing present, absent and odd names through odd paths.
+/// Built the same way on any build of [`site`].
+fn overlay_case(site: &Site, case: u64) -> (Session<'_>, Vec<String>) {
+    let mut g = Gen::new(case ^ 0x4f56_4c59); // "OVLY"
+    let mut sess = Session::new(site);
+    let dirs: Vec<&str> = (0..g.range(0, 5))
+        .map(|_| DIRS[g.range(0, DIRS.len())])
+        .collect();
+    if !dirs.is_empty() {
+        sess.env.insert("LD_LIBRARY_PATH".into(), dirs.join(":"));
+    }
+    let libc = sess.read_bytes("/lib64/libc.so.6").unwrap();
+    let libm = sess.read_bytes("/lib64/libm.so.6").unwrap();
+    let mut impostor = ElfSpec::shared_library("libgfortran.so.1", Machine::X86, Class::Elf32);
+    impostor.exports = vec![ExportSpec::new("_gfortran_st_write", None)];
+    let impostor = Arc::new(impostor.build().unwrap());
+    let stagings: [(&str, Arc<Vec<u8>>); 6] = [
+        ("/lib64/libm.so.6", libc),
+        ("/usr/lib64/libgfortran.so.1", impostor),
+        ("/p/lib/libm.so.6", libm.clone()),
+        ("/p/lib/libnsl.so.1", Arc::new(b"not an object".to_vec())),
+        ("/usr/lib64/sub/libm.so.6", libm),
+        ("/etc/gcc", Arc::new(vec![0x7f, b'E', b'L', b'F'])),
+    ];
+    for (path, bytes) in stagings {
+        if g.range(0, 3) == 0 {
+            sess.stage_file(path, bytes);
+        }
+    }
+    let mut needed: Vec<String> = vec!["libc.so.6".into()];
+    for _ in 0..g.range(1, 6) {
+        let name = match g.range(0, 8) {
+            0 => ABSENT[g.range(0, ABSENT.len())],
+            1 => ODD_NAMES[g.range(0, ODD_NAMES.len())],
+            _ => PRESENT[g.range(0, PRESENT.len())],
+        };
+        needed.push(name.into());
+    }
+    let mut spec = ElfSpec::executable(Machine::X86_64, Class::Elf64);
+    spec.needed = needed.clone();
+    spec.imports = vec![ImportSpec::versioned("memcpy", "libc.so.6", "GLIBC_2.2.5")];
+    let path_list = |g: &mut Gen| {
+        let dirs: Vec<&str> = (0..g.range(1, 3))
+            .map(|_| DIRS[g.range(0, DIRS.len())])
+            .collect();
+        dirs.join(":")
+    };
+    match g.range(0, 3) {
+        0 => spec.rpath = Some(path_list(&mut g)),
+        1 => spec.runpath = Some(path_list(&mut g)),
+        _ => {}
+    }
+    sess.stage_file("/p/bin", Arc::new(spec.build().unwrap()));
+    (sess, needed)
+}
+
+/// Everything the loader answers about one overlay case, and whether the
+/// closure resolved.
+fn loader_answers(sess: &Session<'_>, needed: &[String]) -> (String, bool) {
+    let closure = resolve_closure(sess, "/p/bin").map(|c| {
+        c.objects
+            .iter()
+            .map(|o| (o.request.clone(), o.path.clone()))
+            .collect::<Vec<_>>()
+    });
+    let visible: Vec<(&str, &str, bool)> = DIRS
+        .iter()
+        .chain(sess.site.default_lib_dirs())
+        .flat_map(|d| needed.iter().map(move |n| (*d, n.as_str())))
+        .map(|(d, n)| (d, n, dir_has(sess, d, n)))
+        .collect();
+    let resolved = closure.is_ok();
+    let answers = format!(
+        "ldd {:?}\nmap {:?}\nclosure {closure:?}\nvisible {visible:?}",
+        ldd(sess, "/p/bin"),
+        ldd_map(sess, "/p/bin"),
+    );
+    (answers, resolved)
+}
+
+/// The site's probe memo changes no answer: on random overlays, `ldd`,
+/// `resolve_closure` and the loader-visibility test answer on a site
+/// warmed by every earlier case as on a fresh, never-probed build, and
+/// the visibility test as the plain `exists` of the joined path.
+#[test]
+fn probe_memo_answers_as_a_fresh_site_on_random_overlays() {
+    let warm = site();
+    let mut resolved = 0;
+    for case in 0..40u64 {
+        let fresh = site();
+        let (fresh_sess, needed) = overlay_case(&fresh, case);
+        for d in DIRS.iter().chain(fresh.default_lib_dirs()) {
+            for n in &needed {
+                assert_eq!(
+                    dir_has(&fresh_sess, d, n),
+                    fresh_sess.exists(&format!("{d}/{n}")),
+                    "case {case}: {d} {n}"
+                );
+            }
+        }
+        let want = loader_answers(&fresh_sess, &needed);
+        let (warm_sess, _) = overlay_case(&warm, case);
+        assert_eq!(loader_answers(&warm_sess, &needed), want, "case {case}");
+        assert_eq!(
+            loader_answers(&warm_sess, &needed),
+            want,
+            "case {case}, hit"
+        );
+        resolved += usize::from(want.1);
+    }
+    // Closures both resolve and fail across the cases.
+    assert!(resolved > 0 && resolved < 40, "{resolved} of 40 resolved");
+}
+
+/// Dropping a staged buffer and staging different bytes brings back the
+/// new bytes' metadata, never the memoized answer of the old buffer.
+#[test]
+fn staged_metadata_follows_the_bytes_across_buffers() {
+    let site = site();
+    let mut sess = Session::new(&site);
+    for case in 0..64u64 {
+        let mut g = Gen::new(case ^ 0x4452_4f50); // "DROP"
+        let mut needed: Vec<String> = (0..g.range(0, 6))
+            .map(|_| PRESENT[g.range(0, PRESENT.len())].to_string())
+            .collect();
+        needed.push(format!("libcase{case}.so"));
+        let bytes = binary_with(&needed);
+        let want = ObjectMeta::parse(&bytes).unwrap();
+        // Replacing the staged file drops the previous case's buffer.
+        sess.stage_file("/p/bin", bytes);
+        let read = sess.read_bytes("/p/bin").unwrap();
+        let got = object_read(&sess, "/p/bin", &read).unwrap();
+        assert_eq!(*got, want, "case {case}");
+        let LddResult::Resolved(map) = ldd(&sess, "/p/bin") else {
+            continue;
+        };
+        assert!(map
+            .iter()
+            .any(|(n, p)| *n == needed[needed.len() - 1] && p.is_none()));
+    }
+}
+
+/// The memoized probe compile returns `compile`'s bytes for every
+/// standard site, installed stack and language, on the miss and the hit.
+#[test]
+fn memoized_probe_compile_equals_compile() {
+    for site in feam_workloads::sites::standard_sites(42) {
+        let sess = Session::with_faults(&site, Arc::new(FaultPlan::none()));
+        for ist in &site.stacks {
+            for lang in [
+                Language::C,
+                Language::Cxx,
+                Language::Fortran,
+                Language::MixedCFortran,
+            ] {
+                let prog = ProgramSpec::mpi_hello_world(lang);
+                let want = compile(&site, Some(ist), &prog, 42).map(|b| b.image);
+                for round in ["miss", "hit"] {
+                    let got = compile_in_session(&sess, Some(ist), &prog, 42, 1).map(|b| b.image);
+                    assert_eq!(got, want, "{} {} {lang:?} {round}", site.name(), ist.prefix);
+                }
+            }
+        }
+    }
+}
+
+/// A site with one working Open MPI stack, for launches.
+fn stack_site() -> Site {
+    let mut cfg = SiteConfig::new(
+        "prop-stack-site",
+        HostArch::X86_64,
+        OsInfo::new("CentOS", "5.6", "2.6.18"),
+        "2.5",
+        78,
+    );
+    let gnu = Compiler::new(CompilerFamily::Gnu, "4.1.2");
+    cfg.compilers = vec![gnu.clone()];
+    cfg.stacks = vec![(
+        MpiStack::new(MpiImpl::OpenMpi, "1.4", gnu, Network::Ethernet),
+        true,
+    )];
+    Site::build(cfg)
+}
+
+/// Probe compiles, `ldd`, closures and launches of the probe under a
+/// fault plan: what a transported hello-world test does.
+fn faulted_probe_run(site: &Site, plan: &Arc<FaultPlan>) -> (String, u64, f64) {
+    let mut sess = Session::with_faults(site, Arc::clone(plan));
+    let ist = site.stacks[0].clone();
+    sess.load_stack(&ist);
+    let mut log = String::new();
+    for attempt in 1..=3 {
+        for lang in [Language::C, Language::Fortran] {
+            let prog = ProgramSpec::mpi_hello_world(lang);
+            let built = compile_in_session(&sess, Some(&ist), &prog, 7, attempt);
+            log += &format!("{:?}\n", built.as_ref().err());
+            let Ok(bin) = built else { continue };
+            assert_eq!(
+                bin.image,
+                compile(site, Some(&ist), &prog, 7).unwrap().image
+            );
+            sess.stage_file("/home/user/hello", bin.image);
+            log += &format!("{:?}\n", ldd(&sess, "/home/user/hello"));
+            log += &format!("{:?}\n", resolve_closure(&sess, "/home/user/hello").err());
+            let run = run_mpi(&mut sess, "/home/user/hello", &ist, 2, DEFAULT_ATTEMPTS);
+            log += &format!("{run:?}\n");
+        }
+    }
+    (log, sess.faults_seen.get(), sess.cpu_seconds)
+}
+
+/// Under probe-compile and VFS-read faults, a site whose memos are warm
+/// gives the outcomes, injected-fault count and simulated-CPU charge of a
+/// fresh build: the compile fault is rolled before the memo is read, a
+/// faulted compile is never memoized, and no memoized probe skips a read
+/// that could fault.
+#[test]
+fn faults_and_outcomes_match_a_fresh_site_under_fault_plans() {
+    let warm = stack_site();
+    faulted_probe_run(&warm, &Arc::new(FaultPlan::none()));
+    let mut faulted = 0;
+    for case in 0..24u64 {
+        let plan = Arc::new(FaultPlan {
+            seed: case,
+            vfs_read: FaultRate {
+                transient: 0.0,
+                persistent: 0.15,
+            },
+            probe_compile: FaultRate {
+                transient: 0.3,
+                persistent: 0.1,
+            },
+            ..FaultPlan::none()
+        });
+        let fresh = faulted_probe_run(&stack_site(), &plan);
+        let memoized = faulted_probe_run(&warm, &plan);
+        assert_eq!(memoized, fresh, "case {case}");
+        faulted += usize::from(fresh.1 > 0);
+    }
+    assert!(faulted > 0 && faulted < 24, "{faulted} of 24 cases faulted");
 }

@@ -289,8 +289,8 @@ mod tests {
         let b = standard_sites(42);
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.name(), y.name());
-            let px: Vec<&str> = x.vfs.all_paths().collect();
-            let py: Vec<&str> = y.vfs.all_paths().collect();
+            let px: Vec<&str> = x.vfs().all_paths().collect();
+            let py: Vec<&str> = y.vfs().all_paths().collect();
             assert_eq!(px, py);
         }
     }
@@ -306,19 +306,19 @@ mod tests {
         let s = Site::build(ranger(1));
         assert_eq!(s.config.glibc, "2.3.4");
         // gcc 3.4 era: libg2c, not libgfortran.
-        assert!(s.vfs.exists("/usr/lib64/libg2c.so.0"));
-        assert!(!s.vfs.exists("/usr/lib64/libgfortran.so.3"));
+        assert!(s.vfs().exists("/usr/lib64/libg2c.so.0"));
+        assert!(!s.vfs().exists("/usr/lib64/libgfortran.so.3"));
         // libstdc++.so.5 era.
-        assert!(s.vfs.exists("/usr/lib64/libstdc++.so.5"));
+        assert!(s.vfs().exists("/usr/lib64/libstdc++.so.5"));
     }
 
     #[test]
     fn forge_runs_new_everything() {
         let s = Site::build(forge(1));
-        assert!(s.vfs.exists("/usr/lib64/libgfortran.so.3"));
-        assert!(s.vfs.exists("/usr/lib64/libstdc++.so.6"));
+        assert!(s.vfs().exists("/usr/lib64/libgfortran.so.3"));
+        assert!(s.vfs().exists("/usr/lib64/libstdc++.so.6"));
         // Compat packages also provide the old Fortran runtime system-wide.
-        assert!(s.vfs.exists("/usr/lib64/libg2c.so.0"));
-        assert!(s.vfs.exists("/usr/lib64/libgfortran.so.1"));
+        assert!(s.vfs().exists("/usr/lib64/libg2c.so.0"));
+        assert!(s.vfs().exists("/usr/lib64/libgfortran.so.1"));
     }
 }
