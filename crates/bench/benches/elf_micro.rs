@@ -70,6 +70,8 @@ fn bench(c: &mut Criterion) {
     )
     .unwrap();
     let mut g = c.benchmark_group("loader");
+    g.sample_size(2000);
+    // `resolve_closure` never reads the site's walk memo: a cold walk.
     g.bench_function("resolve_full_closure", |b| {
         b.iter(|| {
             let mut sess = Session::new(fir);
@@ -77,6 +79,22 @@ fn bench(c: &mut Criterion) {
             sess.stage_file("/r/bt", Arc::clone(&bin.image));
             black_box(resolve_closure(&sess, "/r/bt").unwrap())
         })
+    });
+    // The same site answering a repeated `ldd` of an installed MPI
+    // library from its walk memo: the warm walk.
+    let libmpi = format!(
+        "{}/{}",
+        item_stack.lib_dir(),
+        item_stack.stack.c_lib_soname()
+    );
+    let mut warm = Session::new(fir);
+    warm.load_stack(&item_stack);
+    assert!(
+        matches!(tools::ldd(&warm, &libmpi), LddResult::Resolved(_)),
+        "the benched library must not draw ldd's flaky verdict"
+    );
+    g.bench_function("ldd_installed_mpi_library_warm", |b| {
+        b.iter(|| black_box(tools::ldd(&warm, black_box(&libmpi))))
     });
     g.finish();
 

@@ -402,7 +402,7 @@ pub(crate) fn describe_memoized(
     describe: impl FnOnce(&mut Session<'_>) -> Result<BinaryDescription>,
 ) -> Result<BinaryDescription> {
     let fresh = Freshness::default();
-    let d = bdc.memoize(sess, key, fresh, |s| describe(s).map(Arc::new), |_| true)?;
+    let d = bdc.memoize(sess, &key, fresh, |s| describe(s).map(Arc::new), |_| true)?;
     let mut d = Arc::unwrap_or_clone(d);
     d.path = path.to_string();
     Ok(d)

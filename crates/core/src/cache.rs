@@ -37,8 +37,10 @@ use crate::bdc::BinaryDescription;
 use crate::edc::EnvironmentDescription;
 use feam_sim::memo::AllocMemo;
 use feam_sim::site::Session;
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::convert::Infallible;
+use std::hash::{DefaultHasher, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -62,8 +64,7 @@ pub const BDC_SHARDS: usize = 16;
 /// path), so a per-byte loop would dominate the evaluation itself.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize)]
 pub struct BdcKey {
-    /// Word-at-a-time FNV-style hash of the bytes — the primary
-    /// (sharding) hash.
+    /// Word-at-a-time FNV-style hash of the bytes — the primary hash.
     pub hash: u64,
     /// Byte length of the image.
     pub len: u64,
@@ -187,10 +188,12 @@ type Shard<K, V> = Mutex<HashMap<K, Entry<V>>>;
 /// One memo layer: a (optionally sharded) map from key to value plus the
 /// layer's hit/miss/reject counters. [`Memo::memoize`] is the only way in,
 /// so every layer follows the same protocol and the same poisoning guard.
+///
+/// Lookups take the key borrowed (`&str` for a `String` key, a
+/// [`StackTestKeyParts`] view for the stack-test tuple), so a hit builds
+/// no key; the owned key is made only when a miss inserts.
 pub struct Memo<K, V> {
     shards: Box<[Shard<K, V>]>,
-    /// The hash that picks a key's shard.
-    shard_of: fn(&K) -> u64,
     /// Recorder counter names for a hit and a miss, if the layer
     /// publishes them.
     metrics: Option<(&'static str, &'static str)>,
@@ -199,15 +202,10 @@ pub struct Memo<K, V> {
     rejected: AtomicU64,
 }
 
-impl<K: Eq + std::hash::Hash, V: Clone> Memo<K, V> {
-    fn new(
-        shards: usize,
-        shard_of: fn(&K) -> u64,
-        metrics: Option<(&'static str, &'static str)>,
-    ) -> Self {
+impl<K: Eq + Hash, V: Clone> Memo<K, V> {
+    fn new(shards: usize, metrics: Option<(&'static str, &'static str)>) -> Self {
         Memo {
             shards: (0..shards).map(|_| Mutex::new(HashMap::new())).collect(),
-            shard_of,
             metrics,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -215,8 +213,16 @@ impl<K: Eq + std::hash::Hash, V: Clone> Memo<K, V> {
         }
     }
 
-    fn shard(&self, key: &K) -> &Shard<K, V> {
-        &self.shards[((self.shard_of)(key) % self.shards.len() as u64) as usize]
+    /// The shard holding `key`: a hash of the borrowed key, which by
+    /// `Borrow`'s contract hashes as the owned key does.
+    fn shard<Q: Hash + ?Sized>(&self, key: &Q) -> &Shard<K, V> {
+        let n = self.shards.len();
+        if n == 1 {
+            return &self.shards[0];
+        }
+        let mut h = DefaultHasher::new();
+        key.hash(&mut h);
+        &self.shards[(h.finish() % n as u64) as usize]
     }
 
     /// The memo protocol. Serve `key`'s entry if `fresh` admits it;
@@ -226,19 +232,23 @@ impl<K: Eq + std::hash::Hash, V: Clone> Memo<K, V> {
     /// move) and `clean` accepts the value. A refused result is still
     /// returned to its requester and counted as a rejection; an `Err` is
     /// returned as is and memoizes nothing.
-    pub fn memoize<E>(
+    pub fn memoize<Q, E>(
         &self,
         sess: &mut Session<'_>,
-        key: K,
+        key: &Q,
         fresh: Freshness,
         compute: impl FnOnce(&mut Session<'_>) -> Result<V, E>,
         clean: impl FnOnce(&V) -> bool,
-    ) -> Result<V, E> {
-        let shard = self.shard(&key);
+    ) -> Result<V, E>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ToOwned<Owned = K> + ?Sized,
+    {
+        let shard = self.shard(key);
         let hit = shard
             .lock()
             .expect("memo shard")
-            .get(&key)
+            .get(key)
             .filter(|e| fresh.admits(e))
             .map(|e| e.value.clone());
         let (counter, metric) = match &hit {
@@ -259,7 +269,10 @@ impl<K: Eq + std::hash::Hash, V: Clone> Memo<K, V> {
                 value: value.clone(),
                 made: fresh,
             };
-            shard.lock().expect("memo shard").insert(key, entry);
+            shard
+                .lock()
+                .expect("memo shard")
+                .insert(key.to_owned(), entry);
         } else {
             self.rejected.fetch_add(1, Ordering::Relaxed);
         }
@@ -268,7 +281,11 @@ impl<K: Eq + std::hash::Hash, V: Clone> Memo<K, V> {
 
     /// The entry `fresh` admits under `key`, without touching the
     /// counters — for tests and introspection.
-    pub fn peek(&self, key: &K, fresh: Freshness) -> Option<V> {
+    pub fn peek<Q>(&self, key: &Q, fresh: Freshness) -> Option<V>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
         self.shard(key)
             .lock()
             .expect("memo shard")
@@ -316,7 +333,7 @@ impl EdcCache {
     /// New cache; `ttl` is in logical clock ticks (0 = no expiry).
     pub fn new(ttl: u64) -> Self {
         EdcCache {
-            memo: Memo::new(1, |_| 0, Some(("cache.edc.hit", "cache.edc.miss"))),
+            memo: Memo::new(1, Some(("cache.edc.hit", "cache.edc.miss"))),
             ttl,
             clock: AtomicU64::new(0),
             epochs: Mutex::new(HashMap::new()),
@@ -360,27 +377,24 @@ impl EdcCache {
     /// saw a fault or left `unobserved` holes is returned but never
     /// memoized. The entry is stamped with the epoch read before
     /// `discover` ran, so a reconfiguration racing it orphans the result.
+    /// A hit hands out the shared entry and allocates nothing.
     pub fn memoize(
         &self,
         sess: &mut Session<'_>,
         discover: impl FnOnce(&mut Session<'_>) -> EnvironmentDescription,
-    ) -> EnvironmentDescription {
+    ) -> Arc<EnvironmentDescription> {
         let site = sess.site.name();
         let fresh = self.freshness(site);
         let discover = |s: &mut Session<'_>| Ok::<_, Infallible>(Arc::new(discover(s)));
         let clean = |env: &Arc<EnvironmentDescription>| env.unobserved.is_empty();
-        let Ok(env) = self
-            .memo
-            .memoize(sess, site.to_string(), fresh, discover, clean);
-        Arc::unwrap_or_clone(env)
+        let Ok(env) = self.memo.memoize(sess, site, fresh, discover, clean);
+        env
     }
 
     /// Is there a live (current-epoch, unexpired) entry for `site`? Does
     /// not touch the hit/miss counters — for tests and introspection.
     pub fn contains(&self, site: &str) -> bool {
-        self.memo
-            .peek(&site.to_string(), self.freshness(site))
-            .is_some()
+        self.memo.peek(site, self.freshness(site)).is_some()
     }
 
     /// Hit/miss/reject totals so far.
@@ -402,7 +416,7 @@ pub struct PhaseCaches {
     /// Native hello-world verdicts by (site, stack ident, probe seed,
     /// nprocs) — never by binary — under the EDC's epoch. Publishes no
     /// recorder counters, so its hit path never touches the registry.
-    pub stack_tests: Memo<(String, String, u64, u32), bool>,
+    pub stack_tests: Memo<StackTestKey, bool>,
 }
 
 impl std::fmt::Debug for PhaseCaches {
@@ -419,14 +433,62 @@ impl PhaseCaches {
     /// New cache bundle; `edc_ttl` in logical ticks (0 = no expiry).
     pub fn new(edc_ttl: u64) -> Self {
         PhaseCaches {
-            bdc: Memo::new(
-                BDC_SHARDS,
-                |k| k.hash,
-                Some(("cache.bdc.hit", "cache.bdc.miss")),
-            ),
+            bdc: Memo::new(BDC_SHARDS, Some(("cache.bdc.hit", "cache.bdc.miss"))),
             edc: EdcCache::new(edc_ttl),
-            stack_tests: Memo::new(1, |_| 0, None),
+            stack_tests: Memo::new(1, None),
         }
+    }
+}
+
+/// The stack-test layer's key: (site, stack ident, probe seed, nprocs).
+pub type StackTestKey = (String, String, u64, u32);
+
+/// A [`StackTestKey`] as borrowed parts. The layer is looked up with
+/// `&(site, ident, seed, nprocs) as &dyn StackTestKeyParts` over `&str`s,
+/// so a hit copies neither string.
+pub trait StackTestKeyParts {
+    fn parts(&self) -> (&str, &str, u64, u32);
+}
+
+impl StackTestKeyParts for StackTestKey {
+    fn parts(&self) -> (&str, &str, u64, u32) {
+        (&self.0, &self.1, self.2, self.3)
+    }
+}
+
+impl StackTestKeyParts for (&str, &str, u64, u32) {
+    fn parts(&self) -> (&str, &str, u64, u32) {
+        *self
+    }
+}
+
+impl<'a> Borrow<dyn StackTestKeyParts + 'a> for StackTestKey {
+    fn borrow(&self) -> &(dyn StackTestKeyParts + 'a) {
+        self
+    }
+}
+
+/// Hashes as the owned tuple does: a `String` field hashes as its `str`.
+impl Hash for dyn StackTestKeyParts + '_ {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.parts().hash(state)
+    }
+}
+
+impl PartialEq for dyn StackTestKeyParts + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.parts() == other.parts()
+    }
+}
+
+impl Eq for dyn StackTestKeyParts + '_ {}
+
+impl ToOwned for dyn StackTestKeyParts + '_ {
+    type Owned = StackTestKey;
+
+    fn to_owned(&self) -> StackTestKey {
+        let (site, ident, seed, nprocs) = self.parts();
+        (site.to_owned(), ident.to_owned(), seed, nprocs)
     }
 }
 
@@ -484,7 +546,7 @@ mod tests {
                 n += 1;
                 BinaryDescription::from_bytes("/tmp/app", &bytes).map(Arc::new)
             };
-            c.memoize(&mut sess, key, Freshness::default(), describe, |_| true)
+            c.memoize(&mut sess, &key, Freshness::default(), describe, |_| true)
                 .unwrap();
         }
         n

@@ -109,7 +109,7 @@ fn describe_binary_cached(
 fn discover_cached(sess: &mut Session<'_>, cfg: &PhaseConfig) -> EnvironmentDescription {
     let discover = |s: &mut Session<'_>| edc::discover_with_retry(s, &cfg.retry);
     match cfg.caches.as_deref() {
-        Some(c) => c.edc.memoize(sess, discover),
+        Some(c) => Arc::unwrap_or_clone(c.edc.memoize(sess, discover)),
         None => discover(sess),
     }
 }

@@ -10,7 +10,7 @@
 
 use crate::bdc::{BinaryDescription, MpiIdentification};
 use crate::bundle::SourceBundle;
-use crate::cache::Freshness;
+use crate::cache::{Freshness, StackTestKeyParts};
 use crate::edc::{self, EnvironmentDescription};
 use crate::phases::PhaseConfig;
 use crate::predict::{
@@ -407,13 +407,14 @@ pub fn evaluate(
         // are installed, under the EDC's configuration epoch.
         let native_ok = match cfg.caches.as_deref() {
             Some(c) => {
-                let key = (site.name().to_string(), ident.clone(), cfg.seed, cfg.nprocs);
+                let key = (site.name(), ident.as_str(), cfg.seed, cfg.nprocs);
                 let fresh = Freshness {
                     epoch: c.edc.epoch(site.name()),
                     ..Freshness::default()
                 };
                 let test =
                     |s: &mut Session<'_>| Ok::<_, Infallible>(native_hello_world(s, ist, cfg));
+                let key: &dyn StackTestKeyParts = &key;
                 let Ok(ok) = c.stack_tests.memoize(&mut sess, key, fresh, test, |_| true);
                 ok
             }

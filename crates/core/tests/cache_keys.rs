@@ -108,7 +108,7 @@ fn through_bdc(
     let fresh = Freshness::default();
     let d = caches
         .bdc
-        .memoize(&mut Session::new(&site), key, fresh, describe, |_| true);
+        .memoize(&mut Session::new(&site), &key, fresh, describe, |_| true);
     d.expect("describes")
 }
 

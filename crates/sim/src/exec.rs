@@ -11,7 +11,7 @@
 //!   timeouts) — seeded-random per (binary, site), persistent or
 //!   transient; the paper retries five times "spaced in time".
 
-use crate::loader::{object_read, resolve_closure_from, LoadError, ObjectMeta};
+use crate::loader::{closure_verdict, object_read, LoadError, ObjectMeta};
 use crate::rng;
 use crate::site::{InstalledStack, Session};
 use crate::toolchain::CompilerFamily;
@@ -349,7 +349,7 @@ fn launch_once(
     }
 
     // Dynamic loading.
-    resolve_closure_from(sess, path, Arc::clone(&meta)).map_err(FailureCause::Load)?;
+    closure_verdict(sess, path, &meta).map_err(FailureCause::Load)?;
 
     // MPI launcher / binary implementation agreement.
     if let Some(launcher) = launcher {

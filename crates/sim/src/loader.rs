@@ -14,11 +14,23 @@
 //! ([`crate::site::Site::probe`]) unless the session has staged a file in
 //! that directory. Callers that have just read and described the root
 //! (`tools::ldd`, a launch) hand that metadata to [`ldd_map_from`] /
-//! [`resolve_closure_from`] instead of having it read again. Symbol
-//! binding binary-searches each loaded object's sorted export list. These
-//! save simulator time only: the answers, the simulated-CPU charges and
-//! the fault draws are those of the plain walk, since every memoized
-//! probe outcome (absent, installed ELF) is one that reads nothing.
+//! `closure_verdict` instead of having it read again. Symbol binding
+//! binary-searches each loaded object's sorted export list.
+//!
+//! Whole walks are memoized per site too. An `ldd` listing is keyed by
+//! the root's `ObjectMeta` allocation and `LD_LIBRARY_PATH`; a launch's
+//! closure verdict also by the root's path, which its errors name. A walk
+//! is stored only when the probe memo answered every probe it made as
+//! absent or an installed ELF, together with the directories it probed,
+//! and an entry serves only a session that stages nothing under any of
+//! them. [`resolve_closure`] always walks.
+//!
+//! These save simulator time only: the answers, the simulated-CPU charges
+//! and the fault draws are those of the plain walk. Every memoized probe
+//! outcome (absent, installed ELF) is one that reads nothing, so a stored
+//! walk read nothing either: it rolled no fault and charged nothing, and
+//! serving it skips no fault roll. A walk that read (a staged or non-ELF
+//! file, an odd spelling) is never stored.
 
 use crate::exec::binary_fingerprint;
 use crate::memo::AllocMemo;
@@ -254,6 +266,29 @@ pub fn dir_has(sess: &Session<'_>, dir: &str, name: &str) -> bool {
     }
 }
 
+/// The directories a walk probed, and whether the site's probe memo
+/// answered every probe as absent or an installed ELF. Such a walk read
+/// nothing, so it rolled no fault and charged nothing.
+struct Probed {
+    dirs: Vec<Box<str>>,
+    pure: bool,
+}
+
+impl Probed {
+    fn new() -> Self {
+        Probed {
+            dirs: Vec::new(),
+            pure: true,
+        }
+    }
+
+    fn saw(&mut self, dir: &str) {
+        if !self.dirs.iter().any(|d| **d == *dir) {
+            self.dirs.push(dir.into());
+        }
+    }
+}
+
 /// Search one directory for `soname`; returns the path when the file exists
 /// there (directly or via symlink) and is a compatible ELF object.
 fn probe_dir(
@@ -262,11 +297,21 @@ fn probe_dir(
     soname: &str,
     class: Class,
     machine: Machine,
+    probed: &mut Probed,
 ) -> Option<(String, Arc<ObjectMeta>)> {
     let meta = match site_probe(sess, dir, soname) {
-        Some(DirProbe::Absent) => return None,
-        Some(DirProbe::Elf(meta)) => meta,
-        Some(DirProbe::Other) | None => return read_dir_entry(sess, dir, soname, class, machine),
+        Some(DirProbe::Absent) => {
+            probed.saw(dir);
+            return None;
+        }
+        Some(DirProbe::Elf(meta)) => {
+            probed.saw(dir);
+            meta
+        }
+        Some(DirProbe::Other) | None => {
+            probed.pure = false;
+            return read_dir_entry(sess, dir, soname, class, machine);
+        }
     };
     (meta.class == class && meta.machine == machine).then(|| (format!("{dir}/{soname}"), meta))
 }
@@ -318,10 +363,88 @@ fn find_provider(
     soname: &str,
     class: Class,
     machine: Machine,
+    probed: &mut Probed,
 ) -> Option<(String, Arc<ObjectMeta>)> {
     order
         .iter()
-        .find_map(|dir| probe_dir(sess, dir, soname, class, machine))
+        .find_map(|dir| probe_dir(sess, dir, soname, class, machine, probed))
+}
+
+/// Past this many memoized walks of one root, further walks of it are
+/// answered without being stored, so odd inputs cannot grow the memo
+/// without bound.
+const WALKS_PER_ROOT: usize = 64;
+
+/// One memoized walk of a root's load closure.
+struct Walk<A> {
+    /// `LD_LIBRARY_PATH` the walk ran under.
+    ld_library_path: Option<Box<str>>,
+    /// The root's path, for answers that name it (a launch's verdict).
+    root_path: Option<Box<str>>,
+    /// Every directory the walk probed: the entry serves a session that
+    /// stages nothing under any of them.
+    dirs: Box<[Box<str>]>,
+    answer: A,
+}
+
+/// Walks of one kind, keyed by the root's [`ObjectMeta`] allocation (see
+/// [`AllocMemo`]), then by `LD_LIBRARY_PATH` and the root's path.
+type WalkMemo<A> = AllocMemo<ObjectMeta, Vec<Walk<A>>>;
+
+/// A site's memo of loader walks: `ldd` listings and launch verdicts.
+#[derive(Default)]
+pub(crate) struct Walks {
+    ldd: WalkMemo<Vec<(String, Option<String>)>>,
+    launch: WalkMemo<Result<(), LoadError>>,
+}
+
+impl Walks {
+    /// Root allocations held, live or dead, across both kinds of walk.
+    pub(crate) fn roots(&self) -> usize {
+        self.ldd.len() + self.launch.len()
+    }
+}
+
+/// `walk` from `root`, answered from `memo` when an entry for the session's
+/// `LD_LIBRARY_PATH` (and `root_path`) probed no directory the session
+/// stages under. A walk is stored only when it read nothing, so a served
+/// answer skips no read, fault roll or charge that walking would make.
+fn walk_memoized<A: Clone>(
+    memo: &WalkMemo<A>,
+    sess: &Session<'_>,
+    root: &Arc<ObjectMeta>,
+    root_path: Option<&str>,
+    walk: impl FnOnce(&mut Probed) -> A,
+) -> A {
+    let ld_library_path = sess.env.get("LD_LIBRARY_PATH").map(String::as_str);
+    let is_key = |w: &Walk<A>| {
+        w.ld_library_path.as_deref() == ld_library_path && w.root_path.as_deref() == root_path
+    };
+    let hit = memo.read(root, |held| {
+        let w = held.iter().find(|w| is_key(w))?;
+        w.dirs
+            .iter()
+            .all(|d| !sess.stages_under(d))
+            .then(|| w.answer.clone())
+    });
+    if let Some(answer) = hit {
+        return answer;
+    }
+    let mut probed = Probed::new();
+    let answer = walk(&mut probed);
+    if probed.pure {
+        memo.update(root, |held| {
+            if held.len() < WALKS_PER_ROOT && !held.iter().any(is_key) {
+                held.push(Walk {
+                    ld_library_path: ld_library_path.map(Into::into),
+                    root_path: root_path.map(Into::into),
+                    dirs: probed.dirs.into(),
+                    answer: answer.clone(),
+                });
+            }
+        });
+    }
+    answer
 }
 
 /// Resolve the full load closure of the binary at `root_path`.
@@ -332,15 +455,32 @@ fn find_provider(
 pub fn resolve_closure(sess: &Session<'_>, root_path: &str) -> Result<Closure, LoadError> {
     let root_meta =
         object_at(sess, root_path).ok_or_else(|| LoadError::NotLoadable(root_path.to_string()))?;
-    resolve_closure_from(sess, root_path, root_meta)
+    walk_closure(sess, root_path, root_meta, &mut Probed::new())
 }
 
-/// [`resolve_closure`] for a root whose metadata the caller already holds
-/// (see [`object_read`]).
-pub fn resolve_closure_from(
+/// A launch's loader verdict on the binary at `root_path`, whose metadata
+/// the caller already holds (see [`object_read`]): [`resolve_closure`]'s
+/// outcome without the closure, through the site's walk memo.
+pub(crate) fn closure_verdict(
+    sess: &Session<'_>,
+    root_path: &str,
+    root_meta: &Arc<ObjectMeta>,
+) -> Result<(), LoadError> {
+    walk_memoized(
+        &sess.site.walks.launch,
+        sess,
+        root_meta,
+        Some(root_path),
+        |probed| walk_closure(sess, root_path, Arc::clone(root_meta), probed).map(|_| ()),
+    )
+}
+
+/// The closure walk behind [`resolve_closure`] and [`closure_verdict`].
+fn walk_closure(
     sess: &Session<'_>,
     root_path: &str,
     root_meta: Arc<ObjectMeta>,
+    probed: &mut Probed,
 ) -> Result<Closure, LoadError> {
     let class = root_meta.class;
     let machine = root_meta.machine;
@@ -359,7 +499,7 @@ pub fn resolve_closure_from(
             if loaded.contains(dep) {
                 continue;
             }
-            match find_provider(sess, &order, dep, class, machine) {
+            match find_provider(sess, &order, dep, class, machine, probed) {
                 Some((path, meta)) => {
                     loaded.insert(dep.clone());
                     objects.push(LoadedObject {
@@ -440,10 +580,22 @@ pub fn ldd_map(
     Ok(ldd_map_from(sess, root_meta))
 }
 
-/// [`ldd_map`] for a root whose metadata the caller already holds.
+/// [`ldd_map`] for a root whose metadata the caller already holds,
+/// through the site's walk memo.
 pub fn ldd_map_from(
     sess: &Session<'_>,
     root_meta: Arc<ObjectMeta>,
+) -> Vec<(String, Option<String>)> {
+    walk_memoized(&sess.site.walks.ldd, sess, &root_meta, None, |probed| {
+        walk_ldd(sess, Arc::clone(&root_meta), probed)
+    })
+}
+
+/// The `ldd` walk behind [`ldd_map_from`].
+fn walk_ldd(
+    sess: &Session<'_>,
+    root_meta: Arc<ObjectMeta>,
+    probed: &mut Probed,
 ) -> Vec<(String, Option<String>)> {
     let class = root_meta.class;
     let machine = root_meta.machine;
@@ -456,7 +608,7 @@ pub fn ldd_map_from(
             if !seen.insert(dep.clone()) {
                 continue;
             }
-            match find_provider(sess, &order, dep, class, machine) {
+            match find_provider(sess, &order, dep, class, machine, probed) {
                 Some((path, meta)) => {
                     results.push((dep.clone(), Some(path)));
                     frontier.push(meta);

@@ -5,7 +5,9 @@
 //! stores, sessions stage clones, bundles carry clones. A pure function of
 //! the bytes (their content key, their parsed loader metadata) can
 //! therefore be remembered per *allocation*, and a hit costs one map
-//! lookup instead of a pass over the image.
+//! lookup instead of a pass over the image. The same table keys a site's
+//! loader walks by their root's parsed metadata, there holding a small
+//! list per root, read and updated in place.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, Weak};
@@ -32,7 +34,7 @@ struct Table<T, V> {
     purge_at: usize,
 }
 
-impl<T, V: Clone> AllocMemo<T, V> {
+impl<T, V> AllocMemo<T, V> {
     /// An empty memo (usable in a `static`).
     pub const fn new() -> Self {
         AllocMemo {
@@ -43,37 +45,69 @@ impl<T, V: Clone> AllocMemo<T, V> {
         }
     }
 
-    /// The memoized answer for `of`, computing it with `compute` (outside
-    /// the lock) on the first call for this allocation.
-    pub fn get_or_insert_with(&self, of: &Arc<T>, compute: impl FnOnce(&T) -> V) -> V {
-        let addr = Arc::as_ptr(of) as usize;
-        if let Some((_, v)) = self.lock().entries.get(&addr) {
-            return v.clone();
-        }
-        let v = compute(of);
-        let mut t = self.lock();
-        if t.entries.len() >= t.purge_at {
-            t.entries.retain(|_, (weak, _)| weak.strong_count() > 0);
-            t.purge_at = MIN_PURGE_AT.max(2 * t.entries.len());
-        }
-        t.entries.insert(addr, (Arc::downgrade(of), v.clone()));
-        v
+    /// What `read` makes of the value held for `of`, when one is held.
+    pub(crate) fn read<R>(&self, of: &Arc<T>, read: impl FnOnce(&V) -> Option<R>) -> Option<R> {
+        let t = self.lock();
+        let (_, v) = t.entries.get(&(Arc::as_ptr(of) as usize))?;
+        read(v)
     }
 
-    /// Entries held, live or dead.
-    #[cfg(test)]
-    fn len(&self) -> usize {
+    /// Runs `update` on the value held for `of`, holding `V::default()`
+    /// for it first when none is held. `update` runs under the lock, so it
+    /// must leave the value whole at every step.
+    pub(crate) fn update<R>(&self, of: &Arc<T>, update: impl FnOnce(&mut V) -> R) -> R
+    where
+        V: Default,
+    {
+        let addr = Arc::as_ptr(of) as usize;
+        let mut t = self.lock();
+        if !t.entries.contains_key(&addr) {
+            t.insert(of, V::default());
+        }
+        let (_, v) = t.entries.get_mut(&addr).expect("held or just inserted");
+        update(v)
+    }
+
+    /// Allocations held, live or dead.
+    pub(crate) fn len(&self) -> usize {
         self.lock().entries.len()
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, Table<T, V>> {
-        // A panic inside `compute` runs outside the lock, so a poisoned
-        // table still holds only complete entries.
+        // A panic inside `compute` runs outside the lock, and `update`
+        // keeps the value whole, so a poisoned table still holds only
+        // complete entries.
         self.table.lock().unwrap_or_else(|e| e.into_inner())
     }
 }
 
-impl<T, V: Clone> Default for AllocMemo<T, V> {
+impl<T, V: Clone> AllocMemo<T, V> {
+    /// The memoized answer for `of`, computing it with `compute` (outside
+    /// the lock) on the first call for this allocation.
+    pub fn get_or_insert_with(&self, of: &Arc<T>, compute: impl FnOnce(&T) -> V) -> V {
+        if let Some(v) = self.read(of, |v| Some(v.clone())) {
+            return v;
+        }
+        let v = compute(of);
+        self.lock().insert(of, v.clone());
+        v
+    }
+}
+
+impl<T, V> Table<T, V> {
+    /// Hold `v` for `of`, first purging dead entries when the table has
+    /// grown to the mark.
+    fn insert(&mut self, of: &Arc<T>, v: V) {
+        if self.entries.len() >= self.purge_at {
+            self.entries.retain(|_, (weak, _)| weak.strong_count() > 0);
+            self.purge_at = MIN_PURGE_AT.max(2 * self.entries.len());
+        }
+        self.entries
+            .insert(Arc::as_ptr(of) as usize, (Arc::downgrade(of), v));
+    }
+}
+
+impl<T, V> Default for AllocMemo<T, V> {
     fn default() -> Self {
         Self::new()
     }

@@ -11,7 +11,7 @@
 use crate::compile::ProbeBuilds;
 use crate::libc;
 use crate::libgen::build_library;
-use crate::loader::ObjectMeta;
+use crate::loader::{ObjectMeta, Walks};
 use crate::mpi::{infiniband_blueprints, MpiStack, Network};
 use crate::rng;
 use crate::toolchain::{runtime_blueprints, Compiler, CompilerFamily};
@@ -263,7 +263,7 @@ pub enum DirProbe {
 /// across threads.
 ///
 /// The filesystem is private and read through [`Site::vfs`], so nothing
-/// changes a site after [`Site::build`]. Three memos rely on that; each
+/// changes a site after [`Site::build`]. Four memos rely on that; each
 /// stores the answer to a pure question about the site the first time it
 /// is asked:
 /// * the metadata of every installed ELF, parsed at build time, by real
@@ -272,7 +272,11 @@ pub enum DirProbe {
 ///   ([`Site::probe`]), read by the loader's search and FEAM's
 ///   loader-visibility rule;
 /// * probe compiles, `(stack, program, seed)` → the built binary
-///   ([`crate::compile::compile_in_session`]).
+///   ([`crate::compile::compile_in_session`]);
+/// * loader walks: `ldd` listings and launch verdicts by root image and
+///   `LD_LIBRARY_PATH` ([`crate::loader::ldd_map_from`]), stored only for
+///   walks the probe memo answered alone and served only to sessions that
+///   stage nothing under a directory the walk probed.
 pub struct Site {
     pub config: SiteConfig,
     vfs: Vfs,
@@ -284,6 +288,8 @@ pub struct Site {
     probes: RwLock<HashMap<String, HashMap<String, DirProbe>>>,
     /// Probe compiles, filled by `compile_in_session`.
     pub(crate) probe_builds: ProbeBuilds,
+    /// Loader walks, filled by `ldd` and launches.
+    pub(crate) walks: Walks,
 }
 
 impl std::fmt::Debug for Site {
@@ -531,6 +537,7 @@ impl Site {
             meta,
             probes: RwLock::default(),
             probe_builds: ProbeBuilds::default(),
+            walks: Walks::default(),
         }
     }
 
@@ -607,6 +614,13 @@ impl Site {
                 .insert(name.to_string(), probe.clone());
         }
         Some(probe)
+    }
+
+    /// Root images whose loader walks the site holds, live or dead (a
+    /// dead root's walks go at a later store): for tests and
+    /// introspection.
+    pub fn memoized_walk_roots(&self) -> usize {
+        self.walks.roots()
     }
 
     /// Find the installed compiler matching `family` (any version).

@@ -6,7 +6,7 @@ use feam_elf::{
     Class, DefinedVersion, ElfSpec, ExportSpec, HostArch, ImportSpec, LazyElf, Machine,
 };
 use feam_sim::compile::{compile, compile_in_session, ProgramSpec};
-use feam_sim::exec::{binary_fingerprint, run_mpi, DEFAULT_ATTEMPTS};
+use feam_sim::exec::{binary_fingerprint, run_mpi, run_serial, DEFAULT_ATTEMPTS};
 use feam_sim::faults::{FaultPlan, FaultRate};
 use feam_sim::loader::{dir_has, ldd_map, object_read, resolve_closure, LoadError, ObjectMeta};
 use feam_sim::mpi::{MpiImpl, MpiStack, Network};
@@ -580,4 +580,192 @@ fn faults_and_outcomes_match_a_fresh_site_under_fault_plans() {
         faulted += usize::from(fresh.1 > 0);
     }
     assert!(faulted > 0 && faulted < 24, "{faulted} of 24 cases faulted");
+}
+
+/// One walk-memo case: an `LD_LIBRARY_PATH`, a binary (one buffer, which
+/// every session of the case stages, so they share one root) and the files
+/// a staged session adds, several under directories the walk probes.
+struct WalkCase {
+    ld_library_path: Option<String>,
+    bin: Arc<Vec<u8>>,
+    stagings: Vec<(&'static str, Arc<Vec<u8>>)>,
+}
+
+/// A shared library named `soname` for the site's ISA.
+fn library(soname: &str) -> Arc<Vec<u8>> {
+    let mut spec = ElfSpec::shared_library(soname, Machine::X86_64, Class::Elf64);
+    spec.exports = vec![ExportSpec::new("ghost_fn", None)];
+    Arc::new(spec.build().unwrap())
+}
+
+fn walk_case(site: &Site, case: u64) -> WalkCase {
+    let mut g = Gen::new(case ^ 0x5741_4c4b); // "WALK"
+    let dirs: Vec<&str> = (0..g.range(0, 4))
+        .map(|_| DIRS[g.range(0, DIRS.len())])
+        .collect();
+    let ld_library_path = (!dirs.is_empty()).then(|| dirs.join(":"));
+    let read = |path: &str| match site.vfs().read(path).unwrap() {
+        feam_sim::vfs::Content::Bytes(b) => Arc::clone(b),
+        feam_sim::vfs::Content::Text(_) => unreachable!("{path} is an image"),
+    };
+    let mut impostor = ElfSpec::shared_library("libgfortran.so.1", Machine::X86, Class::Elf32);
+    impostor.exports = vec![ExportSpec::new("_gfortran_st_write", None)];
+    let candidates: [(&str, Arc<Vec<u8>>); 9] = [
+        // Absent sonames appearing in a default and a searched directory.
+        ("/usr/lib64/libghost.so.1", library("libghost.so.1")),
+        ("/p/lib/libvoid.so.2", library("libvoid.so.2")),
+        ("/lib64/libm.so.6", read("/lib64/libc.so.6")),
+        (
+            "/usr/lib64/libgfortran.so.1",
+            Arc::new(impostor.build().unwrap()),
+        ),
+        ("/p/lib/libm.so.6", read("/lib64/libm.so.6")),
+        ("/p/lib/libnsl.so.1", Arc::new(b"not an object".to_vec())),
+        ("/usr/lib64/sub/libm.so.6", read("/lib64/libm.so.6")),
+        ("/etc/gcc", Arc::new(vec![0x7f, b'E', b'L', b'F'])),
+        ("/lib64/libnothere.so.9", library("libnothere.so.9")),
+    ];
+    let mut stagings: Vec<_> = candidates
+        .into_iter()
+        .filter(|_| g.range(0, 3) == 0)
+        .collect();
+    if stagings.is_empty() {
+        stagings.push(("/usr/lib64/libghost.so.1", library("libghost.so.1")));
+    }
+    let mut needed: Vec<String> = vec!["libc.so.6".into()];
+    for _ in 0..g.range(1, 6) {
+        let name = match g.range(0, 8) {
+            0 | 1 => ABSENT[g.range(0, ABSENT.len())],
+            2 => ODD_NAMES[g.range(0, ODD_NAMES.len())],
+            _ => PRESENT[g.range(0, PRESENT.len())],
+        };
+        needed.push(name.into());
+    }
+    let mut spec = ElfSpec::executable(Machine::X86_64, Class::Elf64);
+    spec.needed = needed;
+    spec.imports = vec![ImportSpec::versioned("memcpy", "libc.so.6", "GLIBC_2.2.5")];
+    let path_list = |g: &mut Gen| {
+        let dirs: Vec<&str> = (0..g.range(1, 3))
+            .map(|_| DIRS[g.range(0, DIRS.len())])
+            .collect();
+        dirs.join(":")
+    };
+    match g.range(0, 3) {
+        0 => spec.rpath = Some(path_list(&mut g)),
+        1 => spec.runpath = Some(path_list(&mut g)),
+        _ => {}
+    }
+    WalkCase {
+        ld_library_path,
+        bin: Arc::new(spec.build().unwrap()),
+        stagings,
+    }
+}
+
+/// `ldd`, the listing and a launch of the case's binary at `site`, with or
+/// without the case's stagings, plus the session's injected-fault count
+/// and simulated-CPU charge.
+fn walk_answers(
+    site: &Site,
+    c: &WalkCase,
+    staged: bool,
+    plan: &Arc<FaultPlan>,
+) -> (String, u64, f64) {
+    let mut sess = Session::with_faults(site, Arc::clone(plan));
+    if let Some(dirs) = &c.ld_library_path {
+        sess.env.insert("LD_LIBRARY_PATH".into(), dirs.clone());
+    }
+    sess.stage_file("/p/bin", Arc::clone(&c.bin));
+    if staged {
+        for (path, bytes) in &c.stagings {
+            sess.stage_file(path, Arc::clone(bytes));
+        }
+    }
+    let mut answers = String::new();
+    for _ in 0..2 {
+        answers += &format!(
+            "ldd {:?}\nmap {:?}\nrun {:?}\n",
+            ldd(&sess, "/p/bin"),
+            ldd_map(&sess, "/p/bin"),
+            run_serial(&mut sess, "/p/bin"),
+        );
+    }
+    (answers, sess.faults_seen.get(), sess.cpu_seconds)
+}
+
+/// The walk memo changes no answer, injected-fault count or charge: on a
+/// site that walked every earlier case, a case's sessions (its stagings
+/// applied, then absent, then applied again, so an entry is stored before
+/// libraries appear under directories it probed, and a walk that read the
+/// overlay meets a session without it) answer as each would on a fresh
+/// build.
+fn walk_memo_answers_as_a_fresh_site(plan: impl Fn(u64) -> FaultPlan) -> [usize; 2] {
+    let warm = site();
+    let mut seen = [0usize; 2];
+    for case in 0..48u64 {
+        let plan = Arc::new(plan(case));
+        let c = walk_case(&warm, case);
+        let want = [false, true].map(|staged| walk_answers(&site(), &c, staged, &plan));
+        for staged in [true, false, true] {
+            let got = walk_answers(&warm, &c, staged, &plan);
+            assert_eq!(
+                got,
+                want[usize::from(staged)],
+                "case {case}, staged {staged}"
+            );
+        }
+        // Cases where the stagings change what the loader answers.
+        seen[usize::from(want[0].0 != want[1].0)] += 1;
+    }
+    seen
+}
+
+#[test]
+fn walk_memo_answers_as_a_fresh_site_on_random_overlays() {
+    let seen = walk_memo_answers_as_a_fresh_site(|_| FaultPlan::none());
+    assert!(
+        seen[0] > 0 && seen[1] > 0,
+        "stagings both matter and not: {seen:?}"
+    );
+}
+
+#[test]
+fn walk_memo_answers_as_a_fresh_site_under_vfs_read_faults() {
+    let seen = walk_memo_answers_as_a_fresh_site(|case| FaultPlan {
+        seed: case,
+        vfs_read: FaultRate {
+            transient: 0.1,
+            persistent: 0.1,
+        },
+        ..FaultPlan::none()
+    });
+    assert!(
+        seen[0] > 0 && seen[1] > 0,
+        "stagings both matter and not: {seen:?}"
+    );
+}
+
+/// A fresh buffer per call cannot grow the walk memo: after thousands of
+/// staged buffers, each walked by `ldd` and a launch and then dropped, the
+/// site holds a bounded number of roots. (Dead roots go at a later store;
+/// a staged root's metadata lives until the per-buffer parse memo purges
+/// its dead buffer, so the bound is a few purge marks, not the live count.)
+#[test]
+fn walk_memo_holds_a_bounded_number_of_roots() {
+    let site = site();
+    let mut sess = Session::with_faults(&site, Arc::new(FaultPlan::none()));
+    let needed = ["libm.so.6".to_string(), "libc.so.6".to_string()];
+    let template = binary_with(&needed);
+    let buffers = 12_000;
+    for _ in 0..buffers {
+        sess.stage_file("/p/bin", Arc::new(template.to_vec()));
+        assert!(matches!(ldd(&sess, "/p/bin"), LddResult::Resolved(_)));
+        assert!(run_serial(&mut sess, "/p/bin").success);
+    }
+    let held = site.memoized_walk_roots();
+    assert!(held > 0, "the walks were stored");
+    assert!(
+        held <= 4 * 1024,
+        "{held} roots held after {buffers} buffers"
+    );
 }
