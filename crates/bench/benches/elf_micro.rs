@@ -1,6 +1,7 @@
 //! Microbenchmarks of the substrates: ELF synthesis/parsing throughput,
 //! loader closure resolution, the simulated site tools (`ldd`, library
-//! search, a job launch), and site materialization.
+//! search, a job launch), library collection cold and warm, and site
+//! materialization.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use feam_core::bdc::locate_library;
@@ -160,6 +161,24 @@ fn bench(c: &mut Criterion) {
             sess.stage_file("/r/bt", Arc::clone(&bin.image));
             black_box(feam_core::bdc::collect_libraries(&mut sess, "/r/bt").unwrap())
         })
+    });
+    // The source phase's hot call: the same collection with the BDC memo
+    // and the site's walk memo warm, every description and `ldd` listing
+    // served from them.
+    let caches = feam_core::cache::PhaseCaches::new(0);
+    let mut warm = Session::new(fir);
+    warm.load_stack(&item_stack);
+    warm.stage_file("/r/bt", Arc::clone(&bin.image));
+    let collect = |sess: &mut Session<'_>| {
+        feam_core::bdc::collect_libraries_cached(sess, "/r/bt", Some(&caches)).unwrap()
+    };
+    assert!(
+        !collect(&mut warm).is_empty(),
+        "the benched binary links libraries"
+    );
+    g.sample_size(2000);
+    g.bench_function("collect_libraries_warm", |b| {
+        b.iter(|| black_box(collect(&mut warm)))
     });
     g.finish();
 

@@ -13,7 +13,6 @@
 //! `ldd`-based dependency location at guaranteed execution sites and
 //! `locate`/`find` fallbacks when `ldd` is absent or unreliable.
 
-use crate::cache::{BdcKey, Freshness, Memo};
 use crate::error::{FeamError, Result};
 use crate::intern::{IStr, Interner};
 use feam_elf::comment::{extract_provenance, Provenance};
@@ -21,8 +20,9 @@ use feam_elf::{Class, FileKind, LazyElf, Machine, Soname, VersionName, VersionRe
 use feam_sim::mpi::MpiImpl;
 use feam_sim::site::Session;
 use feam_sim::tools::{self, LddResult};
+use feam_sim::LddListing;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
 
 /// Identification of the MPI implementation a binary was compiled with,
@@ -268,8 +268,8 @@ pub struct LibraryCopy {
     pub origin: String,
     /// The image bytes.
     pub bytes: Arc<Vec<u8>>,
-    /// The copy's own recursive description.
-    pub description: BinaryDescription,
+    /// The copy's own recursive description, shared with the BDC memo.
+    pub description: Arc<BinaryDescription>,
 }
 
 /// Locate one shared library by soname using the §V.A fallback chain:
@@ -313,7 +313,8 @@ pub fn collect_libraries(
 /// [`collect_libraries`] with an optional description cache: every library
 /// image is content-hashed and its recursive description is reused across
 /// binaries that link the same bytes (the common case — a site's whole
-/// corpus shares one MPI stack's libraries).
+/// corpus shares one MPI stack's libraries). `ldd` listings and cached
+/// descriptions are read where they are stored, not copied.
 pub fn collect_libraries_cached(
     sess: &mut Session<'_>,
     path: &str,
@@ -321,46 +322,43 @@ pub fn collect_libraries_cached(
 ) -> Result<BTreeMap<String, LibraryCopy>> {
     let mut arena = Interner::new();
     let mut out: BTreeMap<String, LibraryCopy> = BTreeMap::new();
-    let mut pending: Vec<String> = vec![path.to_string()];
-    let mut described: HashSet<String> = HashSet::new();
-    // `DT_NEEDED` recorded per described object, so the `ldd`-fallback path
-    // reuses work already done instead of reading and describing the same
-    // image a second time.
-    let mut needed_of: HashMap<String, Vec<IStr>> = HashMap::new();
-    while let Some(obj_path) = pending.pop() {
-        if !described.insert(obj_path.clone()) {
+    // Objects to scan: the binary (`None`), then each copied library, whose
+    // description names its path and, for the `ldd` fallback, its
+    // `DT_NEEDED` list.
+    let mut pending: Vec<Option<Arc<BinaryDescription>>> = vec![None];
+    let mut scanned: HashSet<String> = HashSet::new();
+    while let Some(object) = pending.pop() {
+        let obj_path = object.as_deref().map_or(path, |d| d.path.as_str());
+        if !scanned.insert(obj_path.to_string()) {
             continue;
         }
         sess.charge(0.2);
         // Primary: ldd gives sonames with locations.
-        let entries: Vec<(String, Option<String>)> = match tools::ldd(sess, &obj_path) {
-            LddResult::Resolved(map) => map,
+        let entries: LddListing = match tools::ldd(sess, obj_path) {
+            LddResult::Resolved(listing) => listing,
             // Fallback: take DT_NEEDED ourselves and search each one.
             LddResult::NotRecognized | LddResult::NotPresent => {
-                let needed = match needed_of.get(&obj_path) {
-                    Some(n) => n.clone(),
-                    // Not described yet (the root object): one read, one
-                    // zero-copy parse, for the dependency list alone.
+                let located = |so: &str| (so.to_string(), locate_library(sess, so));
+                match object.as_deref() {
+                    Some(d) => d.needed.iter().map(|so| located(so)).collect(),
+                    // The binary itself: one read, one zero-copy parse, for
+                    // the dependency list alone.
                     None => {
-                        let bytes = sess.read_bytes(&obj_path).ok_or_else(|| {
+                        let bytes = sess.read_bytes(obj_path).ok_or_else(|| {
                             FeamError::BinaryUnreadable(format!("{obj_path}: no such file"))
                         })?;
                         let f = LazyElf::parse(&bytes)
                             .map_err(|e| FeamError::BinaryUnreadable(format!("{obj_path}: {e}")))?;
-                        f.needed().iter().map(|so| arena.istr(so)).collect()
+                        f.needed().iter().map(|so| located(so)).collect()
                     }
-                };
-                needed
-                    .iter()
-                    .map(|so| (so.to_string(), locate_library(sess, so)))
-                    .collect()
+                }
             }
         };
-        for (soname, loc) in entries {
-            if out.contains_key(&soname) || is_c_library(&soname) {
+        for (soname, loc) in entries.iter() {
+            if out.contains_key(soname) || is_c_library(soname) {
                 continue;
             }
-            let Some(loc) = loc.or_else(|| locate_library(sess, &soname)) else {
+            let Some(loc) = loc.clone().or_else(|| locate_library(sess, soname)) else {
                 continue; // not found even at the GEE; nothing to copy
             };
             let Some(bytes) = sess.read_bytes(&loc) else {
@@ -371,41 +369,22 @@ pub fn collect_libraries_cached(
                 BinaryDescription::from_bytes_keyed(&loc, &bytes, key, Some(&mut arena))
             };
             let description = match caches {
-                Some(c) => describe_memoized(&c.bdc, sess, key, &loc, describe)?,
-                None => describe(sess)?,
+                Some(c) => c.bdc.describe_at(sess, &key, &loc, describe)?,
+                None => Arc::new(describe(sess)?),
             };
-            needed_of.insert(loc.clone(), description.needed.clone());
+            pending.push(Some(Arc::clone(&description)));
             out.insert(
                 soname.clone(),
                 LibraryCopy {
                     soname: soname.clone(),
-                    origin: loc.clone(),
+                    origin: loc,
                     bytes,
                     description,
                 },
             );
-            pending.push(loc);
         }
     }
     Ok(out)
-}
-
-/// Describe through the BDC memo. Describing is pure in the bytes, so the
-/// content key is a sound memo key: identical images at different paths
-/// share one entry, and a served description has only its site-local
-/// `path` rewritten.
-pub(crate) fn describe_memoized(
-    bdc: &Memo<BdcKey, Arc<BinaryDescription>>,
-    sess: &mut Session<'_>,
-    key: BdcKey,
-    path: &str,
-    describe: impl FnOnce(&mut Session<'_>) -> Result<BinaryDescription>,
-) -> Result<BinaryDescription> {
-    let fresh = Freshness::default();
-    let d = bdc.memoize(sess, &key, fresh, |s| describe(s).map(Arc::new), |_| true)?;
-    let mut d = Arc::unwrap_or_clone(d);
-    d.path = path.to_string();
-    Ok(d)
 }
 
 /// Is this soname part of the C library family that FEAM never copies?

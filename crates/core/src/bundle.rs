@@ -28,10 +28,11 @@ pub struct HelloWorldProbe {
 pub struct SourceBundle {
     /// Name of the guaranteed execution environment.
     pub gee_site: String,
-    /// The application's description as gathered at the GEE.
-    pub app: BinaryDescription,
-    /// The GEE's environment description.
-    pub gee_env: EnvironmentDescription,
+    /// The application's description as gathered at the GEE (shared with
+    /// the BDC memo).
+    pub app: Arc<BinaryDescription>,
+    /// The GEE's environment description (shared with the EDC memo).
+    pub gee_env: Arc<EnvironmentDescription>,
     /// Stack the application was matched to at the GEE.
     pub app_stack_ident: Option<String>,
     /// Library copies keyed by soname.
@@ -142,13 +143,13 @@ mod tests {
                 soname: "libx.so.1".into(),
                 origin: "/usr/lib64/libx.so.1".into(),
                 bytes: lib_bytes,
-                description: dummy_description("/usr/lib64/libx.so.1"),
+                description: Arc::new(dummy_description("/usr/lib64/libx.so.1")),
             },
         );
         let bundle = SourceBundle {
             gee_site: "ranger".into(),
-            app: dummy_description("/home/user/app"),
-            gee_env: dummy_env(),
+            app: Arc::new(dummy_description("/home/user/app")),
+            gee_env: Arc::new(dummy_env()),
             app_stack_ident: Some("openmpi-1.3-intel-10.1".into()),
             libraries,
             hello_worlds: vec![HelloWorldProbe {

@@ -404,10 +404,10 @@ pub fn survey_libraries<S: AsRef<str>>(
         // searches for in common locations before declaring it missing (a
         // found-but-unconfigured library is handled by emitting
         // LD_LIBRARY_PATH configuration, not copies).
-        Some(LddResult::Resolved(map)) => map
-            .into_iter()
+        Some(LddResult::Resolved(listing)) => listing
+            .iter()
             .filter(|(so, loc)| loc.is_none() && unfound(so))
-            .map(|(so, _)| so)
+            .map(|(so, _)| so.clone())
             .collect(),
         Some(LddResult::NotRecognized | LddResult::NotPresent) | None => unseen
             .iter()

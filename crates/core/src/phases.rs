@@ -88,29 +88,32 @@ impl Default for PhaseConfig {
 }
 
 /// Describe a binary whose bytes are already in hand, through the
-/// content-addressed BDC memo when caches are configured.
+/// content-addressed BDC memo when caches are configured; a hit is the
+/// shared entry.
 fn describe_binary_cached(
     sess: &mut Session<'_>,
     path: &str,
     image: &Arc<Vec<u8>>,
     cfg: &PhaseConfig,
-) -> Result<BinaryDescription> {
+) -> Result<Arc<BinaryDescription>> {
     let describe = |s: &mut Session<'_>| BinaryDescription::from_session(s, path);
     match cfg.caches.as_deref() {
         // Pointer-memoized: repeat requests for the same registered image
         // skip rehashing its bytes entirely.
-        Some(c) => bdc::describe_memoized(&c.bdc, sess, content_key_of(image), path, describe),
-        None => describe(sess),
+        Some(c) => c
+            .bdc
+            .describe_at(sess, &content_key_of(image), path, describe),
+        None => describe(sess).map(Arc::new),
     }
 }
 
 /// Discover the session's environment, through the per-site EDC memo when
-/// caches are configured.
-fn discover_cached(sess: &mut Session<'_>, cfg: &PhaseConfig) -> EnvironmentDescription {
+/// caches are configured; a hit is the shared entry.
+fn discover_cached(sess: &mut Session<'_>, cfg: &PhaseConfig) -> Arc<EnvironmentDescription> {
     let discover = |s: &mut Session<'_>| edc::discover_with_retry(s, &cfg.retry);
     match cfg.caches.as_deref() {
-        Some(c) => Arc::unwrap_or_clone(c.edc.memoize(sess, discover)),
-        None => discover(sess),
+        Some(c) => c.edc.memoize(sess, discover),
+        None => Arc::new(discover(sess)),
     }
 }
 
@@ -132,11 +135,12 @@ pub struct TargetOutcome {
     pub prediction: crate::predict::Prediction,
     /// The full TEC output (plan, resolution, stack tests).
     pub evaluation: TargetEvaluation,
-    /// The environment description gathered at the target.
-    pub environment: EnvironmentDescription,
+    /// The environment description gathered at the target (shared with
+    /// the EDC memo).
+    pub environment: Arc<EnvironmentDescription>,
     /// The binary description used (from the target-site BDC run or from
-    /// the bundle).
-    pub binary: BinaryDescription,
+    /// the bundle; shared with the BDC memo or the bundle).
+    pub binary: Arc<BinaryDescription>,
     /// Simulated CPU seconds for the whole phase (§VI.C: "< 5 minutes").
     pub cpu_seconds: f64,
     /// Metrics accumulated by `PhaseConfig::recorder` up to the moment the
@@ -277,7 +281,7 @@ pub fn run_target_phase(
         let _span = rec.span("edc");
         discover_cached(&mut sess, cfg)
     };
-    let description: BinaryDescription = match (binary, bundle) {
+    let description: Arc<BinaryDescription> = match (binary, bundle) {
         (Some(image), _) => {
             let _span = rec.span("bdc");
             sess.stage_file(tec::APP_PATH, (*image).clone());
@@ -290,7 +294,7 @@ pub fn run_target_phase(
                 // instead of panicking.
                 Err(_) if bundle.is_some() => {
                     rec.count("bdc.fallback_to_bundle", 1);
-                    bundle.expect("checked above").app.clone()
+                    Arc::clone(&bundle.expect("checked above").app)
                 }
                 Err(e) => {
                     let mut prediction =
@@ -317,7 +321,7 @@ pub fn run_target_phase(
                         prediction,
                         evaluation,
                         environment,
-                        binary: empty_description(),
+                        binary: Arc::new(empty_description()),
                         cpu_seconds: sess.cpu_seconds,
                         telemetry: rec.snapshot(),
                     };
@@ -326,7 +330,7 @@ pub fn run_target_phase(
         }
         (None, Some(b)) => {
             let _span = rec.span("bdc");
-            b.app.clone()
+            Arc::clone(&b.app)
         }
         (None, None) => {
             // Nothing to evaluate; produce an empty negative outcome.
@@ -349,7 +353,7 @@ pub fn run_target_phase(
                 prediction,
                 evaluation,
                 environment,
-                binary: empty_description(),
+                binary: Arc::new(empty_description()),
                 cpu_seconds: sess.cpu_seconds,
                 telemetry: rec.snapshot(),
             };

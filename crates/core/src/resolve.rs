@@ -337,7 +337,7 @@ mod tests {
             soname: soname.to_string(),
             origin: format!("/gee/lib/{soname}"),
             bytes,
-            description,
+            description: Arc::new(description),
         }
     }
 
@@ -347,8 +347,8 @@ mod tests {
         let app_bytes = spec.build().unwrap();
         SourceBundle {
             gee_site: "gee".into(),
-            app: BinaryDescription::from_bytes("/gee/app", &app_bytes).unwrap(),
-            gee_env: EnvironmentDescription {
+            app: Arc::new(BinaryDescription::from_bytes("/gee/app", &app_bytes).unwrap()),
+            gee_env: Arc::new(EnvironmentDescription {
                 isa: "x86_64".into(),
                 arch: Some(HostArch::X86_64),
                 os: "gee os".into(),
@@ -357,7 +357,7 @@ mod tests {
                 available_stacks: vec![],
                 loaded_stack: None,
                 unobserved: vec![],
-            },
+            }),
             app_stack_ident: None,
             libraries: libs.into_iter().map(|l| (l.soname.clone(), l)).collect(),
             hello_worlds: vec![],
@@ -532,7 +532,7 @@ mod tests {
             soname: "libppc.so.1".into(),
             origin: "/gee/libppc.so.1".into(),
             bytes,
-            description,
+            description: Arc::new(description),
         }]);
         let plan = resolve_missing(
             &mut sess,

@@ -162,12 +162,7 @@ fn record_determinant(
             ("detail", detail.as_str().into()),
         ],
     );
-    let tag = match verdict {
-        Determination::Compatible => "pass",
-        Determination::Incompatible => "fail",
-        Determination::Unknown => "unknown",
-    };
-    rec.count(&format!("determinant.{}.{tag}", determinant.name()), 1);
+    rec.count(determinant_counter(determinant, verdict), 1);
     if verdict == Determination::Unknown {
         rec.event(
             "degraded_verdict",
@@ -179,6 +174,27 @@ fn record_determinant(
         rec.count("prediction.degraded_verdicts", 1);
     }
     prediction.record_determination(determinant, verdict, detail);
+}
+
+/// `determinant.<Name>.<pass|fail|unknown>`: the counter a verdict bumps,
+/// named without building a string.
+fn determinant_counter(determinant: Determinant, verdict: Determination) -> &'static str {
+    use Determinant::*;
+    use Determination::*;
+    match (determinant, verdict) {
+        (Isa, Compatible) => "determinant.Isa.pass",
+        (Isa, Incompatible) => "determinant.Isa.fail",
+        (Isa, Unknown) => "determinant.Isa.unknown",
+        (MpiStack, Compatible) => "determinant.MpiStack.pass",
+        (MpiStack, Incompatible) => "determinant.MpiStack.fail",
+        (MpiStack, Unknown) => "determinant.MpiStack.unknown",
+        (CLibrary, Compatible) => "determinant.CLibrary.pass",
+        (CLibrary, Incompatible) => "determinant.CLibrary.fail",
+        (CLibrary, Unknown) => "determinant.CLibrary.unknown",
+        (SharedLibraries, Compatible) => "determinant.SharedLibraries.pass",
+        (SharedLibraries, Incompatible) => "determinant.SharedLibraries.fail",
+        (SharedLibraries, Unknown) => "determinant.SharedLibraries.unknown",
+    }
 }
 
 /// Compile and launch a native MPI hello world with `ist` loaded: the
@@ -651,6 +667,21 @@ mod tests {
     use crate::edc::discover;
     use feam_sim::compile::{compile as sim_compile, ProgramSpec};
     use feam_workloads::sites::{standard_sites, FIR, RANGER};
+
+    #[test]
+    fn determinant_counters_keep_their_names() {
+        let verdicts = [
+            (Determination::Compatible, "pass"),
+            (Determination::Incompatible, "fail"),
+            (Determination::Unknown, "unknown"),
+        ];
+        for d in Determinant::evaluation_order() {
+            for (v, tag) in verdicts {
+                let name = format!("determinant.{}.{tag}", d.name());
+                assert_eq!(determinant_counter(d, v), name);
+            }
+        }
+    }
 
     fn cfg() -> PhaseConfig {
         PhaseConfig::default()

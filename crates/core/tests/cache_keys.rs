@@ -6,7 +6,8 @@
 //! primary-hash collision between two valid, distinct ELF images and pin
 //! that the full key still discriminates — plus the poisoning-guard
 //! invariant that faulted or degraded computations are never memoized, in
-//! any of the three memo layers.
+//! any of the three memo layers, and that a warm read shares what the
+//! memos store (descriptions, `ldd` listings) instead of copying it.
 
 use feam_core::bdc::BinaryDescription;
 use feam_core::cache::{BdcKey, Freshness, PhaseCaches};
@@ -357,4 +358,115 @@ fn poisoning_guard_keeps_faulted_results_out_of_shared_caches() {
     assert_eq!(caches.stack_tests.stats().rejected, rejected);
     assert!(first.evaluation.stack_tests.iter().any(|t| t.native_ok));
     assert_eq!(first.prediction.ready(), second.prediction.ready());
+}
+
+/// One library image installed at two paths of one site: each copy's
+/// description names the path it was copied from, cold and warm, and the
+/// image keeps one BDC entry described once per path.
+#[test]
+fn one_image_at_two_paths_is_described_at_each() {
+    use feam_core::bdc::collect_libraries_cached;
+
+    let os = OsInfo::new("CentOS", "5.6", "2.6.18");
+    let site = Site::build(SiteConfig::new("twin", HostArch::X86_64, os, "2.5", 1).deterministic());
+    let mut lib = ElfSpec::shared_library("libtwin.so.1", Machine::X86_64, Class::Elf64);
+    lib.needed = vec!["libc.so.6".into()];
+    let lib = Arc::new(lib.build().expect("spec builds"));
+    let mut app = ElfSpec::executable(Machine::X86_64, Class::Elf64);
+    app.needed = vec!["liba.so.1".into(), "libb.so.1".into(), "libc.so.6".into()];
+    let app = Arc::new(app.build().expect("spec builds"));
+    let caches = PhaseCaches::new(0);
+    for run in ["cold", "warm"] {
+        let mut sess = Session::new(&site);
+        sess.stage_file("/opt/twin/liba.so.1", Arc::clone(&lib));
+        sess.stage_file("/opt/twin/libb.so.1", Arc::clone(&lib));
+        sess.stage_file("/home/user/app", Arc::clone(&app));
+        feam_sim::site::env_prepend(&mut sess.env, "LD_LIBRARY_PATH", "/opt/twin");
+        let copies =
+            collect_libraries_cached(&mut sess, "/home/user/app", Some(&caches)).expect("collects");
+        assert_eq!(copies.len(), 2, "{run}: both names are copied");
+        for copy in copies.values() {
+            assert_eq!(copy.description.path, copy.origin, "{run}: {}", copy.soname);
+        }
+    }
+    assert_eq!(caches.bdc.len(), 1, "one image, one entry");
+    let s = caches.bdc.stats();
+    assert_eq!((s.misses, s.hits), (2, 2), "one entry made per path");
+}
+
+/// Warm reads hand out the stored values: two warm library collections
+/// share every description, two warm target phases share the binary and
+/// environment descriptions, and two `ldd` runs on one root share the
+/// listing.
+#[test]
+fn warm_reads_share_what_the_memos_store() {
+    use feam_core::bdc::collect_libraries_cached;
+    use feam_sim::compile::{compile, ProgramSpec};
+    use feam_sim::faults::FaultPlan;
+    use feam_sim::toolchain::Language;
+    use feam_sim::tools::{ldd, LddResult};
+    use feam_workloads::sites::{standard_sites, INDIA, RANGER};
+
+    let sites = standard_sites(23);
+    let ranger = &sites[RANGER];
+    let ist = &ranger.stacks[1];
+    let spec = ProgramSpec::new("bt", Language::Fortran);
+    let app = compile(ranger, Some(ist), &spec, 99)
+        .expect("compiles at its home site")
+        .image;
+    let caches = Arc::new(PhaseCaches::new(0));
+    let session = || {
+        let mut sess = Session::new(ranger);
+        sess.faults = Arc::new(FaultPlan::none());
+        sess.stage_file("/home/user/app", app.clone());
+        sess.load_stack(ist);
+        sess
+    };
+
+    let collect = || {
+        collect_libraries_cached(&mut session(), "/home/user/app", Some(&caches)).expect("collects")
+    };
+    collect();
+    let (a, b) = (collect(), collect());
+    assert!(!a.is_empty(), "the app links shared libraries");
+    assert!(a.keys().eq(b.keys()));
+    for (x, y) in a.values().zip(b.values()) {
+        assert!(
+            Arc::ptr_eq(&x.description, &y.description),
+            "{}: warm collections share the description",
+            x.soname
+        );
+    }
+
+    let cfg = PhaseConfig {
+        caches: Some(caches.clone()),
+        faults: Arc::new(FaultPlan::none()),
+        ..PhaseConfig::default()
+    };
+    let india = &sites[INDIA];
+    run_target_phase(india, Some(&app), None, &cfg);
+    let x = run_target_phase(india, Some(&app), None, &cfg);
+    let y = run_target_phase(india, Some(&app), None, &cfg);
+    assert!(
+        Arc::ptr_eq(&x.binary, &y.binary),
+        "target phases share the binary"
+    );
+    assert!(
+        Arc::ptr_eq(&x.environment, &y.environment),
+        "target phases share the environment"
+    );
+
+    // `ldd` may be flaky on a root; the roots it resolves share listings.
+    let sess = session();
+    let roots = std::iter::once("/home/user/app").chain(a.values().map(|c| c.origin.as_str()));
+    let mut shared = 0;
+    for root in roots {
+        let (LddResult::Resolved(p), LddResult::Resolved(q)) = (ldd(&sess, root), ldd(&sess, root))
+        else {
+            continue;
+        };
+        assert!(Arc::ptr_eq(&p, &q), "{root}: ldd runs share the listing");
+        shared += 1;
+    }
+    assert!(shared > 0, "ldd resolves some root");
 }

@@ -72,7 +72,7 @@ pub use compile::{
 };
 pub use exec::{run_mpi, run_serial, ExecOutcome, FailureCause, SystemErrorKind, DEFAULT_ATTEMPTS};
 pub use faults::{Chokepoint, FaultKind, FaultPlan, FaultRate};
-pub use loader::{ldd_map, resolve_closure, Closure, LoadError, ObjectMeta};
+pub use loader::{ldd_map, resolve_closure, Closure, LddListing, LoadError, ObjectMeta};
 pub use mpi::{MpiImpl, MpiStack, Network};
 pub use queue::{submit, QueueOutcome, QueueSpec};
 pub use site::{EnvMap, EnvMgmt, InstalledStack, OsInfo, Session, Site, SiteConfig};

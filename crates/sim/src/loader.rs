@@ -18,7 +18,8 @@
 //! binary-searches each loaded object's sorted export list.
 //!
 //! Whole walks are memoized per site too. An `ldd` listing is keyed by
-//! the root's `ObjectMeta` allocation and `LD_LIBRARY_PATH`; a launch's
+//! the root's `ObjectMeta` allocation and `LD_LIBRARY_PATH`, and a served
+//! listing is the stored [`LddListing`] itself, not a copy; a launch's
 //! closure verdict also by the root's path, which its errors name. A walk
 //! is stored only when the probe memo answered every probe it made as
 //! absent or an installed ELF, together with the directories it probed,
@@ -391,10 +392,14 @@ struct Walk<A> {
 /// [`AllocMemo`]), then by `LD_LIBRARY_PATH` and the root's path.
 type WalkMemo<A> = AllocMemo<ObjectMeta, Vec<Walk<A>>>;
 
+/// An `ldd` listing: soname -> resolved path, `None` for "not found".
+/// Shared: the walk memo hands out the stored listing.
+pub type LddListing = Arc<[(String, Option<String>)]>;
+
 /// A site's memo of loader walks: `ldd` listings and launch verdicts.
 #[derive(Default)]
 pub(crate) struct Walks {
-    ldd: WalkMemo<Vec<(String, Option<String>)>>,
+    ldd: WalkMemo<LddListing>,
     launch: WalkMemo<Result<(), LoadError>>,
 }
 
@@ -571,23 +576,17 @@ fn walk_closure(
 /// `ldd`-style listing: soname → resolved path (or None when missing).
 /// Unlike [`resolve_closure`], missing dependencies do not abort the walk —
 /// this is what the `ldd` emulation and FEAM's missing-library check use.
-pub fn ldd_map(
-    sess: &Session<'_>,
-    root_path: &str,
-) -> Result<Vec<(String, Option<String>)>, LoadError> {
+pub fn ldd_map(sess: &Session<'_>, root_path: &str) -> Result<LddListing, LoadError> {
     let root_meta =
         object_at(sess, root_path).ok_or_else(|| LoadError::NotLoadable(root_path.to_string()))?;
     Ok(ldd_map_from(sess, root_meta))
 }
 
 /// [`ldd_map`] for a root whose metadata the caller already holds,
-/// through the site's walk memo.
-pub fn ldd_map_from(
-    sess: &Session<'_>,
-    root_meta: Arc<ObjectMeta>,
-) -> Vec<(String, Option<String>)> {
+/// through the site's walk memo: a served listing is the stored one.
+pub fn ldd_map_from(sess: &Session<'_>, root_meta: Arc<ObjectMeta>) -> LddListing {
     walk_memoized(&sess.site.walks.ldd, sess, &root_meta, None, |probed| {
-        walk_ldd(sess, Arc::clone(&root_meta), probed)
+        walk_ldd(sess, Arc::clone(&root_meta), probed).into()
     })
 }
 

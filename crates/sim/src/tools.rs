@@ -8,7 +8,7 @@
 //! exercised (`ldd` "cannot be relied on to always provide this
 //! information", `locate` may be missing, module systems vary).
 
-use crate::loader::{ldd_map_from, object_read};
+use crate::loader::{ldd_map_from, object_read, LddListing};
 use crate::rng;
 use crate::site::{EnvMgmt, Session, Site};
 
@@ -69,8 +69,9 @@ pub enum LddResult {
     /// `ldd` printed "not a dynamic executable" — the unreliability the
     /// paper warns about.
     NotRecognized,
-    /// Dependency list: (soname, resolved path or None for "not found").
-    Resolved(Vec<(String, Option<String>)>),
+    /// Dependency list: (soname, resolved path or None for "not found"),
+    /// shared with the site's walk memo.
+    Resolved(LddListing),
 }
 
 /// Emulated `ldd -v`: per-binary flakiness is deterministic in the site
@@ -88,16 +89,31 @@ pub fn ldd(sess: &Session<'_>, path: &str) -> LddResult {
         return LddResult::NotRecognized;
     };
     let flaky_rate = sess.site.config.ldd_flaky_rate;
+    let mut buf = [0u8; 16];
     if flaky_rate > 0.0
         && rng::chance(
             sess.site.config.seed,
-            &[&format!("{:x}", root.fingerprint), "ldd-flaky"],
+            &[lower_hex(root.fingerprint, &mut buf), "ldd-flaky"],
             flaky_rate,
         )
     {
         return LddResult::NotRecognized;
     }
     LddResult::Resolved(ldd_map_from(sess, root))
+}
+
+/// `format!("{v:x}")`, written into `buf` instead of a new `String`.
+fn lower_hex(mut v: u64, buf: &mut [u8; 16]) -> &str {
+    let mut start = buf.len();
+    loop {
+        start -= 1;
+        buf[start] = b"0123456789abcdef"[(v & 0xf) as usize];
+        v >>= 4;
+        if v == 0 {
+            break;
+        }
+    }
+    std::str::from_utf8(&buf[start..]).expect("hex digits are ASCII")
 }
 
 /// Emulated `locate <pattern>` (basename substring match); `None` when the
@@ -475,6 +491,14 @@ mod tests {
                 assert!(map.iter().any(|(n, p)| n == "libc.so.6" && p.is_some()));
             }
             other => panic!("expected Resolved, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn lower_hex_matches_format() {
+        let seeded = (0..64u64).map(rng::mix);
+        for v in [0, 0xf, 0x10, u64::MAX].into_iter().chain(seeded) {
+            assert_eq!(lower_hex(v, &mut [0u8; 16]), format!("{v:x}"));
         }
     }
 

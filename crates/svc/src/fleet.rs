@@ -668,7 +668,7 @@ impl Fleet {
         };
         let inner = self.inner.clone();
         let (binary_ref, site, mode) = (req.binary_ref.clone(), req.target_site.clone(), req.mode);
-        let (prediction, evaluation) = (resp.prediction.clone(), resp.evaluation.clone());
+        let answer = Arc::clone(&resp.answer);
         let enqueued = Instant::now();
         self.pool.push(move || {
             let rec = &inner.cfg.recorder;
@@ -679,14 +679,9 @@ impl Fleet {
                     && node.applied_epoch.load(Ordering::SeqCst) == epoch
                     && inner.epoch.load(Ordering::SeqCst) == epoch;
                 let installed = fresh
-                    && node.svc.install_result(
-                        &binary_ref,
-                        &site,
-                        mode,
-                        origin,
-                        &prediction,
-                        &evaluation,
-                    );
+                    && node
+                        .svc
+                        .install_result(&binary_ref, &site, mode, origin, &answer);
                 if installed {
                     rec.count("fleet.replication.applied", 1);
                 } else {

@@ -70,6 +70,6 @@ pub use plan::{Placement, PlanRequest, SitePlacement, SiteSelection};
 pub use registry::{BinaryRegistry, RegisteredBinary, RegistryError};
 pub use router::HashRing;
 pub use service::{
-    Delivery, PredictRequest, PredictResponse, PredictService, ResultOrigin, ServiceConfig,
-    SvcError,
+    Delivery, PredictAnswer, PredictRequest, PredictResponse, PredictService, ResultOrigin,
+    ServiceConfig, SvcError,
 };

@@ -51,16 +51,26 @@ pub struct PredictRequest {
     pub deadline: Option<Instant>,
 }
 
-/// A completed prediction.
-#[derive(Debug, Clone)]
-pub struct PredictResponse {
-    pub binary_ref: String,
-    pub target_site: String,
+/// One evaluation's answer. It is built once per evaluation and shared
+/// by the result cache, every waiter's [`PredictResponse`] and fleet
+/// replication.
+#[derive(Debug)]
+pub struct PredictAnswer {
     /// The per-determinant prediction (mode may downgrade to `Basic` when
     /// an extended request's source phase is impossible, e.g. no GEE).
     pub prediction: Prediction,
     /// The full TEC output backing the prediction.
     pub evaluation: TargetEvaluation,
+}
+
+/// A completed prediction. Its answer's `prediction` and `evaluation`
+/// read through the response (`resp.prediction`).
+#[derive(Debug, Clone)]
+pub struct PredictResponse {
+    pub binary_ref: String,
+    pub target_site: String,
+    /// The answer, shared with the result cache.
+    pub answer: Arc<PredictAnswer>,
     /// Whether this answer came straight from the result cache.
     pub from_result_cache: bool,
     /// Whether this answer was clean enough to memoize (current
@@ -106,6 +116,14 @@ impl SvcError {
     }
 }
 
+impl std::ops::Deref for PredictResponse {
+    type Target = PredictAnswer;
+
+    fn deref(&self) -> &PredictAnswer {
+        &self.answer
+    }
+}
+
 impl std::fmt::Display for SvcError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -130,10 +148,6 @@ impl std::fmt::Display for SvcError {
 impl std::error::Error for SvcError {}
 
 /// Outcome of a non-blocking [`PredictService::submit`].
-// The Ready variant carries the full response inline: result-cache hits
-// are the hot path and boxing them would trade a variant-size lint for an
-// allocation per hit.
-#[allow(clippy::large_enum_variant)]
 pub enum Delivery {
     /// Answered from the result cache without queueing.
     Ready(PredictResponse),
@@ -267,7 +281,7 @@ struct Inner {
     registry: RwLock<BinaryRegistry>,
     phase_cfg: PhaseConfig,
     caches: Option<Arc<PhaseCaches>>,
-    results: Mutex<HashMap<RequestKey, Arc<(Prediction, TargetEvaluation)>>>,
+    results: Mutex<HashMap<RequestKey, Arc<PredictAnswer>>>,
     inflight: Mutex<HashMap<RequestKey, Flight>>,
     /// Admission-queue depth: raised under the inflight lock, where the
     /// capacity check runs; lowered when a pool thread dequeues the job.
@@ -689,18 +703,18 @@ impl PredictService {
     /// after the checks the entry's key still embeds the old
     /// coordinates (content- and epoch-addressed), so the new binding
     /// can never reach it and the op's own purge sweeps it. Degraded
-    /// payloads are refused. Returns whether the entry was installed.
+    /// payloads are refused. The entry shares `answer`. Returns whether
+    /// the entry was installed.
     pub fn install_result(
         &self,
         binary_ref: &str,
         site: &str,
         mode: PredictionMode,
         origin: ResultOrigin,
-        prediction: &Prediction,
-        evaluation: &TargetEvaluation,
+        answer: &Arc<PredictAnswer>,
     ) -> bool {
         let inner = &self.inner;
-        if !inner.cfg.result_cache || evaluation.degraded {
+        if !inner.cfg.result_cache || answer.evaluation.degraded {
             return false;
         }
         let Some(caches) = &inner.caches else {
@@ -731,7 +745,7 @@ impl PredictService {
             .results
             .lock()
             .expect("results")
-            .insert(key, Arc::new((prediction.clone(), evaluation.clone())));
+            .insert(key, Arc::clone(answer));
         inner.cfg.recorder.count("svc.result.replicated_in", 1);
         true
     }
@@ -778,8 +792,7 @@ fn result_hit(
         return Some(PredictResponse {
             binary_ref: req.binary_ref.clone(),
             target_site: req.target_site.clone(),
-            prediction: hit.0.clone(),
-            evaluation: hit.1.clone(),
+            answer: hit,
             from_result_cache: true,
             cacheable: true,
             latency_us,
@@ -912,13 +925,14 @@ fn process(inner: &Inner, job: Job) {
     let cacheable = generation_current
         && !outcome.evaluation.degraded
         && outcome.environment.unobserved.is_empty();
+    let answer = Arc::new(PredictAnswer {
+        prediction: outcome.prediction,
+        evaluation: outcome.evaluation,
+    });
     let waiters = {
         let mut inflight = inner.inflight.lock().expect("inflight");
         if inner.cfg.result_cache && inner.caches.is_some() && cacheable {
-            inner.results.lock().expect("results").insert(
-                job.key.clone(),
-                Arc::new((outcome.prediction.clone(), outcome.evaluation.clone())),
-            );
+            (inner.results.lock().expect("results")).insert(job.key.clone(), Arc::clone(&answer));
         }
         inflight
             .remove(&job.key)
@@ -926,7 +940,7 @@ fn process(inner: &Inner, job: Job) {
             .unwrap_or_default()
     };
     drop(span);
-    let degraded = outcome.evaluation.degraded;
+    let degraded = answer.evaluation.degraded;
     for w in waiters {
         let latency_ns = w.since.elapsed().as_nanos() as u64;
         let latency_us = latency_ns / 1_000;
@@ -944,8 +958,7 @@ fn process(inner: &Inner, job: Job) {
         let _ = w.tx.send(Ok(PredictResponse {
             binary_ref: job.binary_ref.clone(),
             target_site: job.key.site.clone(),
-            prediction: outcome.prediction.clone(),
-            evaluation: outcome.evaluation.clone(),
+            answer: Arc::clone(&answer),
             from_result_cache: false,
             cacheable,
             latency_us,

@@ -438,8 +438,7 @@ fn replication_install_verifies_origin_coordinates() {
         "india",
         PredictionMode::Basic,
         moved_binding,
-        &resp.prediction,
-        &resp.evaluation,
+        &resp.answer,
     ));
     // A payload computed under a stale site configuration is refused.
     let stale_site = ResultOrigin {
@@ -451,21 +450,13 @@ fn replication_install_verifies_origin_coordinates() {
         "india",
         PredictionMode::Basic,
         stale_site,
-        &resp.prediction,
-        &resp.evaluation,
+        &resp.answer,
     ));
     assert_eq!(peer.result_cache_len(), 0, "refused payloads never land");
 
     // Matching coordinates install, and the peer serves from its result
     // cache without ever evaluating.
-    assert!(peer.install_result(
-        "app",
-        "india",
-        PredictionMode::Basic,
-        coords,
-        &resp.prediction,
-        &resp.evaluation,
-    ));
+    assert!(peer.install_result("app", "india", PredictionMode::Basic, coords, &resp.answer,));
     let hit = peer.predict(&req("india")).expect("peer answers");
     assert!(hit.from_result_cache);
     assert_eq!(peer.evaluations(), 0, "the peer never evaluated");
