@@ -1,10 +1,11 @@
 //! Microbenchmarks of the substrates: ELF synthesis/parsing throughput,
 //! loader closure resolution, the simulated site tools (`ldd`, library
-//! search, a job launch), library collection cold and warm, and site
-//! materialization.
+//! search, a job launch), library collection cold and warm, site
+//! materialization, and the service's computed read.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use feam_core::bdc::locate_library;
+use feam_core::predict::PredictionMode;
 use feam_elf::{Class, ElfSpec, ImportSpec, LazyElf, Machine};
 use feam_sim::compile::{compile, ProgramSpec};
 use feam_sim::exec::{run_mpi, DEFAULT_ATTEMPTS};
@@ -12,6 +13,7 @@ use feam_sim::loader::resolve_closure;
 use feam_sim::site::{Session, Site};
 use feam_sim::toolchain::Language;
 use feam_sim::tools::{self, LddResult};
+use feam_svc::{PredictRequest, PredictService, RegisteredBinary, ServiceConfig};
 use feam_workloads::sites::{ranger, standard_sites, FIR};
 use std::hint::black_box;
 use std::sync::Arc;
@@ -187,6 +189,45 @@ fn bench(c: &mut Criterion) {
     g.sample_size(10);
     g.bench_function("materialize_ranger", |b| {
         b.iter(|| black_box(Site::build(ranger(42))))
+    });
+    g.finish();
+
+    // A closed-loop computed read on a started one-worker service: the
+    // target site is reconfigured in the untimed setup, so every timed
+    // `predict` misses the result cache and evaluates, as a cold sweep's
+    // reads do.
+    let cfg = ServiceConfig {
+        workers: 1,
+        caching: true,
+        sites_seed: 42,
+        fault_plan: Some(Arc::new(feam_sim::faults::FaultPlan::none())),
+        ..ServiceConfig::default()
+    };
+    let mut svc = PredictService::new(cfg);
+    svc.register_binary(
+        "bt",
+        RegisteredBinary::new(Arc::clone(&bin.image), fir.name()),
+    )
+    .unwrap();
+    svc.start();
+    let read = PredictRequest {
+        binary_ref: "bt".into(),
+        target_site: fir.name().to_string(),
+        mode: PredictionMode::Basic,
+        deadline: None,
+    };
+    let mut g = c.benchmark_group("svc");
+    g.sample_size(2000);
+    g.bench_function("computed_read", |b| {
+        b.iter_batched(
+            || svc.reconfigure_site(&read.target_site).unwrap(),
+            |_| {
+                let resp = svc.predict(&read).unwrap();
+                assert!(!resp.from_result_cache);
+                resp
+            },
+            BatchSize::SmallInput,
+        )
     });
     g.finish();
 }

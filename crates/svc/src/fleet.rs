@@ -47,7 +47,9 @@ use crate::health::{HealthTracker, NodeState};
 use crate::pool::Pool;
 use crate::registry::RegisteredBinary;
 use crate::router::HashRing;
-use crate::service::{Delivery, PredictRequest, PredictResponse, PredictService, SvcError};
+use crate::service::{
+    Delivery, Pending, PredictRequest, PredictResponse, PredictService, SvcError,
+};
 use feam_core::cache::BdcKey;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -511,11 +513,11 @@ impl Fleet {
 
     /// Wait for a pending answer, hedging to the next viable candidate if
     /// the primary is slow. First answer wins; the loser's (eventual)
-    /// answer is discarded with its receiver.
+    /// answer is discarded with its handle.
     fn await_answer(
         &self,
         primary: usize,
-        rx: mpsc::Receiver<Result<PredictResponse, SvcError>>,
+        rx: Pending,
         backups: &[usize],
         req: &PredictRequest,
         failovers: u32,
@@ -550,7 +552,7 @@ impl Fleet {
         }
 
         // Phase 2: fire one hedge at the first viable backup.
-        let mut hedge: Option<(usize, mpsc::Receiver<Result<PredictResponse, SvcError>>)> = None;
+        let mut hedge: Option<(usize, Pending)> = None;
         for &b in backups {
             let now = inner.now_ms();
             if !inner.nodes[b].reachable()

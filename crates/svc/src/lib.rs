@@ -17,7 +17,9 @@
 //!   share one evaluation — N callers, one phase run, N answers.
 //! * **Bounded admission.** A fixed-capacity queue feeds one worker pool
 //!   (shared by a whole [`Fleet`]); a full queue sheds with a *retryable*
-//!   [`SvcError::Overloaded`] instead of building unbounded backlog.
+//!   [`SvcError::Overloaded`] instead of building unbounded backlog. An
+//!   admitted flight runs on whichever thread dequeues it first: a pool
+//!   thread, or the waiter whose [`Pending::recv`] finds it still queued.
 //! * **Placement planning.** [`plan`] fans one binary out to per-site
 //!   evaluations running concurrently on the same pool and returns a
 //!   deterministic readiness ranking — degraded or errored sites rank
@@ -70,6 +72,6 @@ pub use plan::{Placement, PlanRequest, SitePlacement, SiteSelection};
 pub use registry::{BinaryRegistry, RegisteredBinary, RegistryError};
 pub use router::HashRing;
 pub use service::{
-    Delivery, PredictAnswer, PredictRequest, PredictResponse, PredictService, ResultOrigin,
-    ServiceConfig, SvcError,
+    Delivery, Pending, PredictAnswer, PredictRequest, PredictResponse, PredictService,
+    ResultOrigin, ServiceConfig, SvcError,
 };

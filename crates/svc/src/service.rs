@@ -12,10 +12,17 @@
 //! 4. **Admit or shed** — a fixed-capacity queue feeds the workers; a
 //!    full queue sheds with the retryable [`SvcError::Overloaded`] rather
 //!    than queueing unboundedly.
+//! 5. **Run** — the flight's task waits in the pool's FIFO. Whichever
+//!    comes first runs it: a pool thread, or the first waiter to call
+//!    [`Pending::recv`] while it is still queued, which runs it on the
+//!    calling thread instead of sleeping through a thread hop. A lone
+//!    flight is queued without waking a pool thread; one is woken by the
+//!    next push, a [`Pending::recv_timeout`], an unreceived [`Pending`]'s
+//!    drop, or a shed.
 //!
-//! Workers run the ordinary [`feam_core::phases`] entry points with the
-//! shared [`PhaseCaches`] installed, so the BDC/EDC description caches are
-//! populated and consulted exactly as the phases themselves decide —
+//! Evaluations run the ordinary [`feam_core::phases`] entry points with
+//! the shared [`PhaseCaches`] installed, so the BDC/EDC description caches
+//! are populated and consulted exactly as the phases themselves decide —
 //! including the poisoning guard that keeps faulted computations out.
 
 use feam_core::cache::{BdcKey, PhaseCaches};
@@ -25,10 +32,11 @@ use feam_core::tec::TargetEvaluation;
 use feam_obs::TraceCtx;
 use feam_sim::faults::FaultPlan;
 use feam_sim::site::Site;
-use std::collections::HashMap;
+use std::cell::Cell;
+use std::collections::hash_map::{Entry, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex, RwLock};
-use std::time::Instant;
+use std::sync::{mpsc, Arc, Mutex, RwLock, Weak};
+use std::time::{Duration, Instant};
 
 use crate::pool::Pool;
 use crate::registry::{BinaryRegistry, RegisteredBinary, RegistryError};
@@ -153,8 +161,69 @@ pub enum Delivery {
     Ready(PredictResponse),
     /// Queued (or coalesced onto an in-flight evaluation); the response —
     /// or a post-admission rejection such as
-    /// [`SvcError::DeadlineExceeded`] — arrives on the receiver.
-    Pending(mpsc::Receiver<Result<PredictResponse, SvcError>>),
+    /// [`SvcError::DeadlineExceeded`] — arrives through the handle, whose
+    /// [`recv`](Pending::recv) runs the flight itself if no pool thread
+    /// has started it.
+    Pending(Pending),
+}
+
+/// A queued or coalesced request's answer to come. Every waiter on one
+/// flight holds a handle to the same pool task.
+///
+/// * [`recv`](Pending::recv) takes the task out of the pool's FIFO if it is
+///   still there and runs it on the calling thread, then reads the answer.
+/// * [`recv_timeout`](Pending::recv_timeout) wakes a pool thread to run
+///   it, then waits at most `timeout`: a caller racing a deadline (fleet
+///   hedging) keeps the evaluation off its own thread.
+/// * Dropping a handle that neither call has seen wakes a pool thread, so
+///   the flight still runs and lands in the result cache.
+///
+/// The handle holds its pool weakly: once the service is dropped, `recv`
+/// runs nothing, reads the closed channel and fails.
+pub struct Pending {
+    rx: mpsc::Receiver<Result<PredictResponse, SvcError>>,
+    pool: Weak<Pool>,
+    task: u64,
+    /// No `recv` or `recv_timeout` has run yet, so a drop must wake.
+    unseen: Cell<bool>,
+}
+
+impl Pending {
+    /// Run the flight here if it is still queued, then block for the
+    /// answer. `Err` when the service went away without answering.
+    pub fn recv(&self) -> Result<Result<PredictResponse, SvcError>, mpsc::RecvError> {
+        self.unseen.set(false);
+        if let Some(task) = self.pool.upgrade().and_then(|pool| pool.take(self.task)) {
+            task();
+        }
+        self.rx.recv()
+    }
+
+    /// Wake a pool thread for the flight (once per handle), then wait at
+    /// most `timeout` for the answer.
+    pub fn recv_timeout(
+        &self,
+        timeout: Duration,
+    ) -> Result<Result<PredictResponse, SvcError>, mpsc::RecvTimeoutError> {
+        if self.unseen.replace(false) {
+            self.wake();
+        }
+        self.rx.recv_timeout(timeout)
+    }
+
+    fn wake(&self) {
+        if let Some(pool) = self.pool.upgrade() {
+            pool.wake();
+        }
+    }
+}
+
+impl Drop for Pending {
+    fn drop(&mut self) {
+        if self.unseen.get() {
+            self.wake();
+        }
+    }
 }
 
 impl std::fmt::Debug for Delivery {
@@ -211,11 +280,12 @@ impl Default for ServiceConfig {
 
 /// The memoization key: full content key of the binary (primary hash +
 /// length + second-hash discriminators, so FNV collisions cannot alias),
-/// target site at a specific configuration epoch, and the prediction mode.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// target site (its index in the service's site list) at a specific
+/// configuration epoch, and the prediction mode.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct RequestKey {
     binary_key: BdcKey,
-    site: String,
+    site: usize,
     epoch: u64,
     extended: bool,
 }
@@ -247,10 +317,12 @@ struct Waiter {
 }
 
 /// One in-flight evaluation: the leader request whose context the worker
-/// evaluates under, plus every waiter (leader included) to fan out to.
+/// evaluates under, every waiter (leader included) to fan out to, and the
+/// pool task that runs it, which every waiter's [`Pending`] may claim.
 struct Flight {
     leader: TraceCtx,
     waiters: Vec<Waiter>,
+    task: u64,
 }
 
 struct Job {
@@ -270,7 +342,6 @@ struct Job {
     /// against the current generation before memoizing, so an evaluation
     /// that raced an update never publishes a stale result.
     generation: u64,
-    site_idx: usize,
     mode: PredictionMode,
 }
 
@@ -284,11 +355,12 @@ struct Inner {
     results: Mutex<HashMap<RequestKey, Arc<PredictAnswer>>>,
     inflight: Mutex<HashMap<RequestKey, Flight>>,
     /// Admission-queue depth: raised under the inflight lock, where the
-    /// capacity check runs; lowered when a pool thread dequeues the job.
+    /// capacity check runs; lowered when the job is dequeued, by a pool
+    /// thread or by a waiter that claimed it.
     queued: AtomicUsize,
     shutdown: AtomicBool,
-    /// Evaluations actually run by the worker pool (i.e. not answered by
-    /// the result cache or coalesced onto another request's flight).
+    /// Evaluations actually run (i.e. not answered by the result cache or
+    /// coalesced onto another request's flight).
     evaluated: AtomicU64,
 }
 
@@ -495,9 +567,9 @@ impl PredictService {
     /// orphaned. Returns the new epoch (0 when caching is off — there is
     /// nothing to invalidate).
     pub fn reconfigure_site(&self, site: &str) -> Result<u64, SvcError> {
-        if !self.inner.site_idx.contains_key(site) {
+        let Some(&idx) = self.inner.site_idx.get(site) else {
             return Err(SvcError::UnknownSite(site.to_string()));
-        }
+        };
         let Some(caches) = &self.inner.caches else {
             return Ok(0);
         };
@@ -508,13 +580,13 @@ impl PredictService {
             .results
             .lock()
             .expect("results")
-            .retain(|k, _| k.site != site);
+            .retain(|k, _| k.site != idx);
         self.inner.cfg.recorder.count("svc.epoch_bump", 1);
         Ok(epoch)
     }
 
     /// Submit without blocking: either an immediate cached answer or a
-    /// receiver a pool thread will deliver on.
+    /// [`Pending`] handle to receive (and maybe run) the evaluation on.
     pub fn submit(&self, req: &PredictRequest) -> Result<Delivery, SvcError> {
         self.submit_traced(req, TraceCtx::NONE)
     }
@@ -565,7 +637,7 @@ impl PredictService {
         };
         let key = RequestKey {
             binary_key: binary.content_key,
-            site: req.target_site.clone(),
+            site: site_idx,
             epoch,
             extended: req.mode == PredictionMode::Extended,
         };
@@ -606,21 +678,34 @@ impl PredictService {
             tx,
         };
 
+        let pending = |task| {
+            Delivery::Pending(Pending {
+                rx,
+                pool: Arc::downgrade(&self.pool),
+                task,
+                unseen: Cell::new(true),
+            })
+        };
+
         // Single flight: adopt an in-flight evaluation when one exists.
         // The waiter keeps its own span and trace; the explicit
         // `svc.coalesced_onto` link records whose evaluation will answer
         // it, so the leader's trace is reachable from the waiter's.
         let mut inflight = inner.inflight.lock().expect("inflight");
-        if let Some(flight) = inflight.get_mut(&key) {
-            rec.event_at(
-                "svc.coalesced_onto",
-                ctx,
-                &[("leader_trace", flight.leader.trace_id.into())],
-            );
-            flight.waiters.push(waiter);
-            rec.count("svc.coalesced", 1);
-            return Ok(Delivery::Pending(rx));
-        }
+        let vacant = match inflight.entry(key) {
+            Entry::Occupied(mut flight) => {
+                let flight = flight.get_mut();
+                rec.event_at(
+                    "svc.coalesced_onto",
+                    ctx,
+                    &[("leader_trace", flight.leader.trace_id.into())],
+                );
+                flight.waiters.push(waiter);
+                rec.count("svc.coalesced", 1);
+                return Ok(pending(flight.task));
+            }
+            Entry::Vacant(vacant) => vacant,
+        };
 
         // The flight may have landed between the fast-path probe and
         // taking the inflight lock: `process` publishes its result and
@@ -634,27 +719,20 @@ impl PredictService {
             }
         }
 
-        // Admission control: shed when the queue is full.
+        // Admission control: shed when the queue is full. The shed also
+        // wakes a pool thread: a retry loop holding every queued flight's
+        // handle unreceived would otherwise wait on a FIFO nobody drains.
         let depth = inner.queued.load(Ordering::SeqCst);
         if depth >= inner.cfg.queue_capacity {
             rec.count("queue.shed", 1);
             drop(inflight);
+            self.pool.wake();
             rec.event_at("svc.shed", ctx, &[("queue_depth", depth.into())]);
             rec.span_end_at("svc.request", ctx, t0.elapsed().as_micros() as u64);
             rec.finish_trace(ctx);
             return Err(SvcError::Overloaded { queue_depth: depth });
         }
-        inflight.insert(
-            key.clone(),
-            Flight {
-                leader: ctx,
-                waiters: vec![waiter],
-            },
-        );
         let depth = inner.queued.fetch_add(1, Ordering::SeqCst) + 1;
-        drop(inflight);
-        rec.observe("queue.depth", depth as f64);
-        rec.gauge("svc.queue.depth", depth as f64);
         let job = Job {
             key,
             ctx,
@@ -662,12 +740,22 @@ impl PredictService {
             binary_ref: req.binary_ref.clone(),
             binary,
             generation,
-            site_idx,
             mode: req.mode,
         };
         let task_inner = inner.clone();
-        self.pool.push(move || process(&task_inner, job));
-        Ok(Delivery::Pending(rx))
+        // Queued under the inflight lock, before the flight is recorded:
+        // a pool thread that dequeues the task at once blocks in `process`
+        // until the flight it looks up is there.
+        let task = self.pool.push_deferred(move || process(&task_inner, job));
+        vacant.insert(Flight {
+            leader: ctx,
+            waiters: vec![waiter],
+            task,
+        });
+        drop(inflight);
+        rec.observe("queue.depth", depth as f64);
+        rec.gauge("svc.queue.depth", depth as f64);
+        Ok(pending(task))
     }
 
     /// The configuration coordinates a result was computed under — the
@@ -720,9 +808,9 @@ impl PredictService {
         let Some(caches) = &inner.caches else {
             return false;
         };
-        if !inner.site_idx.contains_key(site) {
+        let Some(&site_idx) = inner.site_idx.get(site) else {
             return false;
-        }
+        };
         let current = inner
             .registry
             .read()
@@ -737,7 +825,7 @@ impl PredictService {
         }
         let key = RequestKey {
             binary_key: origin.content,
-            site: site.to_string(),
+            site: site_idx,
             epoch: origin.edc_epoch,
             extended: mode == PredictionMode::Extended,
         };
@@ -863,7 +951,7 @@ fn process(inner: &Inner, job: Job) {
     // through the thread-local context this guard installs.
     let span = rec.span_in("svc.eval", Some(job.ctx));
     inner.evaluated.fetch_add(1, Ordering::Relaxed);
-    let site = &inner.sites[job.site_idx];
+    let site = &inner.sites[job.key.site];
     let binary = &job.binary;
 
     // Extended predictions need the source-phase bundle from the binary's
@@ -932,7 +1020,7 @@ fn process(inner: &Inner, job: Job) {
     let waiters = {
         let mut inflight = inner.inflight.lock().expect("inflight");
         if inner.cfg.result_cache && inner.caches.is_some() && cacheable {
-            (inner.results.lock().expect("results")).insert(job.key.clone(), Arc::clone(&answer));
+            (inner.results.lock().expect("results")).insert(job.key, Arc::clone(&answer));
         }
         inflight
             .remove(&job.key)
@@ -954,10 +1042,10 @@ fn process(inner: &Inner, job: Job) {
         rec.span_end_at("svc.request", w.ctx, latency_us);
         rec.observe_tail("svc.latency_us", latency_us as f64, w.ctx);
         rec.finish_trace(w.ctx);
-        // A waiter that gave up (dropped its receiver) is fine to miss.
+        // A waiter that gave up (dropped its handle) is fine to miss.
         let _ = w.tx.send(Ok(PredictResponse {
             binary_ref: job.binary_ref.clone(),
-            target_site: job.key.site.clone(),
+            target_site: site.name().to_string(),
             answer: Arc::clone(&answer),
             from_result_cache: false,
             cacheable,

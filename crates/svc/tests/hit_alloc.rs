@@ -1,7 +1,6 @@
-//! A warm result-cache hit allocates only the strings its response and
-//! lookup key own: the answer itself is the cached `Arc`, shared, not
-//! copied. Counted with a global allocator that tallies the calling
-//! thread's allocations.
+//! A warm result-cache hit allocates only the strings its response owns:
+//! the answer itself is the cached `Arc`, shared, not copied. Counted with
+//! a global allocator that tallies the calling thread's allocations.
 
 use feam_core::predict::PredictionMode;
 use feam_sim::faults::FaultPlan;
@@ -101,9 +100,9 @@ fn a_result_cache_hit_shares_the_answer() {
             Arc::ptr_eq(&hit.answer, &computed.answer),
             "{mode:?}: the hit hands out the evaluation's answer"
         );
-        // 1. the lookup key's copy of `target_site` (`RequestKey::site`);
-        // 2. the response's `binary_ref`;
-        // 3. the response's `target_site`.
-        assert_eq!(hit_allocs, 3, "{mode:?}: allocations of a result-cache hit");
+        // 1. the response's `binary_ref`;
+        // 2. the response's `target_site`.
+        // The lookup key names the site by index and allocates nothing.
+        assert_eq!(hit_allocs, 2, "{mode:?}: allocations of a result-cache hit");
     }
 }
