@@ -1,7 +1,7 @@
 //! Microbenchmarks of the substrates: ELF synthesis/parsing throughput,
 //! loader closure resolution, the simulated site tools (`ldd`, library
 //! search, a job launch), library collection cold and warm, site
-//! materialization, and the service's computed read.
+//! materialization, and the service's computed read and rollback read.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use feam_core::bdc::locate_library;
@@ -226,6 +226,38 @@ fn bench(c: &mut Criterion) {
                 assert!(!resp.from_result_cache);
                 resp
             },
+            BatchSize::SmallInput,
+        )
+    });
+    // A read after a rollback: the name is updated A→B→A in the untimed
+    // setup, so the timed `predict` asks for bytes the service answered
+    // before the flips.
+    let other = compile(
+        fir,
+        Some(&item_stack),
+        &ProgramSpec::new("ft", Language::Fortran),
+        42,
+    )
+    .unwrap();
+    svc.register_binary(
+        "app",
+        RegisteredBinary::new(Arc::clone(&bin.image), fir.name()),
+    )
+    .unwrap();
+    let rollback = PredictRequest {
+        binary_ref: "app".into(),
+        ..read.clone()
+    };
+    svc.predict(&rollback).unwrap();
+    g.bench_function("rollback_read", |b| {
+        b.iter_batched(
+            || {
+                for image in [&other.image, &bin.image] {
+                    let binding = RegisteredBinary::new(Arc::clone(image), fir.name());
+                    svc.update_binary("app", binding);
+                }
+            },
+            |_| svc.predict(&rollback).unwrap(),
             BatchSize::SmallInput,
         )
     });

@@ -29,7 +29,7 @@ use feam_agree::{dissent_of, feam_member, Ensemble};
 /// registered under `placement.binary_ref`) are a no-op: there is no
 /// image to check.
 pub fn annotate_with_ensemble(svc: &PredictService, placement: &mut Placement) -> usize {
-    let Some(image) = svc.binary_image(&placement.binary_ref) else {
+    let Some(image) = svc.binding(&placement.binary_ref).map(|b| b.image.clone()) else {
         return 0;
     };
     let mut ensemble = Ensemble::new(svc.fault_plan());

@@ -38,10 +38,11 @@
 //! the current fleet epoch (`fleet.replication.{applied,dropped}`, lag
 //! on `fleet.replication.lag_us`). As a last line of defence the install
 //! itself re-verifies the payload's origin coordinates (content key,
-//! EDC epoch) against the target's current state and keys the entry by
-//! those coordinates, so an op racing the install can only orphan the
-//! entry, never relabel it. Dropping is always safe — a replica that
-//! misses a replicated result merely re-evaluates on its first hit.
+//! target EDC epoch, home site and its EDC epoch) against the target's
+//! current state and keys the entry by those coordinates, so an op racing
+//! the install can only orphan the entry, never relabel it. Dropping is
+//! always safe — a replica that misses a replicated result merely
+//! re-evaluates on its first hit.
 
 use crate::health::{HealthTracker, NodeState};
 use crate::pool::Pool;
@@ -50,7 +51,7 @@ use crate::router::HashRing;
 use crate::service::{
     Delivery, Pending, PredictRequest, PredictResponse, PredictService, SvcError,
 };
-use feam_core::cache::BdcKey;
+use feam_core::cache::{content_key_of, BdcKey};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -128,7 +129,9 @@ pub struct FleetResponse {
 /// invalidation order fleet-wide.
 ///
 /// `Register` and `Update` carry the image's content key, taken once when
-/// the op is logged, so no node hashes the image again.
+/// the op is logged, so no node hashes the image. It comes from the
+/// allocation memo [`content_key_of`]: a buffer logged before (a
+/// rollback's) is not hashed again either.
 enum ConfigOp {
     Register {
         name: String,
@@ -298,7 +301,7 @@ impl Fleet {
         image: Arc<Vec<u8>>,
         home_site: &str,
     ) -> Result<(), SvcError> {
-        let content_key = BdcKey::of(&image);
+        let content_key = content_key_of(&image);
         let mut ops = self.inner.ops.lock().expect("ops");
         {
             let mut routes = self.inner.routes.lock().expect("routes");
@@ -324,11 +327,11 @@ impl Fleet {
         Ok(())
     }
 
-    /// Replace a name's bytes fleet-wide (epoch bump; stale cached
-    /// results become unreachable on every node, exactly as on a single
-    /// node). Returns the new fleet epoch.
+    /// Replace a name's bytes fleet-wide (epoch bump; every node keeps or
+    /// purges cached results exactly as a single node does). Returns the
+    /// new fleet epoch.
     pub fn update_binary(&self, name: &str, image: Arc<Vec<u8>>, home_site: &str) -> u64 {
-        let content_key = BdcKey::of(&image);
+        let content_key = content_key_of(&image);
         let mut ops = self.inner.ops.lock().expect("ops");
         self.inner
             .routes
@@ -651,11 +654,11 @@ impl Fleet {
     /// Queue a task on the pool that installs a cacheable answer on the
     /// rest of its replica set (non-blocking). `epoch` is the fleet epoch
     /// captured *before* the answer was computed; the origin coordinates
-    /// (content key, EDC epoch) are read from the winner. Any config op
-    /// landing anywhere in the window is caught by the task's epoch gate
-    /// (epochs only grow, so a stale stamp can never match again) or, for
-    /// ops racing the install itself, by the coordinate verification
-    /// inside `install_result`.
+    /// (content key, EDC epochs of the target and the home site) are read
+    /// from the winner. Any config op landing anywhere in the window is
+    /// caught by the task's epoch gate (epochs only grow, so a stale stamp
+    /// can never match again) or, for ops racing the install itself, by
+    /// the coordinate verification inside `install_result`.
     fn replicate(&self, req: &PredictRequest, winner: usize, resp: &PredictResponse, epoch: u64) {
         let Some(replicas) = self.replica_set(&req.binary_ref, &req.target_site) else {
             return;

@@ -10,9 +10,12 @@
 //! * **Content-addressed memoization.** Binary descriptions are keyed by
 //!   the FNV-1a hash of the ELF image, environment descriptions by site
 //!   name + configuration epoch ([`feam_core::cache`]); full evaluations
-//!   by the `(binary, site, epoch, mode)` tuple. A site reconfiguration
+//!   by the `(content, site, epoch, mode)` tuple, plus the home site and
+//!   its epoch for an extended answer. A site reconfiguration
 //!   ([`PredictService::reconfigure_site`]) bumps the epoch and orphans
-//!   everything derived from the stale environment.
+//!   everything derived from the stale environment, as target or as home.
+//!   A name keeps the answers of its current and previous content, so
+//!   rolling an update back is a result-cache hit.
 //! * **Single-flight coalescing.** Concurrent requests for the same key
 //!   share one evaluation — N callers, one phase run, N answers.
 //! * **Bounded admission.** A fixed-capacity queue feeds one worker pool

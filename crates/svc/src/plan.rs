@@ -163,7 +163,7 @@ impl SitePlacement {
             None => (0, 0, 0),
         };
         SitePlacement {
-            site: resp.target_site.clone(),
+            site: resp.target_site.to_string(),
             prediction: Some(resp.prediction.clone()),
             ready: resp.prediction.ready(),
             degraded: resp.evaluation.degraded,

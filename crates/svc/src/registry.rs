@@ -18,9 +18,14 @@
 //! generation it captured at submit time against the current one before
 //! memoizing, so an evaluation that raced an update can never publish a
 //! stale result.
+//!
+//! Each name also keeps the binding it held one update ago. An update
+//! back to that binding's content and home site re-adopts it, memoized
+//! bundle and all, so a rollback costs no source phase; the service keeps
+//! the results of both contents for the same reason.
 
 use feam_core::bundle::SourceBundle;
-use feam_core::cache::BdcKey;
+use feam_core::cache::{content_key_of, BdcKey};
 use feam_sim::faults::FaultPlan;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -68,6 +73,9 @@ pub struct RegisteredBinary {
     pub content_key: BdcKey,
     /// Site whose GEE runs the source phase for extended predictions.
     pub home_site: String,
+    /// Index of `home_site` in the binding registry's site list, resolved
+    /// when the registry binds this binary (`None`: not a served site).
+    pub(crate) home: Option<usize>,
     /// Source-phase output, computed on the first extended request per
     /// home-site configuration epoch.
     bundle: Mutex<Option<BundleMemo>>,
@@ -75,18 +83,21 @@ pub struct RegisteredBinary {
 
 impl RegisteredBinary {
     /// Register an image built at (or considered native to) `home_site`.
+    /// The key comes from [`content_key_of`], so a buffer registered
+    /// before is not hashed again.
     pub fn new(image: Arc<Vec<u8>>, home_site: &str) -> Self {
-        let content_key = BdcKey::of(&image);
+        let content_key = content_key_of(&image);
         Self::with_key(image, content_key, home_site)
     }
 
     /// [`RegisteredBinary::new`] for an image whose key the caller already
-    /// took with [`BdcKey::of`], so the image is not hashed again.
+    /// took, so the image is not looked up again.
     pub(crate) fn with_key(image: Arc<Vec<u8>>, content_key: BdcKey, home_site: &str) -> Self {
         RegisteredBinary {
             image,
             content_key,
             home_site: home_site.to_string(),
+            home: None,
             bundle: Mutex::new(None),
         }
     }
@@ -146,20 +157,50 @@ impl RegisteredBinary {
     }
 }
 
-/// One registry slot: the binding plus its generation (bumped by every
-/// [`BinaryRegistry::update`], never by an idempotent re-insert).
-struct Slot {
-    generation: u64,
-    binary: Arc<RegisteredBinary>,
+/// One registry slot: the binding, its generation (bumped by every
+/// [`BinaryRegistry::update`], never by an idempotent re-insert) and the
+/// binding it held one update ago.
+pub(crate) struct Slot {
+    /// The name, shared with every response that names it.
+    pub(crate) name: Arc<str>,
+    pub(crate) generation: u64,
+    pub(crate) binary: Arc<RegisteredBinary>,
+    previous: Option<Arc<RegisteredBinary>>,
 }
 
-/// Name → binary mapping with per-name generations.
+impl Slot {
+    /// Does this slot bind `content`, now or one update ago?
+    fn holds(&self, content: &BdcKey) -> bool {
+        std::iter::once(&self.binary)
+            .chain(&self.previous)
+            .any(|b| b.content_key == *content)
+    }
+}
+
+/// Name → binary mapping with per-name generations, over the site list
+/// the home sites are resolved against.
 #[derive(Default)]
 pub struct BinaryRegistry {
     entries: HashMap<String, Slot>,
+    sites: Vec<Arc<str>>,
 }
 
 impl BinaryRegistry {
+    /// An empty registry whose bindings resolve their home site against
+    /// `sites` (the serving site list, in index order).
+    pub fn over_sites(sites: Vec<Arc<str>>) -> Self {
+        BinaryRegistry {
+            entries: HashMap::new(),
+            sites,
+        }
+    }
+
+    /// `binary` with its home site resolved, ready to bind.
+    fn bind(&self, mut binary: RegisteredBinary) -> Arc<RegisteredBinary> {
+        binary.home = self.sites.iter().position(|s| **s == *binary.home_site);
+        Arc::new(binary)
+    }
+
     /// Register `name`. Re-registering the same content under the same
     /// name is an idempotent no-op (the existing entry, with its memoized
     /// bundle and generation, is kept); different content under an
@@ -174,47 +215,62 @@ impl BinaryRegistry {
             }
             return Ok(());
         }
+        let binary = self.bind(binary);
         self.entries.insert(
             name.to_string(),
             Slot {
+                name: name.into(),
                 generation: 0,
-                binary: Arc::new(binary),
+                binary,
+                previous: None,
             },
         );
         Ok(())
     }
 
     /// Replace `name`'s content (or create the binding), bumping its
-    /// generation. Returns `(new generation, displaced binary)` — the
-    /// displaced entry's content key is what the service uses to purge
-    /// results derived from the old bytes.
-    pub fn update(
-        &mut self,
-        name: &str,
-        binary: RegisteredBinary,
-    ) -> (u64, Option<Arc<RegisteredBinary>>) {
-        match self.entries.get_mut(name) {
-            Some(slot) => {
-                let old = std::mem::replace(&mut slot.binary, Arc::new(binary));
-                slot.generation += 1;
-                (slot.generation, Some(old))
-            }
-            None => {
-                self.entries.insert(
-                    name.to_string(),
-                    Slot {
-                        generation: 0,
-                        binary: Arc::new(binary),
-                    },
-                );
-                (0, None)
-            }
+    /// generation. A binding equal in content and home site to the
+    /// current one is kept, and one equal to the binding held one update
+    /// ago is re-adopted, each with its memoized bundle. Returns the new
+    /// generation and the content key that fell out of the name's
+    /// (current, previous) pair and that no other name binds either:
+    /// results derived from it can never be asked for again.
+    pub fn update(&mut self, name: &str, binary: RegisteredBinary) -> (u64, Option<BdcKey>) {
+        if !self.entries.contains_key(name) {
+            self.insert(name, binary).expect("a fresh name binds");
+            return (0, None);
         }
+        let bound = self.bind(binary);
+        let slot = self.entries.get_mut(name).expect("bound name");
+        let same = |b: &RegisteredBinary| {
+            b.content_key == bound.content_key && b.home_site == bound.home_site
+        };
+        let fallen = if same(&slot.binary) {
+            None
+        } else if slot.previous.as_deref().is_some_and(same) {
+            let back = slot.previous.take().expect("previous binding");
+            slot.previous = Some(std::mem::replace(&mut slot.binary, back));
+            None
+        } else {
+            let old = std::mem::replace(&mut slot.binary, bound);
+            slot.previous.replace(old)
+        };
+        slot.generation += 1;
+        let generation = slot.generation;
+        let purge = fallen
+            .map(|b| b.content_key)
+            .filter(|k| !self.entries.values().any(|s| s.holds(k)));
+        (generation, purge)
     }
 
     /// Resolve a request's `binary_ref`.
     pub fn get(&self, name: &str) -> Option<&Arc<RegisteredBinary>> {
         self.entries.get(name).map(|s| &s.binary)
+    }
+
+    /// `name`'s slot: its binding, generation and shared name.
+    pub(crate) fn slot(&self, name: &str) -> Option<&Slot> {
+        self.entries.get(name)
     }
 
     /// The current generation of `name`'s binding.
@@ -351,6 +407,35 @@ mod tests {
             assert_eq!(calls, expected, "a failure under faults is never memoized");
         }
         assert_eq!(b.bundle_epoch(), None);
+    }
+
+    #[test]
+    fn an_update_keeps_one_binding_back() {
+        let mut reg = BinaryRegistry::over_sites(vec!["ranger".into()]);
+        let (a, b, c) = (demo_binary(5), demo_binary(6), demo_binary(7));
+        let keys = [a.content_key, b.content_key, c.content_key];
+        let images = [a.image.clone(), b.image.clone(), c.image.clone()];
+        let bind = |i: usize| RegisteredBinary::new(images[i].clone(), "ranger");
+        reg.insert("app", a).unwrap();
+        let first = reg.get("app").unwrap().clone();
+        assert_eq!(first.home, Some(0), "the home site is resolved on binding");
+
+        assert_eq!(reg.update("app", bind(1)), (1, None));
+        assert_eq!(reg.update("app", bind(0)), (2, None), "A→B→A drops nothing");
+        assert!(
+            Arc::ptr_eq(reg.get("app").unwrap(), &first),
+            "the rollback re-adopts the binding"
+        );
+        assert_eq!(reg.update("app", bind(0)), (3, None), "same binding kept");
+        assert!(Arc::ptr_eq(reg.get("app").unwrap(), &first));
+
+        // A third content pushes B out of the pair: nothing else binds it.
+        assert_eq!(reg.update("app", bind(2)), (4, Some(keys[1])));
+        // A is still bound by another name when it falls out of "app"'s
+        // pair, so its results must stay.
+        reg.insert("twin", bind(0)).unwrap();
+        assert_eq!(reg.update("app", bind(1)), (5, None));
+        assert_eq!(reg.get("app").unwrap().content_key, keys[1]);
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! 1. **Resolve** — `binary_ref` and `target_site` must be registered;
 //!    unknown names fail fast without touching the queue.
 //! 2. **Result cache** — a completed evaluation for the same
-//!    `(binary, site, epoch, mode)` key answers immediately.
+//!    `(content, site, epoch, mode)` key answers immediately; an extended
+//!    key also names the home site and its epoch.
 //! 3. **Coalesce** — an in-flight evaluation for the same key adopts this
 //!    request as an extra waiter; one phase run fans out to all of them.
 //! 4. **Admit or shed** — a fixed-capacity queue feeds the workers; a
@@ -75,8 +76,10 @@ pub struct PredictAnswer {
 /// read through the response (`resp.prediction`).
 #[derive(Debug, Clone)]
 pub struct PredictResponse {
-    pub binary_ref: String,
-    pub target_site: String,
+    /// The binary's registered name, shared with the registry.
+    pub binary_ref: Arc<str>,
+    /// The target site's name, shared with the service's site list.
+    pub target_site: Arc<str>,
     /// The answer, shared with the result cache.
     pub answer: Arc<PredictAnswer>,
     /// Whether this answer came straight from the result cache.
@@ -245,7 +248,7 @@ pub struct ServiceConfig {
     /// EDC entry time-to-live in logical ticks (one tick per submitted
     /// request); 0 = entries live until their site's epoch is bumped.
     pub edc_ttl: u64,
-    /// Memoize full evaluations by `(binary, site, epoch, mode)`.
+    /// Memoize full evaluations by `(content, site, epoch, mode)`.
     pub result_cache: bool,
     /// Master cache switch; `false` turns every layer off (the
     /// `FEAM_CACHE=0` twin used to pin result equivalence).
@@ -278,21 +281,27 @@ impl Default for ServiceConfig {
     }
 }
 
-/// The memoization key: full content key of the binary (primary hash +
-/// length + second-hash discriminators, so FNV collisions cannot alias),
-/// target site (its index in the service's site list) at a specific
-/// configuration epoch, and the prediction mode.
+/// The memoization key: everything an answer derives from. The full
+/// content key of the binary (primary hash + length + second-hash
+/// discriminators, so FNV collisions cannot alias), the target site (its
+/// index in the service's site list) at a specific configuration epoch,
+/// and the prediction mode; an extended answer also derives from the
+/// source phase at the binary's home site, so its key names that site and
+/// its epoch too (`None` and 0 for a basic answer).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct RequestKey {
     binary_key: BdcKey,
     site: usize,
     epoch: u64,
     extended: bool,
+    home: Option<usize>,
+    home_epoch: u64,
 }
 
 /// The configuration coordinates an evaluation was computed under: the
-/// binding's content key and the target site's EDC epoch. Replicated
-/// results carry their origin's coordinates so
+/// binding's content key, the target site's EDC epoch, and the binding's
+/// home site with its EDC epoch (what an extended answer's source phase
+/// ran under). Replicated results carry their origin's coordinates so
 /// [`install_result`](PredictService::install_result) can refuse a
 /// payload whose configuration has moved on — and key accepted entries
 /// by the state they actually derive from, never by state read at
@@ -303,6 +312,11 @@ pub struct ResultOrigin {
     pub content: BdcKey,
     /// EDC epoch of the target site the answer was computed under.
     pub edc_epoch: u64,
+    /// The binding's home site, as an index into the site list every
+    /// node of a fleet shares (`None`: the home site is not served).
+    pub home: Option<usize>,
+    /// EDC epoch of the home site the answer was computed under.
+    pub home_epoch: u64,
 }
 
 struct Waiter {
@@ -333,7 +347,7 @@ struct Job {
     /// Queue entry time, for `svc.queue.wait_us` (wall-clock time spent
     /// waiting for a worker, separate from evaluation time).
     enqueued: Instant,
-    binary_ref: String,
+    binary_ref: Arc<str>,
     /// The binding as resolved at submit time: the evaluation always runs
     /// over the bytes the waiters asked about, even if the name is
     /// updated mid-flight.
@@ -348,7 +362,13 @@ struct Job {
 struct Inner {
     cfg: ServiceConfig,
     sites: Vec<Site>,
+    /// Site names in site order, shared with every response.
+    site_names: Vec<Arc<str>>,
     site_idx: HashMap<String, usize>,
+    /// Each site's EDC epoch, by site index: the value the EDC layer
+    /// returned at the site's last reconfiguration, read on every submit
+    /// without hashing a name.
+    epochs: Vec<AtomicU64>,
     registry: RwLock<BinaryRegistry>,
     phase_cfg: PhaseConfig,
     caches: Option<Arc<PhaseCaches>>,
@@ -393,6 +413,7 @@ impl PredictService {
         if let Some(plan) = &cfg.fault_plan {
             phase_cfg.faults = plan.clone();
         }
+        let site_names: Vec<Arc<str>> = sites.iter().map(|s| s.name().into()).collect();
         let site_idx = sites
             .iter()
             .enumerate()
@@ -402,8 +423,10 @@ impl PredictService {
             inner: Arc::new(Inner {
                 cfg,
                 sites,
+                epochs: site_names.iter().map(|_| AtomicU64::new(0)).collect(),
+                registry: RwLock::new(BinaryRegistry::over_sites(site_names.clone())),
+                site_names,
                 site_idx,
-                registry: RwLock::new(BinaryRegistry::default()),
                 phase_cfg,
                 caches,
                 results: Mutex::new(HashMap::new()),
@@ -433,25 +456,28 @@ impl PredictService {
     }
 
     /// Replace `name`'s bytes (or create the binding), bumping its
-    /// generation. Results memoized for the displaced content are purged,
-    /// and any evaluation already in flight for the old bytes will
-    /// deliver to its waiters but is barred from the result cache by the
-    /// generation check in `process`. Returns the new generation.
+    /// generation. The name keeps the results of its current and its
+    /// previous content, so an update back to the bytes it held one update
+    /// ago answers from the result cache; results of the content that falls
+    /// out of that pair are purged unless another name still binds it. Any
+    /// evaluation already in flight for the old bytes will deliver to its
+    /// waiters but is barred from the result cache by the generation check
+    /// in `process`. Returns the new generation.
     pub fn update_binary(&self, name: &str, binary: RegisteredBinary) -> u64 {
-        let (generation, displaced) = self
+        let (generation, fallen) = self
             .inner
             .registry
             .write()
             .expect("registry")
             .update(name, binary);
-        if let Some(old) = displaced {
-            // Results derived from the displaced bytes are unreachable
-            // (the key embeds the content key) — drop them eagerly.
+        if let Some(content) = fallen {
+            // Nothing binds these bytes any more, and the key embeds the
+            // content key: drop their results eagerly.
             self.inner
                 .results
                 .lock()
                 .expect("results")
-                .retain(|k, _| k.binary_key != old.content_key);
+                .retain(|k, _| k.binary_key != content);
         }
         self.inner.cfg.recorder.count("svc.binary_update", 1);
         generation
@@ -489,6 +515,17 @@ impl PredictService {
             .read()
             .expect("registry")
             .generation(name)
+    }
+
+    /// The binding `name` resolves to now: its image, content key, home
+    /// site and source-bundle memo.
+    pub fn binding(&self, name: &str) -> Option<Arc<RegisteredBinary>> {
+        self.inner
+            .registry
+            .read()
+            .expect("registry")
+            .get(name)
+            .cloned()
     }
 
     /// Site names served, in site order.
@@ -540,16 +577,6 @@ impl PredictService {
         self.inner.site_idx.get(name).map(|&i| &self.inner.sites[i])
     }
 
-    /// The registered ELF image behind `name`, if any.
-    pub fn binary_image(&self, name: &str) -> Option<Arc<Vec<u8>>> {
-        self.inner
-            .registry
-            .read()
-            .expect("registry")
-            .get(name)
-            .map(|b| b.image.clone())
-    }
-
     /// The fault plan every service-side session runs under. Ensemble
     /// checkers collect inventories under the same plan so chaos
     /// perturbs them exactly like the pipeline's own reads.
@@ -564,8 +591,9 @@ impl PredictService {
 
     /// Signal that `site` was reconfigured: bumps its EDC epoch so every
     /// cached description and result derived from the stale environment is
-    /// orphaned. Returns the new epoch (0 when caching is off — there is
-    /// nothing to invalidate).
+    /// orphaned, extended results whose source phase ran there included.
+    /// Returns the new epoch (0 when caching is off — there is nothing to
+    /// invalidate).
     pub fn reconfigure_site(&self, site: &str) -> Result<u64, SvcError> {
         let Some(&idx) = self.inner.site_idx.get(site) else {
             return Err(SvcError::UnknownSite(site.to_string()));
@@ -573,14 +601,18 @@ impl PredictService {
         let Some(caches) = &self.inner.caches else {
             return Ok(0);
         };
+        // The EDC layer moves first: a submit that reads the new epoch
+        // evaluates against the new environment.
         let epoch = caches.edc.invalidate(site);
-        // Old-epoch results are unreachable (the key embeds the epoch);
-        // drop them eagerly so the map doesn't accumulate garbage.
+        self.inner.epochs[idx].store(epoch, Ordering::SeqCst);
+        // Old-epoch results are unreachable (the key embeds the target's
+        // and the home site's epoch); drop them eagerly so the map doesn't
+        // accumulate garbage.
         self.inner
             .results
             .lock()
             .expect("results")
-            .retain(|k, _| k.site != idx);
+            .retain(|k, _| k.site != idx && k.home != Some(idx));
         self.inner.cfg.recorder.count("svc.epoch_bump", 1);
         Ok(epoch)
     }
@@ -613,33 +645,28 @@ impl PredictService {
         let Some(&site_idx) = inner.site_idx.get(&req.target_site) else {
             return Err(SvcError::UnknownSite(req.target_site.clone()));
         };
-        let (binary, generation) = {
+        let (name, binary, generation) = {
             let registry = inner.registry.read().expect("registry");
-            let Some(binary) = registry.get(&req.binary_ref) else {
+            let Some(slot) = registry.slot(&req.binary_ref) else {
                 return Err(SvcError::UnknownBinary(req.binary_ref.clone()));
             };
-            (
-                binary.clone(),
-                registry
-                    .generation(&req.binary_ref)
-                    .expect("resolved names have a generation"),
-            )
+            (slot.name.clone(), slot.binary.clone(), slot.generation)
         };
 
         // One logical tick per submitted request: the EDC TTL is measured
         // in "requests of staleness".
-        let epoch = match &inner.caches {
-            Some(c) => {
-                c.edc.advance_clock();
-                c.edc.epoch(&req.target_site)
-            }
-            None => 0,
-        };
+        if let Some(c) = &inner.caches {
+            c.edc.advance_clock();
+        }
+        let extended = req.mode == PredictionMode::Extended;
+        let home = binary.home.filter(|_| extended);
         let key = RequestKey {
             binary_key: binary.content_key,
             site: site_idx,
-            epoch,
-            extended: req.mode == PredictionMode::Extended,
+            epoch: inner.epoch(Some(site_idx)),
+            extended,
+            home,
+            home_epoch: inner.epoch(home),
         };
 
         // Every request gets a trace context. A cache hit never opens a
@@ -661,7 +688,7 @@ impl PredictService {
 
         // Fast path: a finished evaluation for this exact key.
         if inner.cfg.result_cache && inner.caches.is_some() {
-            if let Some(resp) = result_hit(inner, &key, req, t0, ctx, false) {
+            if let Some(resp) = result_hit(inner, &key, &name, t0, ctx, false) {
                 return Ok(Delivery::Ready(resp));
             }
             rec.count("svc.result.miss", 1);
@@ -714,7 +741,7 @@ impl PredictService {
         // closes the window where a key is in neither map and would be
         // evaluated twice.
         if inner.cfg.result_cache && inner.caches.is_some() {
-            if let Some(resp) = result_hit(inner, &key, req, t0, ctx, true) {
+            if let Some(resp) = result_hit(inner, &key, &name, t0, ctx, true) {
                 return Ok(Delivery::Ready(resp));
             }
         }
@@ -737,7 +764,7 @@ impl PredictService {
             key,
             ctx,
             enqueued: Instant::now(),
-            binary_ref: req.binary_ref.clone(),
+            binary_ref: name,
             binary,
             generation,
             mode: req.mode,
@@ -759,25 +786,25 @@ impl PredictService {
     }
 
     /// The configuration coordinates a result was computed under — the
-    /// binding's content key and the target site's EDC epoch. A
-    /// replicated payload carries its origin's coordinates so the
-    /// installer can verify them against (and key the entry by) the
-    /// state the answer actually derives from.
+    /// binding's content key, the target site's EDC epoch, and the
+    /// binding's home site with its EDC epoch. A replicated payload
+    /// carries its origin's coordinates so the installer can verify them
+    /// against (and key the entry by) the state the answer actually
+    /// derives from.
     pub fn result_origin(&self, binary_ref: &str, site: &str) -> Option<ResultOrigin> {
-        let content = self
-            .inner
+        let inner = &self.inner;
+        let (content, home) = inner
             .registry
             .read()
             .expect("registry")
             .get(binary_ref)
-            .map(|b| b.content_key)?;
-        let edc_epoch = self
-            .inner
-            .caches
-            .as_ref()
-            .map(|c| c.edc.epoch(site))
-            .unwrap_or(0);
-        Some(ResultOrigin { content, edc_epoch })
+            .map(|b| (b.content_key, b.home))?;
+        Some(ResultOrigin {
+            content,
+            edc_epoch: inner.epoch(inner.site_idx.get(site).copied()),
+            home,
+            home_epoch: inner.epoch(home),
+        })
     }
 
     /// Install a completed evaluation into the result cache, as if this
@@ -790,9 +817,12 @@ impl PredictService {
     /// the op is observed here the payload is refused, and if it lands
     /// after the checks the entry's key still embeds the old
     /// coordinates (content- and epoch-addressed), so the new binding
-    /// can never reach it and the op's own purge sweeps it. Degraded
-    /// payloads are refused. The entry shares `answer`. Returns whether
-    /// the entry was installed.
+    /// can never reach it: the op's own purge sweeps it, or keeps it as
+    /// the right answer for content the name may roll back to. An extended
+    /// payload is also checked, and keyed, by its home site and that
+    /// site's epoch; a basic one derives from neither. Degraded payloads
+    /// are refused. The entry shares `answer`. Returns whether the entry
+    /// was installed.
     pub fn install_result(
         &self,
         binary_ref: &str,
@@ -802,32 +832,38 @@ impl PredictService {
         answer: &Arc<PredictAnswer>,
     ) -> bool {
         let inner = &self.inner;
-        if !inner.cfg.result_cache || answer.evaluation.degraded {
+        if !inner.cfg.result_cache || inner.caches.is_none() || answer.evaluation.degraded {
             return false;
         }
-        let Some(caches) = &inner.caches else {
-            return false;
-        };
         let Some(&site_idx) = inner.site_idx.get(site) else {
             return false;
         };
+        let extended = mode == PredictionMode::Extended;
         let current = inner
             .registry
             .read()
             .expect("registry")
             .get(binary_ref)
-            .map(|b| b.content_key);
-        if current != Some(origin.content) {
+            .map(|b| (b.content_key, b.home));
+        let Some((content, home)) = current else {
+            return false;
+        };
+        if content != origin.content || (extended && home != origin.home) {
             return false; // the binding moved since the origin evaluated
         }
-        if caches.edc.epoch(site) != origin.edc_epoch {
+        if inner.epoch(Some(site_idx)) != origin.edc_epoch {
             return false; // the site was reconfigured since
+        }
+        if extended && inner.epoch(origin.home) != origin.home_epoch {
+            return false; // the home site was reconfigured since
         }
         let key = RequestKey {
             binary_key: origin.content,
             site: site_idx,
             epoch: origin.edc_epoch,
-            extended: mode == PredictionMode::Extended,
+            extended,
+            home: origin.home.filter(|_| extended),
+            home_epoch: if extended { origin.home_epoch } else { 0 },
         };
         inner
             .results
@@ -854,14 +890,21 @@ impl Drop for PredictService {
     }
 }
 
-/// Answer `req` from the result cache when a finished evaluation for
-/// `key` is there; `None` on a miss. The results lock is held while the
-/// answer is built. `span_open`: the request's `svc.request` span is
-/// already begun, and the hit ends it.
+impl Inner {
+    /// The EDC epoch of the site at `idx`; 0 for no site.
+    fn epoch(&self, idx: Option<usize>) -> u64 {
+        idx.map_or(0, |i| self.epochs[i].load(Ordering::SeqCst))
+    }
+}
+
+/// Answer the request for `name` from the result cache when a finished
+/// evaluation for `key` is there; `None` on a miss. The results lock is
+/// held while the answer is built. `span_open`: the request's
+/// `svc.request` span is already begun, and the hit ends it.
 fn result_hit(
     inner: &Inner,
     key: &RequestKey,
-    req: &PredictRequest,
+    name: &Arc<str>,
     t0: Instant,
     ctx: TraceCtx,
     span_open: bool,
@@ -878,8 +921,8 @@ fn result_hit(
         rec.observe_tail("svc.latency_us", latency_us as f64, ctx);
         rec.finish_trace(ctx);
         return Some(PredictResponse {
-            binary_ref: req.binary_ref.clone(),
-            target_site: req.target_site.clone(),
+            binary_ref: name.clone(),
+            target_site: inner.site_names[key.site].clone(),
             answer: hit,
             from_result_cache: true,
             cacheable: true,
@@ -955,21 +998,13 @@ fn process(inner: &Inner, job: Job) {
     let binary = &job.binary;
 
     // Extended predictions need the source-phase bundle from the binary's
-    // home site; computed once per home-site configuration epoch, then
-    // memoized unless a fault touched it. A reconfigured home site (epoch
-    // bump) orphans the memo.
+    // home site; computed once per home-site configuration epoch (the one
+    // the key names), then memoized unless a fault touched it. A
+    // reconfigured home site (epoch bump) orphans the memo.
     let bundle = if job.mode == PredictionMode::Extended {
-        let home_epoch = inner
-            .caches
-            .as_ref()
-            .map(|c| c.edc.epoch(&binary.home_site))
-            .unwrap_or(0);
-        binary.bundle_under(home_epoch, &inner.phase_cfg.faults, || {
+        binary.bundle_under(job.key.home_epoch, &inner.phase_cfg.faults, || {
             let _span = rec.span("svc.source_phase");
-            let home = inner
-                .site_idx
-                .get(&binary.home_site)
-                .map(|&i| &inner.sites[i])?;
+            let home = &inner.sites[job.key.home?];
             run_source_phase(home, &binary.image, &inner.phase_cfg)
                 .ok()
                 .map(Arc::new)
@@ -1045,7 +1080,7 @@ fn process(inner: &Inner, job: Job) {
         // A waiter that gave up (dropped its handle) is fine to miss.
         let _ = w.tx.send(Ok(PredictResponse {
             binary_ref: job.binary_ref.clone(),
-            target_site: site.name().to_string(),
+            target_site: inner.site_names[job.key.site].clone(),
             answer: Arc::clone(&answer),
             from_result_cache: false,
             cacheable,

@@ -1,5 +1,5 @@
-//! A warm result-cache hit allocates only the strings its response owns:
-//! the answer itself is the cached `Arc`, shared, not copied. Counted with
+//! A warm result-cache hit allocates nothing: the answer is the cached
+//! `Arc` and the response's names are shared, not copied. Counted with
 //! a global allocator that tallies the calling thread's allocations.
 
 use feam_core::predict::PredictionMode;
@@ -100,9 +100,8 @@ fn a_result_cache_hit_shares_the_answer() {
             Arc::ptr_eq(&hit.answer, &computed.answer),
             "{mode:?}: the hit hands out the evaluation's answer"
         );
-        // 1. the response's `binary_ref`;
-        // 2. the response's `target_site`.
-        // The lookup key names the site by index and allocates nothing.
-        assert_eq!(hit_allocs, 2, "{mode:?}: allocations of a result-cache hit");
+        // The lookup key names the sites by index, and the response shares
+        // the registry's name and the service's site name.
+        assert_eq!(hit_allocs, 0, "{mode:?}: allocations of a result-cache hit");
     }
 }
