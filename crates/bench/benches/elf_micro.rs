@@ -1,7 +1,8 @@
 //! Microbenchmarks of the substrates: ELF synthesis/parsing throughput,
 //! loader closure resolution, the simulated site tools (`ldd`, library
 //! search, a job launch), library collection cold and warm, site
-//! materialization, and the service's computed read and rollback read.
+//! materialization, the service's computed read and rollback read, and a
+//! fleet's computed read.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use feam_core::bdc::locate_library;
@@ -13,7 +14,9 @@ use feam_sim::loader::resolve_closure;
 use feam_sim::site::{Session, Site};
 use feam_sim::toolchain::Language;
 use feam_sim::tools::{self, LddResult};
-use feam_svc::{PredictRequest, PredictService, RegisteredBinary, ServiceConfig};
+use feam_svc::{
+    Fleet, FleetConfig, PredictRequest, PredictService, RegisteredBinary, ServiceConfig,
+};
 use feam_workloads::sites::{ranger, standard_sites, FIR};
 use std::hint::black_box;
 use std::sync::Arc;
@@ -203,7 +206,7 @@ fn bench(c: &mut Criterion) {
         fault_plan: Some(Arc::new(feam_sim::faults::FaultPlan::none())),
         ..ServiceConfig::default()
     };
-    let mut svc = PredictService::new(cfg);
+    let mut svc = PredictService::new(cfg.clone());
     svc.register_binary(
         "bt",
         RegisteredBinary::new(Arc::clone(&bin.image), fir.name()),
@@ -258,6 +261,32 @@ fn bench(c: &mut Criterion) {
                 }
             },
             |_| svc.predict(&rollback).unwrap(),
+            BatchSize::SmallInput,
+        )
+    });
+    g.finish();
+
+    // The same computed read through a started 4-node, R=2 fleet: routing,
+    // the primary's evaluation, and the install on its replica peer.
+    let fleet_cfg = FleetConfig {
+        replication: 2,
+        ..FleetConfig::default()
+    };
+    let mut fleet = Fleet::with_factory(fleet_cfg, 4, |_| PredictService::new(cfg.clone()));
+    fleet
+        .register_binary("bt", Arc::clone(&bin.image), fir.name())
+        .unwrap();
+    fleet.start();
+    let mut g = c.benchmark_group("fleet");
+    g.sample_size(2000);
+    g.bench_function("computed_read", |b| {
+        b.iter_batched(
+            || fleet.reconfigure_site(&read.target_site).unwrap(),
+            |_| {
+                let out = fleet.predict_replicated(&read).unwrap();
+                assert!(!out.response.from_result_cache);
+                out
+            },
             BatchSize::SmallInput,
         )
     });

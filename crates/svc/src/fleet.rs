@@ -1,6 +1,7 @@
 //! The sharded serving fleet: N [`PredictService`] nodes behind a
 //! consistent-hash router with health-gated failover, hedged requests,
-//! asynchronous result replication, and epoch-propagated invalidation.
+//! result replication on the answering thread, and epoch-propagated
+//! invalidation.
 //!
 //! ## Failure domains
 //!
@@ -14,8 +15,11 @@
 //!    whose process is up and reachable.
 //! 2. **Failover** — a down / partitioned / open / overloaded replica is
 //!    skipped (`fleet.failover`); the next replica takes the request.
-//! 3. **Hedge** — a primary that is up but slow past `hedge_after` gets a
-//!    duplicate dispatched to the next viable node
+//! 3. **Hedge** — the caller first claims the primary's flight and, if it
+//!    is still queued, runs it itself: that answer cannot be hedged. A
+//!    flight another thread runs (a pool thread dequeued it, or the read
+//!    coalesced onto another caller's) that is slow past `hedge_after` gets
+//!    a duplicate dispatched to the next viable node
 //!    (`fleet.hedge.fired`/`fleet.hedge.won`); first answer wins, the
 //!    loser's answer is discarded when it lands.
 //! 4. **Degraded fallback** — when *every* replica refuses, any up node
@@ -29,27 +33,27 @@
 //! epoch**. Reachable nodes apply the op immediately; a node that was
 //! down or partitioned replays the missed suffix (catch-up) before it is
 //! ever dispatched to again — a rejoined node can never serve from stale
-//! configuration. Result replication is asynchronous and epoch-gated:
-//! each cacheable answer is queued on the shared pool as an install task
-//! for the rest of its replica set, tagged with the fleet epoch captured
-//! *before* the answer was computed — so any config op landing while the
-//! answer was in flight makes the stamp stale — and the installer drops
-//! any payload whose epoch no longer matches both the target node and
-//! the current fleet epoch (`fleet.replication.{applied,dropped}`, lag
-//! on `fleet.replication.lag_us`). As a last line of defence the install
-//! itself re-verifies the payload's origin coordinates (content key,
-//! target EDC epoch, home site and its EDC epoch) against the target's
-//! current state and keys the entry by those coordinates, so an op racing
-//! the install can only orphan the entry, never relabel it. Dropping is
-//! always safe — a replica that misses a replicated result merely
-//! re-evaluates on its first hit.
+//! configuration. Result replication is synchronous and epoch-gated:
+//! before `predict_replicated` returns a computed cacheable answer, the
+//! calling thread installs it on the rest of the replica set it was
+//! routed over, stamped with the fleet epoch captured *before* the answer
+//! was computed — so any config op landing while the answer was in
+//! flight makes the stamp stale — and drops it on any node whose epoch no
+//! longer matches both that stamp and the current fleet epoch
+//! (`fleet.replication.{applied,dropped}`). As a last line of defence
+//! the install itself re-verifies the payload's origin coordinates
+//! (content key, target EDC epoch, home site and its EDC epoch) against
+//! the target's current state and keys the entry by those coordinates, so
+//! an op racing the install can only orphan the entry, never relabel it.
+//! Dropping is always safe — a replica that misses a replicated result
+//! merely re-evaluates on its first hit.
 
 use crate::health::{HealthTracker, NodeState};
 use crate::pool::Pool;
 use crate::registry::RegisteredBinary;
 use crate::router::HashRing;
 use crate::service::{
-    Delivery, Pending, PredictRequest, PredictResponse, PredictService, SvcError,
+    Delivery, Pending, PredictAnswer, PredictRequest, PredictResponse, PredictService, SvcError,
 };
 use feam_core::cache::{content_key_of, BdcKey};
 use std::collections::HashMap;
@@ -113,8 +117,8 @@ impl std::error::Error for FleetError {}
 /// A fleet answer: the service response plus its routing provenance.
 #[derive(Debug)]
 pub struct FleetResponse {
-    /// Name of the node that answered.
-    pub node: String,
+    /// Name of the node that answered, shared with the fleet.
+    pub node: Arc<str>,
     /// Replicas skipped (down / open / overloaded) before dispatch.
     pub failovers: u32,
     /// The winning answer came from a hedge, not the primary dispatch.
@@ -151,7 +155,7 @@ enum ConfigOp {
 }
 
 struct FleetNode {
-    name: String,
+    name: Arc<str>,
     svc: PredictService,
     /// Process up? A killed node fast-fails dispatch (connection
     /// refused); its already-queued work still completes.
@@ -186,12 +190,15 @@ struct FleetInner {
 
 /// The fleet. Build with [`Fleet::with_factory`], register binaries
 /// through the fleet (never directly on a node), `start`, then `predict`
-/// from any thread.
+/// from any thread. Dropping the fleet drops its nodes; the first node's
+/// drop drains and joins the pool they share.
 pub struct Fleet {
-    inner: Arc<FleetInner>,
-    /// The one executor every node and every replication install runs on.
-    pool: Arc<Pool>,
+    /// Boxed, so that a `Fleet` is as small to move as a `PredictService`.
+    inner: Box<FleetInner>,
 }
+
+/// A dispatch's end: the index of the node that answered and the answer.
+type Answered = Result<(usize, FleetResponse), FleetError>;
 
 impl Fleet {
     /// Build `n` nodes from a factory. The factory must produce
@@ -207,7 +214,7 @@ impl Fleet {
         let mut ring = HashRing::new(RING_SEED, VNODES);
         let mut nodes = Vec::with_capacity(n);
         for i in 0..n.max(1) {
-            let name = format!("node-{i}");
+            let name: Arc<str> = format!("node-{i}").into();
             ring.add(&name);
             let mut svc = factory(i);
             svc.use_pool(pool.clone());
@@ -221,7 +228,7 @@ impl Fleet {
             });
         }
         Fleet {
-            inner: Arc::new(FleetInner {
+            inner: Box::new(FleetInner {
                 cfg,
                 nodes,
                 ring,
@@ -230,7 +237,6 @@ impl Fleet {
                 routes: Mutex::new(HashMap::new()),
                 t0: Instant::now(),
             }),
-            pool,
         }
     }
 
@@ -282,9 +288,7 @@ impl Fleet {
 
     /// The replica set (node indices) a request routes onto.
     pub fn replica_set(&self, binary_ref: &str, site: &str) -> Option<Vec<usize>> {
-        let routes = self.inner.routes.lock().expect("routes");
-        let &content = routes.get(binary_ref)?;
-        let point = self.inner.ring.key_point(content, site);
+        let point = self.inner.key_point(binary_ref, site)?;
         Some(self.inner.ring.replicas(point, self.inner.cfg.replication))
     }
 
@@ -437,11 +441,34 @@ impl Fleet {
     /// Route, dispatch (with failover and hedging) and answer one
     /// request.
     pub fn predict(&self, req: &PredictRequest) -> Result<FleetResponse, FleetError> {
+        self.route(req, None)
+    }
+
+    /// `predict`, then install the answer on the rest of its replica set
+    /// if it was computed, is clean, and is still fresh. The public entry
+    /// point used by the bench and conform crossing.
+    pub fn predict_replicated(&self, req: &PredictRequest) -> Result<FleetResponse, FleetError> {
+        // Capture the epoch BEFORE evaluating, so a config op landing
+        // while the answer is in flight leaves it stamped with the pre-op
+        // epoch and the freshness gate drops it. Stamping after the fact
+        // would let an answer computed against old bytes or a stale
+        // environment slip through under the new epoch.
+        self.route(req, Some(self.epoch()))
+    }
+
+    /// Walk the candidates (replica set, then every other node) until one
+    /// answers. With `replicate_at`, a computed cacheable answer is then
+    /// installed on the replica set under that fleet epoch.
+    fn route(
+        &self,
+        req: &PredictRequest,
+        replicate_at: Option<u64>,
+    ) -> Result<FleetResponse, FleetError> {
         let inner = &self.inner;
         let rec = &inner.cfg.recorder;
         rec.count("fleet.requests", 1);
 
-        let Some(replicas) = self.replica_set(&req.binary_ref, &req.target_site) else {
+        let Some(point) = inner.key_point(&req.binary_ref, &req.target_site) else {
             return Err(FleetError::Svc(SvcError::UnknownBinary(
                 req.binary_ref.clone(),
             )));
@@ -449,10 +476,13 @@ impl Fleet {
 
         // Candidate order: the replica set, then (degraded fallback)
         // every other node. `degraded_from` marks where fallback starts.
-        let degraded_from = replicas.len();
-        let mut candidates = replicas;
+        let mut candidates = Vec::with_capacity(inner.nodes.len());
+        inner
+            .ring
+            .replicas_into(point, inner.cfg.replication, &mut candidates);
+        let degraded_from = candidates.len();
         for i in 0..inner.nodes.len() {
-            if !candidates.contains(&i) {
+            if !candidates[..degraded_from].contains(&i) {
                 candidates.push(i);
             }
         }
@@ -475,20 +505,18 @@ impl Fleet {
                 rec.count("fleet.fallback.degraded", 1);
             }
             attempts += 1;
-            match inner.dispatch(i, req) {
+            let answered = match inner.dispatch(i, req) {
                 Ok(Delivery::Ready(resp)) => {
-                    return inner.settle(i, Ok(resp), failovers, false, degraded_route);
+                    inner.settle(i, Ok(resp), failovers, false, degraded_route)
                 }
-                Ok(Delivery::Pending(rx)) => {
-                    return self.await_answer(
-                        i,
-                        rx,
-                        &candidates[pos + 1..],
-                        req,
-                        failovers,
-                        degraded_route,
-                    );
-                }
+                Ok(Delivery::Pending(rx)) => self.await_answer(
+                    i,
+                    rx,
+                    &candidates[pos + 1..],
+                    req,
+                    failovers,
+                    degraded_route,
+                ),
                 Err(e) if e.retryable() || matches!(e, SvcError::ShuttingDown) => {
                     // Overloaded (node sheds) or a kill raced the admit
                     // check: the next replica takes the request and the
@@ -508,15 +536,26 @@ impl Fleet {
                     inner.release_probe(i);
                     return Err(FleetError::Svc(e));
                 }
+            };
+            let (winner, out) = answered?;
+            if let Some(epoch) = replicate_at {
+                let resp = &out.response;
+                if resp.cacheable && !resp.from_result_cache {
+                    let replicas = &candidates[..degraded_from];
+                    inner.replicate(req, winner, replicas, &resp.answer, epoch);
+                }
             }
+            return Ok(out);
         }
         rec.count("fleet.unavailable", 1);
         Err(FleetError::Unavailable { attempts })
     }
 
-    /// Wait for a pending answer, hedging to the next viable candidate if
-    /// the primary is slow. First answer wins; the loser's (eventual)
-    /// answer is discarded with its handle.
+    /// Wait for a pending answer. The caller first claims the primary's
+    /// flight; one it runs itself is never hedged. A flight running
+    /// elsewhere that is slow gets a hedge to the next viable candidate;
+    /// first answer wins, and the loser's (eventual) answer is discarded
+    /// with its handle.
     fn await_answer(
         &self,
         primary: usize,
@@ -525,23 +564,15 @@ impl Fleet {
         req: &PredictRequest,
         failovers: u32,
         degraded_route: bool,
-    ) -> Result<FleetResponse, FleetError> {
+    ) -> Answered {
         let inner = &self.inner;
         let rec = &inner.cfg.recorder;
 
+        // Phase 0: claim the flight. A flight this thread ran leaves
+        // nothing to hedge; with no hedging, `recv` makes the claim.
         let hedge_after = match inner.cfg.hedge_after {
-            Some(d) => d,
-            None => {
-                return match rx.recv() {
-                    Ok(out) => inner.settle(primary, out, failovers, false, degraded_route),
-                    Err(_) => {
-                        // The answer channel died without an outcome to
-                        // attribute: free the admitted probe slot.
-                        inner.release_probe(primary);
-                        Err(FleetError::Svc(SvcError::ShuttingDown))
-                    }
-                };
-            }
+            Some(d) if !rx.claim() => d,
+            _ => return inner.settle_recv(primary, &rx, failovers, degraded_route),
         };
 
         // Phase 1: give the primary `hedge_after` to answer.
@@ -587,13 +618,7 @@ impl Fleet {
 
         let Some((hb, hrx)) = hedge else {
             // No viable hedge target: wait the primary out.
-            return match rx.recv() {
-                Ok(out) => inner.settle(primary, out, failovers, false, degraded_route),
-                Err(_) => {
-                    inner.release_probe(primary);
-                    Err(FleetError::Svc(SvcError::ShuttingDown))
-                }
-            };
+            return inner.settle_recv(primary, &rx, failovers, degraded_route);
         };
 
         // Phase 3: race primary and hedge; first answer wins. The loser's
@@ -641,84 +666,56 @@ impl Fleet {
     }
 }
 
-impl Drop for Fleet {
-    /// Drain and join the pool before `inner` goes: a queued replication
-    /// task holds it, and a pool thread dropping the last holder would drop
-    /// the nodes, then the pool, and join itself.
-    fn drop(&mut self) {
-        self.pool.shutdown();
-    }
-}
-
-impl Fleet {
-    /// Queue a task on the pool that installs a cacheable answer on the
-    /// rest of its replica set (non-blocking). `epoch` is the fleet epoch
-    /// captured *before* the answer was computed; the origin coordinates
-    /// (content key, EDC epochs of the target and the home site) are read
-    /// from the winner. Any config op landing anywhere in the window is
-    /// caught by the task's epoch gate (epochs only grow, so a stale stamp
-    /// can never match again) or, for ops racing the install itself, by
-    /// the coordinate verification inside `install_result`.
-    fn replicate(&self, req: &PredictRequest, winner: usize, resp: &PredictResponse, epoch: u64) {
-        let Some(replicas) = self.replica_set(&req.binary_ref, &req.target_site) else {
-            return;
-        };
-        let targets: Vec<usize> = replicas.into_iter().filter(|&i| i != winner).collect();
-        if targets.is_empty() {
-            return;
-        }
-        let svc = &self.inner.nodes[winner].svc;
-        let Some(origin) = svc.result_origin(&req.binary_ref, &req.target_site) else {
-            return;
-        };
-        let inner = self.inner.clone();
-        let (binary_ref, site, mode) = (req.binary_ref.clone(), req.target_site.clone(), req.mode);
-        let answer = Arc::clone(&resp.answer);
-        let enqueued = Instant::now();
-        self.pool.push(move || {
-            let rec = &inner.cfg.recorder;
-            let lag_us = enqueued.elapsed().as_micros() as f64;
-            for t in targets {
-                let node = &inner.nodes[t];
-                let fresh = node.reachable()
-                    && node.applied_epoch.load(Ordering::SeqCst) == epoch
-                    && inner.epoch.load(Ordering::SeqCst) == epoch;
-                let installed = fresh
-                    && node
-                        .svc
-                        .install_result(&binary_ref, &site, mode, origin, &answer);
-                if installed {
-                    rec.count("fleet.replication.applied", 1);
-                } else {
-                    rec.count("fleet.replication.dropped", 1);
-                }
-            }
-            rec.observe("fleet.replication.lag_us", lag_us);
-        });
-    }
-
-    /// `predict`, then replicate the answer if it is clean and fresh.
-    /// The public entry point used by the bench and conform crossing.
-    pub fn predict_replicated(&self, req: &PredictRequest) -> Result<FleetResponse, FleetError> {
-        // Capture the epoch BEFORE evaluating, so a config op landing
-        // while the answer is in flight leaves the job stamped with the
-        // pre-op epoch and the freshness gate drops it. Stamping after
-        // the fact would let an answer computed against old bytes or a
-        // stale environment slip through under the new epoch.
-        let epoch = self.epoch();
-        let out = self.predict(req)?;
-        if out.response.cacheable && !out.response.from_result_cache {
-            if let Some(winner) = self.inner.nodes.iter().position(|n| n.name == out.node) {
-                self.replicate(req, winner, &out.response, epoch);
-            }
-        }
-        Ok(out)
-    }
-}
-
 impl FleetInner {
     fn now_ms(&self) -> u64 {
         self.t0.elapsed().as_millis() as u64
+    }
+
+    /// The ring point of the content `binary_ref` is bound to, at `site`.
+    fn key_point(&self, binary_ref: &str, site: &str) -> Option<u64> {
+        let &content = self.routes.lock().expect("routes").get(binary_ref)?;
+        Some(self.ring.key_point(content, site))
+    }
+
+    /// Install a cacheable answer on the rest of its replica set, on this
+    /// thread. `epoch` is the fleet epoch captured *before* the answer was
+    /// computed; the origin coordinates (content key, EDC epochs of the
+    /// target and the home site) are read from the winner. Any config op
+    /// landing anywhere in the window is caught by the epoch gate (epochs
+    /// only grow, so a stale stamp can never match again) or, for ops
+    /// racing the install itself, by the coordinate verification inside
+    /// `install_result`.
+    fn replicate(
+        &self,
+        req: &PredictRequest,
+        winner: usize,
+        replicas: &[usize],
+        answer: &Arc<PredictAnswer>,
+        epoch: u64,
+    ) {
+        if replicas.iter().all(|&t| t == winner) {
+            return;
+        }
+        let (name, site) = (&req.binary_ref, &req.target_site);
+        let Some(origin) = self.nodes[winner].svc.result_origin(name, site) else {
+            return;
+        };
+        let rec = &self.cfg.recorder;
+        for &t in replicas.iter().filter(|&&t| t != winner) {
+            let node = &self.nodes[t];
+            let fresh = node.reachable()
+                && node.applied_epoch.load(Ordering::SeqCst) == epoch
+                && self.epoch.load(Ordering::SeqCst) == epoch;
+            let installed = fresh
+                && node
+                    .svc
+                    .install_result(name, site, req.mode, origin, answer);
+            if installed {
+                rec.count("fleet.replication.applied", 1);
+            } else {
+                rec.count("fleet.replication.dropped", 1);
+            }
+        }
     }
 
     /// Apply the newest op (tail of the log) to every reachable node and
@@ -792,17 +789,18 @@ impl FleetInner {
         failovers: u32,
         hedged: bool,
         degraded_route: bool,
-    ) -> Result<FleetResponse, FleetError> {
+    ) -> Answered {
         match out {
             Ok(resp) => {
                 self.observe_success(node_idx);
-                Ok(FleetResponse {
-                    node: self.nodes[node_idx].name.clone(),
+                let out = FleetResponse {
+                    node: Arc::clone(&self.nodes[node_idx].name),
                     failovers,
                     hedged,
                     degraded_route,
                     response: resp,
-                })
+                };
+                Ok((node_idx, out))
             }
             // A deadline shed is the *request's* failure, not the
             // node's: the worker was healthy enough to shed on time.
@@ -815,6 +813,25 @@ impl FleetInner {
             Err(e) => {
                 self.observe_error(node_idx);
                 Err(FleetError::Svc(e))
+            }
+        }
+    }
+
+    /// Block for the primary's answer (claiming its flight if it is still
+    /// queued) and settle it. A dead answer channel has no outcome to
+    /// attribute, so it frees the admitted probe slot.
+    fn settle_recv(
+        &self,
+        primary: usize,
+        rx: &Pending,
+        failovers: u32,
+        degraded_route: bool,
+    ) -> Answered {
+        match rx.recv() {
+            Ok(out) => self.settle(primary, out, failovers, false, degraded_route),
+            Err(_) => {
+                self.release_probe(primary);
+                Err(FleetError::Svc(SvcError::ShuttingDown))
             }
         }
     }

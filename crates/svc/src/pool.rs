@@ -1,11 +1,12 @@
 //! The crate's one executor and only thread spawner: a FIFO of boxed tasks
 //! drained by N `feam-svc-<i>` threads. A `PredictService` owns one; a
-//! `Fleet` shares one across every node's evaluations and every
-//! replication install. Tasks pushed before [`Pool::start`] wait.
+//! `Fleet` shares one across every node's evaluations (its replication
+//! installs run on the answering caller, not here). Tasks pushed before
+//! [`Pool::start`] wait.
 //!
-//! Every task gets an id. A [`push_deferred`](Pool::push_deferred) task
-//! may instead be [`take`](Pool::take)n back by the thread that waits for
-//! it and run there, so a lone closed-loop read costs no thread wake.
+//! Every task is queued with [`push_deferred`](Pool::push_deferred) and
+//! gets an id. The thread that waits for it may [`take`](Pool::take) it
+//! back and run it there, so a lone closed-loop read costs no thread wake.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
@@ -19,15 +20,6 @@ struct Queue {
     tasks: VecDeque<(u64, Task)>,
     next_id: u64,
     closing: bool,
-}
-
-impl Queue {
-    fn push(&mut self, task: Task) -> u64 {
-        let id = self.next_id;
-        self.next_id += 1;
-        self.tasks.push_back((id, task));
-        id
-    }
 }
 
 /// The queue lock is a leaf: no other lock is taken while it is held, and
@@ -55,12 +47,6 @@ impl Pool {
         }
     }
 
-    /// Queue `task` and wake one thread for it.
-    pub(crate) fn push(&self, task: impl FnOnce() + Send + 'static) {
-        self.queue.lock().expect("pool queue").push(Box::new(task));
-        self.available.notify_one();
-    }
-
     /// Queue `task` without waking a thread for it unless the FIFO already
     /// held a task: a fan-out still gets pool threads, while a lone task
     /// waits for its owner to [`take`](Pool::take) it or
@@ -68,7 +54,9 @@ impl Pool {
     pub(crate) fn push_deferred(&self, task: impl FnOnce() + Send + 'static) -> u64 {
         let mut queue = self.queue.lock().expect("pool queue");
         let backlog = !queue.tasks.is_empty();
-        let id = queue.push(Box::new(task));
+        let id = queue.next_id;
+        queue.next_id += 1;
+        queue.tasks.push_back((id, Box::new(task)));
         drop(queue);
         if backlog {
             self.available.notify_one();
@@ -139,20 +127,21 @@ mod tests {
     /// Wait until the pool's one thread is parked on an empty FIFO.
     fn settle(pool: &Arc<Pool>) {
         let (tx, rx) = mpsc::channel();
-        pool.push(reporter(&tx));
+        pool.push_deferred(reporter(&tx));
+        pool.wake();
         rx.recv_timeout(Duration::from_secs(10))
             .expect("a started pool runs a pushed task");
         std::thread::sleep(Duration::from_millis(20));
     }
 
     #[test]
-    fn ids_ascend_across_both_pushes() {
+    fn ids_ascend_along_the_fifo() {
         let pool = Pool::default();
-        let a = pool.push_deferred(|| {});
-        pool.push(|| {});
-        let b = pool.push_deferred(|| {});
-        assert!(a < b);
-        assert_eq!(pool.queue.lock().unwrap().tasks.len(), 3);
+        let ids: Vec<u64> = (0..3).map(|_| pool.push_deferred(|| {})).collect();
+        assert!(ids.windows(2).all(|w| w[0] < w[1]), "{ids:?}");
+        let queue = pool.queue.lock().unwrap();
+        let queued: Vec<u64> = queue.tasks.iter().map(|(id, _)| *id).collect();
+        assert_eq!(queued, ids);
     }
 
     #[test]

@@ -106,7 +106,9 @@ impl HashRing {
     /// binary's *content* (not its registered name) with the site, so two
     /// names bound to the same bytes route identically.
     pub fn key_point(&self, content_hash: u64, site: &str) -> u64 {
-        hash_parts(self.seed, &["key", &content_hash.to_string(), site])
+        let mut digits = [0u8; 20];
+        let content = decimal(content_hash, &mut digits);
+        hash_parts(self.seed, &["key", content, site])
     }
 
     /// The replica set for a key point: the first `r` distinct nodes at
@@ -115,8 +117,16 @@ impl HashRing {
     /// rather than failing.
     pub fn replicas(&self, point: u64, r: usize) -> Vec<usize> {
         let mut out = Vec::with_capacity(r.min(self.len()));
+        self.replicas_into(point, r, &mut out);
+        out
+    }
+
+    /// [`replicas`](HashRing::replicas), written into the empty `out`: a
+    /// caller that goes on to list more nodes sizes one buffer for all.
+    pub(crate) fn replicas_into(&self, point: u64, r: usize, out: &mut Vec<usize>) {
+        debug_assert!(out.is_empty());
         if self.ring.is_empty() || r == 0 {
-            return out;
+            return;
         }
         let start = self.ring.partition_point(|&(p, _)| p < point);
         for step in 0..self.ring.len() {
@@ -128,8 +138,21 @@ impl HashRing {
                 }
             }
         }
-        out
     }
+}
+
+/// `n` in decimal, as `n.to_string()` spells it, written into `buf`.
+fn decimal(mut n: u64, buf: &mut [u8; 20]) -> &str {
+    let mut at = buf.len();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    std::str::from_utf8(&buf[at..]).expect("ASCII digits")
 }
 
 #[cfg(test)]
@@ -252,6 +275,23 @@ mod tests {
         assert_eq!(ring.add("n3"), 3, "fresh name extends the index space");
         assert_eq!(ring.add("n1"), 1, "n1 rejoins under its reserved index");
         assert_eq!(ring.len(), 4);
+    }
+
+    #[test]
+    fn key_point_hashes_the_content_hash_in_decimal() {
+        let ring = ring_of(&["n0", "n1", "n2"]);
+        let edges = [0, 1, 9, 10, 99, 100, 0x1000, u32::MAX as u64, u64::MAX / 10];
+        let powers = (0..20).map(|e| 10u64.pow(e)).flat_map(|p| [p - 1, p]);
+        for hash in edges
+            .into_iter()
+            .chain(powers)
+            .chain([u64::MAX - 1, u64::MAX])
+        {
+            for site in ["india", ""] {
+                let spelled = hash_parts(0xF1EE7, &["key", &hash.to_string(), site]);
+                assert_eq!(ring.key_point(hash, site), spelled, "hash {hash}");
+            }
+        }
     }
 
     #[test]

@@ -175,9 +175,10 @@ pub enum Delivery {
 ///
 /// * [`recv`](Pending::recv) takes the task out of the pool's FIFO if it is
 ///   still there and runs it on the calling thread, then reads the answer.
+///   A fleet's primary read makes the same claim before it may hedge.
 /// * [`recv_timeout`](Pending::recv_timeout) wakes a pool thread to run
-///   it, then waits at most `timeout`: a caller racing a deadline (fleet
-///   hedging) keeps the evaluation off its own thread.
+///   it, then waits at most `timeout`: a caller racing a deadline keeps
+///   the evaluation off its own thread.
 /// * Dropping a handle that neither call has seen wakes a pool thread, so
 ///   the flight still runs and lands in the result cache.
 ///
@@ -187,7 +188,7 @@ pub struct Pending {
     rx: mpsc::Receiver<Result<PredictResponse, SvcError>>,
     pool: Weak<Pool>,
     task: u64,
-    /// No `recv` or `recv_timeout` has run yet, so a drop must wake.
+    /// No claim or `recv_timeout` has run yet, so a drop must wake.
     unseen: Cell<bool>,
 }
 
@@ -195,11 +196,21 @@ impl Pending {
     /// Run the flight here if it is still queued, then block for the
     /// answer. `Err` when the service went away without answering.
     pub fn recv(&self) -> Result<Result<PredictResponse, SvcError>, mpsc::RecvError> {
-        self.unseen.set(false);
-        if let Some(task) = self.pool.upgrade().and_then(|pool| pool.take(self.task)) {
-            task();
-        }
+        self.claim();
         self.rx.recv()
+    }
+
+    /// Take the flight's task out of the pool's FIFO if no thread has
+    /// dequeued it and run it here; whether this call ran it. A miss means
+    /// another thread has it (or the service is gone), so the handle
+    /// counts as seen either way and its drop wakes nobody.
+    pub(crate) fn claim(&self) -> bool {
+        self.unseen.set(false);
+        let Some(task) = self.pool.upgrade().and_then(|pool| pool.take(self.task)) else {
+            return false;
+        };
+        task();
+        true
     }
 
     /// Wake a pool thread for the flight (once per handle), then wait at

@@ -1,6 +1,7 @@
 //! The serving plane's one executor: a started fleet runs one shared pool,
 //! not a pool per node plus a replication thread, and dropping a fleet
-//! drains the replication tasks still queued on that pool.
+//! straight after a burst of replicated reads returns with every answer
+//! right.
 //!
 //! This file is its own test process, so no other test's threads are
 //! counted; its tests take `SERIAL` so they do not count each other's.
@@ -81,10 +82,10 @@ fn a_started_fleet_runs_one_pool_of_workers_threads() {
     assert_eq!(serving_threads(), 0, "dropping the fleet joins its pool");
 }
 
-/// Drop a fleet straight after a burst of computed replicated reads, with
-/// their installs still queued: the drop returns, every delivered answer
-/// matches a single node's, and every queued install ran (applied or
-/// dropped by the epoch gate) before the pool exited.
+/// Drop a fleet straight after a burst of computed replicated reads: every
+/// install ran (applied or dropped by the epoch gate) before its read
+/// returned, the drop returns, and every delivered answer matches a single
+/// node's.
 #[test]
 fn dropping_a_fleet_drains_queued_replication() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
@@ -114,6 +115,15 @@ fn dropping_a_fleet_drains_queued_replication() {
         }
         answers.push(serde_json::to_string(&out.response.prediction).unwrap());
     }
+    let installs = |counters: &std::collections::BTreeMap<String, u64>| {
+        let count = |name: &str| counters.get(name).copied().unwrap_or(0);
+        count("fleet.replication.applied") + count("fleet.replication.dropped")
+    };
+    assert_eq!(
+        installs(&recorder.snapshot().counters),
+        replicated,
+        "every install ran on its reading thread"
+    );
 
     let (done_tx, done_rx) = mpsc::channel();
     let dropper = std::thread::spawn(move || {
@@ -125,11 +135,9 @@ fn dropping_a_fleet_drains_queued_replication() {
         .expect("dropping the fleet returns");
     dropper.join().expect("dropping the fleet does not panic");
 
-    let counters = recorder.snapshot().counters;
-    let count = |name: &str| counters.get(name).copied().unwrap_or(0);
-    let installs = count("fleet.replication.applied") + count("fleet.replication.dropped");
+    let after_drop = installs(&recorder.snapshot().counters);
     assert!(replicated > 0, "the burst produced replicable answers");
-    assert_eq!(installs, replicated, "every queued install ran before exit");
+    assert_eq!(after_drop, replicated, "every install ran before exit");
 
     let mut solo = PredictService::new(node_config());
     solo.register_binary("app", feam_svc::registry::demo_binary(7))

@@ -1,8 +1,9 @@
 //! Fleet behaviour under routing, failure and invalidation: replica sets
 //! smaller than R, health-gated failover when the primary dies,
-//! all-replicas-open degraded fallback, asynchronous result replication,
-//! epoch catch-up for nodes that missed configuration ops, hedging, and
-//! fleet-level deadline propagation.
+//! all-replicas-open degraded fallback, result replication on the
+//! answering thread, epoch catch-up for nodes that missed configuration
+//! ops, hedging only for a flight another thread runs, and fleet-level
+//! deadline propagation.
 
 use feam_core::cache::BdcKey;
 use feam_core::predict::PredictionMode;
@@ -11,7 +12,8 @@ use feam_svc::{
     Fleet, FleetConfig, FleetError, NodeState, PredictRequest, PredictService, ResultOrigin,
     ServiceConfig, SvcError,
 };
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// A started fleet of `n` identically configured nodes (chaos pinned off,
@@ -117,7 +119,7 @@ fn killed_primary_fails_over_to_the_next_replica() {
     assert_eq!(after.failovers, 1, "exactly the dead primary was skipped");
     assert!(!after.degraded_route, "the secondary is still in-set");
     assert_ne!(
-        after.node,
+        *after.node,
         format!("node-{}", replicas[0]),
         "the dead node must not serve"
     );
@@ -146,7 +148,7 @@ fn all_replicas_down_falls_back_to_any_up_node() {
         "answer came from outside the replica set"
     );
     assert_eq!(resp.failovers, 2, "both replicas were skipped");
-    assert!(!replicas.iter().any(|&i| resp.node == format!("node-{i}")));
+    assert!(!replicas.iter().any(|&i| *resp.node == format!("node-{i}")));
     let counters = rec.snapshot().counters;
     assert_eq!(counters.get("fleet.fallback.degraded"), Some(&1));
 
@@ -160,9 +162,9 @@ fn all_replicas_down_falls_back_to_any_up_node() {
     assert!(matches!(err, FleetError::Unavailable { .. }), "{err:?}");
 }
 
-/// A cacheable answer is replicated asynchronously to the rest of its
-/// replica set: the peer answers from its result cache without ever
-/// evaluating.
+/// A cacheable answer is installed on the rest of its replica set before
+/// `predict_replicated` returns: the peer answers from its result cache
+/// without ever evaluating.
 #[test]
 fn results_replicate_to_replica_peers() {
     let (fleet, rec) = test_fleet(3, 2, None);
@@ -170,32 +172,25 @@ fn results_replicate_to_replica_peers() {
     assert!(first.response.cacheable, "clean chaos-free answer");
     assert!(!first.response.from_result_cache);
 
-    // Wait for the replication thread to install on the peer.
-    let deadline = Instant::now() + Duration::from_secs(10);
-    loop {
-        let counters = rec.snapshot().counters;
-        if counters
+    // No waiting: the install ran on this thread.
+    let counters = rec.snapshot().counters;
+    assert!(
+        counters
             .get("fleet.replication.applied")
             .copied()
             .unwrap_or(0)
-            >= 1
-        {
-            break;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "replication never landed: {counters:?}"
-        );
-        std::thread::sleep(Duration::from_millis(5));
-    }
+            >= 1,
+        "replication had not landed when predict_replicated returned: {counters:?}"
+    );
 
     let replicas = fleet.replica_set("app", "india").expect("registered");
     let winner = replicas
         .iter()
-        .position(|&i| first.node == format!("node-{i}"))
+        .position(|&i| *first.node == format!("node-{i}"))
         .expect("primary answer comes from the replica set");
     let peer = replicas[1 - winner];
     let svc = fleet.node_service(peer);
+    assert_eq!(svc.result_cache_len(), 1, "the peer holds the answer");
     assert_eq!(svc.evaluations(), 0, "the peer never evaluated");
     let hit = svc.predict(&req("india")).expect("peer answers");
     assert!(
@@ -276,21 +271,31 @@ fn rejoining_nodes_catch_up_missed_epochs_before_serving() {
     }
 }
 
-/// A node sink that holds every evaluation (the `svc.eval` span opening on
-/// a pool thread) until the fleet recorder shows a fired hedge, so a
-/// primary is slow by construction, not by how fast a cold evaluation
+/// A node sink that holds every evaluation (the `svc.eval` span) until the
+/// fleet recorder shows a fired hedge, and counts the evaluations opened,
+/// so a flight is slow by construction, not by how fast a cold evaluation
 /// runs or how the client thread is scheduled.
-struct HoldEvalsUntilHedged(feam_obs::Recorder);
+struct HoldEvalsUntilHedged {
+    fleet: feam_obs::Recorder,
+    opened: Arc<AtomicUsize>,
+}
 
 impl feam_obs::Sink for HoldEvalsUntilHedged {
     fn record(&self, event: &feam_obs::Event) {
         if event.name != "svc.eval" {
             return;
         }
+        if event.kind == feam_obs::EventKind::SpanStart {
+            self.opened.fetch_add(1, Ordering::SeqCst);
+        }
         // Bounded, so a hedge that never fires fails the assertion below
         // instead of hanging the test.
         let give_up = Instant::now() + Duration::from_secs(30);
-        while !self.0.snapshot().counters.contains_key("fleet.hedge.fired")
+        while !self
+            .fleet
+            .snapshot()
+            .counters
+            .contains_key("fleet.hedge.fired")
             && Instant::now() < give_up
         {
             std::thread::sleep(Duration::from_millis(1));
@@ -298,23 +303,108 @@ impl feam_obs::Sink for HoldEvalsUntilHedged {
     }
 }
 
-/// A primary that has not answered within the hedge window gets a hedge;
-/// the answer is still correct and the hedge counters move.
+/// A primary whose flight another thread is running, and that has not
+/// answered within the hedge window, gets a hedge; the answer is still
+/// correct and the hedge counters move. A second thread's read claims the
+/// flight first and is held inside the evaluation, so the test's read
+/// coalesces onto a flight it cannot claim.
 #[test]
 fn hedging_fires_for_slow_primaries() {
     let (rec, _sink) = feam_obs::Recorder::memory();
-    let held = feam_obs::Recorder::with_sink(Box::new(HoldEvalsUntilHedged(rec.clone())));
-    let fleet = fleet_with(2, 2, Some(Duration::from_millis(0)), &rec, held);
+    let opened = Arc::new(AtomicUsize::new(0));
+    let held = feam_obs::Recorder::with_sink(Box::new(HoldEvalsUntilHedged {
+        fleet: rec.clone(),
+        opened: opened.clone(),
+    }));
+    let fleet = Arc::new(fleet_with(2, 2, Some(Duration::from_millis(0)), &rec, held));
+    let claimer = {
+        let fleet = fleet.clone();
+        std::thread::spawn(move || fleet.predict(&req("india")))
+    };
+    let give_up = Instant::now() + Duration::from_secs(30);
+    while opened.load(Ordering::SeqCst) == 0 && Instant::now() < give_up {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert_eq!(
+        opened.load(Ordering::SeqCst),
+        1,
+        "the claimer is evaluating"
+    );
+
     let resp = fleet
         .predict(&req("india"))
         .expect("hedged request answers");
     assert!(!resp.response.prediction.verdicts.is_empty());
+    let claimed = claimer.join().expect("claimer").expect("claimer answers");
+    assert!(!claimed.hedged, "the claimer ran its own flight");
     let counters = rec.snapshot().counters;
     assert_eq!(
         counters.get("fleet.hedge.fired"),
         Some(&1),
-        "the primary's evaluation is held past the hedge window"
+        "the coalesced read, and only it, hedged"
     );
+}
+
+/// Names of the threads `svc.eval` spans opened on, in order.
+#[derive(Clone, Default)]
+struct EvalThreads(Arc<Mutex<Vec<String>>>);
+
+impl feam_obs::Sink for EvalThreads {
+    fn record(&self, event: &feam_obs::Event) {
+        if event.kind == feam_obs::EventKind::SpanStart && event.name == "svc.eval" {
+            let name = std::thread::current().name().unwrap_or("").to_string();
+            self.0.lock().unwrap().push(name);
+        }
+    }
+}
+
+impl EvalThreads {
+    fn names(&self) -> Vec<String> {
+        self.0.lock().unwrap().clone()
+    }
+}
+
+/// A computed read whose flight is still queued runs it on the calling
+/// thread, and that answer is never hedged, even with a zero hedge window.
+/// The pool's threads are given time to park first; nothing wakes them
+/// afterwards, since replication installs run on the caller too.
+#[test]
+fn a_claimed_primary_evaluates_on_the_caller_and_never_hedges() {
+    let (rec, _sink) = feam_obs::Recorder::memory();
+    let threads = EvalThreads::default();
+    let node_recorder = feam_obs::Recorder::with_sink(Box::new(threads.clone()));
+    let fleet = fleet_with(4, 2, Some(Duration::ZERO), &rec, node_recorder);
+    std::thread::sleep(Duration::from_millis(50));
+
+    let (tx, rx) = mpsc::channel();
+    let client = std::thread::Builder::new()
+        .name("fleet-client".into())
+        .spawn(move || {
+            let mut computed = 0;
+            for site in fleet.node_service(0).site_names() {
+                for mode in [PredictionMode::Basic, PredictionMode::Extended] {
+                    let read = PredictRequest { mode, ..req(&site) };
+                    let out = fleet.predict_replicated(&read).expect("answers");
+                    assert!(!out.response.from_result_cache, "each key is read once");
+                    assert!(!out.hedged);
+                    computed += 1;
+                }
+            }
+            let _ = tx.send(computed);
+        })
+        .expect("spawn client");
+    let computed = rx
+        .recv_timeout(Duration::from_secs(60))
+        .expect("every read is answered");
+    client.join().expect("client");
+    let names = threads.names();
+    assert_eq!(names.len(), computed, "one evaluation per computed read");
+    assert!(
+        names.iter().all(|n| n == "fleet-client"),
+        "every evaluation ran on its caller: {names:?}"
+    );
+    let counters = rec.snapshot().counters;
+    assert_eq!(counters.get("fleet.hedge.fired"), None, "{counters:?}");
 }
 
 /// Request-scoped failures (expired deadlines, unknown sites) admitted
@@ -385,7 +475,7 @@ fn request_scoped_failures_do_not_wedge_a_halfopen_breaker() {
         .predict(&req("india"))
         .expect("clean probe is admitted");
     assert_eq!(
-        ok.node,
+        *ok.node,
         format!("node-{primary}"),
         "the primary took the probe instead of being failed over"
     );

@@ -1,10 +1,13 @@
 //! A warm result-cache hit allocates nothing: the answer is the cached
-//! `Arc` and the response's names are shared, not copied. Counted with
-//! a global allocator that tallies the calling thread's allocations.
+//! `Arc` and the response's names are shared, not copied. A warm fleet hit
+//! adds one allocation, its candidate list. Counted with a global
+//! allocator that tallies the calling thread's allocations.
 
 use feam_core::predict::PredictionMode;
 use feam_sim::faults::FaultPlan;
-use feam_svc::{Delivery, PredictRequest, PredictService, RegisteredBinary, ServiceConfig};
+use feam_svc::{
+    Delivery, Fleet, FleetConfig, PredictRequest, PredictService, RegisteredBinary, ServiceConfig,
+};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
@@ -50,20 +53,24 @@ fn allocations<R>(f: impl FnOnce() -> R) -> (u64, R) {
     (ALLOCATIONS.with(Cell::get) - before, r)
 }
 
-/// A started service over the standard sites with one MPI binary
-/// registered, under no injected faults so its answer is cacheable.
-fn service() -> PredictService {
-    use feam_sim::compile::{compile, ProgramSpec};
-    use feam_sim::toolchain::Language;
-    use feam_workloads::sites::{standard_sites, RANGER};
-
-    let cfg = ServiceConfig {
+/// One worker over the standard sites, under no injected faults so its
+/// answers are cacheable.
+fn config() -> ServiceConfig {
+    ServiceConfig {
         workers: 1,
         caching: true,
         fault_plan: Some(Arc::new(FaultPlan::none())),
         ..ServiceConfig::default()
-    };
-    let sites = standard_sites(cfg.sites_seed);
+    }
+}
+
+/// An MPI binary built at its home site: the image and the site's name.
+fn cg_binary() -> (Arc<Vec<u8>>, String) {
+    use feam_sim::compile::{compile, ProgramSpec};
+    use feam_sim::toolchain::Language;
+    use feam_workloads::sites::{standard_sites, RANGER};
+
+    let sites = standard_sites(config().sites_seed);
     let ranger = &sites[RANGER];
     let bin = compile(
         ranger,
@@ -72,23 +79,33 @@ fn service() -> PredictService {
         1000,
     )
     .expect("test binary compiles");
-    let mut svc = PredictService::new(cfg);
-    svc.register_binary("cg", RegisteredBinary::new(bin.image, ranger.name()))
+    (bin.image, ranger.name().to_string())
+}
+
+/// A started service with the MPI binary registered as "cg".
+fn service() -> PredictService {
+    let (image, home) = cg_binary();
+    let mut svc = PredictService::new(config());
+    svc.register_binary("cg", RegisteredBinary::new(image, &home))
         .expect("fresh name registers");
     svc.start();
     svc
+}
+
+fn read(mode: PredictionMode) -> PredictRequest {
+    PredictRequest {
+        binary_ref: "cg".into(),
+        target_site: "india".into(),
+        mode,
+        deadline: None,
+    }
 }
 
 #[test]
 fn a_result_cache_hit_shares_the_answer() {
     let svc = service();
     for mode in [PredictionMode::Basic, PredictionMode::Extended] {
-        let req = PredictRequest {
-            binary_ref: "cg".into(),
-            target_site: "india".into(),
-            mode,
-            deadline: None,
-        };
+        let req = read(mode);
         let computed = svc.predict(&req).expect("the miss evaluates");
         assert!(!computed.from_result_cache && computed.cacheable);
         let (hit_allocs, delivery) = allocations(|| svc.submit(&req));
@@ -103,5 +120,32 @@ fn a_result_cache_hit_shares_the_answer() {
         // The lookup key names the sites by index, and the response shares
         // the registry's name and the service's site name.
         assert_eq!(hit_allocs, 0, "{mode:?}: allocations of a result-cache hit");
+    }
+}
+
+/// A warm hit on a started 4-node, R=2 fleet allocates its candidate list
+/// and nothing else: the ring key is spelled on the stack and the
+/// response shares the node's name.
+#[test]
+fn a_warm_fleet_hit_allocates_only_its_candidate_list() {
+    let cfg = FleetConfig {
+        replication: 2,
+        ..FleetConfig::default()
+    };
+    let mut fleet = Fleet::with_factory(cfg, 4, |_| PredictService::new(config()));
+    let (image, home) = cg_binary();
+    fleet
+        .register_binary("cg", image, &home)
+        .expect("fresh name registers");
+    fleet.start();
+    for mode in [PredictionMode::Basic, PredictionMode::Extended] {
+        let req = read(mode);
+        let computed = fleet.predict_replicated(&req).expect("the miss evaluates");
+        assert!(!computed.response.from_result_cache && computed.response.cacheable);
+        let (hit_allocs, hit) = allocations(|| fleet.predict_replicated(&req));
+        let hit = hit.expect("the warm read answers");
+        assert!(hit.response.from_result_cache, "{mode:?}: a warm read hits");
+        assert!(Arc::ptr_eq(&hit.response.answer, &computed.response.answer));
+        assert_eq!(hit_allocs, 1, "{mode:?}: allocations of a warm fleet hit");
     }
 }
