@@ -12,7 +12,14 @@
 //! ELF image (`objdump -p` / `readelf` equivalents via `feam-elf`), with
 //! `ldd`-based dependency location at guaranteed execution sites and
 //! `locate`/`find` fallbacks when `ldd` is absent or unreliable.
+//!
+//! A [`BinaryDescription`] is a function of the image bytes alone: it
+//! records neither the path the image was read at nor a hash of it, so
+//! the BDC memo ([`crate::cache::PhaseCaches::bdc`]) keys it by the
+//! content key alone, and callers keep the path beside the description
+//! ([`LibraryCopy::origin`]).
 
+use crate::cache::{content_key_of, Freshness};
 use crate::error::{FeamError, Result};
 use crate::intern::{IStr, Interner};
 use feam_elf::comment::{extract_provenance, Provenance};
@@ -78,8 +85,6 @@ pub struct BuildEnvironment {
 /// The Figure 3 description of one binary.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct BinaryDescription {
-    /// Where the binary was read from.
-    pub path: String,
     /// File format name (always `ELF` for parseable inputs).
     pub format: String,
     pub machine: Machine,
@@ -115,27 +120,21 @@ pub struct BinaryDescription {
     pub provenance: Option<feam_provenance::ProvenanceReport>,
     /// Image size in bytes.
     pub size: usize,
-    /// Stable content hash of the described image — the primary lane of
-    /// the [`crate::cache::BdcKey`] the description caches key on, so the
-    /// image is hashed once per describe, not once per consumer.
-    pub content_hash: u64,
 }
 
 impl BinaryDescription {
-    /// Describe an ELF image read from `path` bytes.
+    /// Describe an ELF image. The description is a function of `bytes`
+    /// alone; `path` only names the file in an error.
     pub fn from_bytes(path: &str, bytes: &[u8]) -> Result<Self> {
-        Self::from_bytes_keyed(path, bytes, crate::cache::BdcKey::of(bytes), None)
+        Self::from_bytes_in(path, bytes, None)
     }
 
-    /// [`from_bytes`](Self::from_bytes) with the content key precomputed —
-    /// `content_hash` is the key's primary lane, so an image is hashed
-    /// exactly once per describe instead of once per consumer — and an
-    /// optional per-request name arena so every description in a request's
-    /// library graph shares one allocation per distinct soname/comment.
-    pub fn from_bytes_keyed(
+    /// [`from_bytes`](Self::from_bytes) with an optional per-request name
+    /// arena, so every description in a request's library graph shares one
+    /// allocation per distinct soname/comment.
+    pub fn from_bytes_in(
         path: &str,
         bytes: &[u8],
-        key: crate::cache::BdcKey,
         mut arena: Option<&mut Interner>,
     ) -> Result<Self> {
         let f = LazyElf::parse(bytes)
@@ -157,7 +156,6 @@ impl BinaryDescription {
         let soname = f.soname().map(&mut name);
         let comments: Vec<IStr> = f.comments().iter().map(|s| name(s)).collect();
         Ok(BinaryDescription {
-            path: path.to_string(),
             format: "ELF".to_string(),
             machine: f.machine(),
             class: f.class(),
@@ -178,7 +176,6 @@ impl BinaryDescription {
             evidence,
             provenance: fallback,
             size: bytes.len(),
-            content_hash: key.hash,
         })
     }
 
@@ -199,7 +196,6 @@ impl BinaryDescription {
         };
         let needed: Vec<IStr> = f.needed().iter().map(|s| IStr::new(s)).collect();
         Ok(BinaryDescription {
-            path: path.to_string(),
             format: "ELF".to_string(),
             machine: f.machine(),
             class: f.class(),
@@ -220,19 +216,15 @@ impl BinaryDescription {
             evidence,
             provenance: fallback,
             size: bytes.len(),
-            content_hash: crate::cache::BdcKey::of(bytes).hash,
         })
     }
 
-    /// Describe the binary at `path` within a session. The content key is
-    /// taken from the pointer-memoized [`crate::cache::content_key_of`], so
-    /// a buffer shared with the VFS is hashed once per process, not once
-    /// per request.
+    /// Describe the binary at `path` within a session.
     pub fn from_session(sess: &Session<'_>, path: &str) -> Result<Self> {
         let bytes = sess
             .read_bytes(path)
             .ok_or_else(|| FeamError::BinaryUnreadable(format!("{path}: no such file")))?;
-        Self::from_bytes_keyed(path, &bytes, crate::cache::content_key_of(&bytes), None)
+        Self::from_bytes(path, &bytes)
     }
 
     /// One-line summary for reports.
@@ -322,19 +314,18 @@ pub fn collect_libraries_cached(
 ) -> Result<BTreeMap<String, LibraryCopy>> {
     let mut arena = Interner::new();
     let mut out: BTreeMap<String, LibraryCopy> = BTreeMap::new();
-    // Objects to scan: the binary (`None`), then each copied library, whose
-    // description names its path and, for the `ldd` fallback, its
-    // `DT_NEEDED` list.
-    let mut pending: Vec<Option<Arc<BinaryDescription>>> = vec![None];
+    // Objects to scan, each at its path: the binary (no description yet),
+    // then each copied library, whose description gives the `ldd`
+    // fallback its `DT_NEEDED` list.
+    let mut pending: Vec<(String, Option<Arc<BinaryDescription>>)> = vec![(path.to_string(), None)];
     let mut scanned: HashSet<String> = HashSet::new();
-    while let Some(object) = pending.pop() {
-        let obj_path = object.as_deref().map_or(path, |d| d.path.as_str());
-        if !scanned.insert(obj_path.to_string()) {
+    while let Some((obj_path, object)) = pending.pop() {
+        if !scanned.insert(obj_path.clone()) {
             continue;
         }
         sess.charge(0.2);
         // Primary: ldd gives sonames with locations.
-        let entries: LddListing = match tools::ldd(sess, obj_path) {
+        let entries: LddListing = match tools::ldd(sess, &obj_path) {
             LddResult::Resolved(listing) => listing,
             // Fallback: take DT_NEEDED ourselves and search each one.
             LddResult::NotRecognized | LddResult::NotPresent => {
@@ -344,7 +335,7 @@ pub fn collect_libraries_cached(
                     // The binary itself: one read, one zero-copy parse, for
                     // the dependency list alone.
                     None => {
-                        let bytes = sess.read_bytes(obj_path).ok_or_else(|| {
+                        let bytes = sess.read_bytes(&obj_path).ok_or_else(|| {
                             FeamError::BinaryUnreadable(format!("{obj_path}: no such file"))
                         })?;
                         let f = LazyElf::parse(&bytes)
@@ -364,15 +355,18 @@ pub fn collect_libraries_cached(
             let Some(bytes) = sess.read_bytes(&loc) else {
                 continue;
             };
-            let key = crate::cache::content_key_of(&bytes);
             let mut describe = |_: &mut Session<'_>| {
-                BinaryDescription::from_bytes_keyed(&loc, &bytes, key, Some(&mut arena))
+                BinaryDescription::from_bytes_in(&loc, &bytes, Some(&mut arena)).map(Arc::new)
             };
             let description = match caches {
-                Some(c) => c.bdc.describe_at(sess, &key, &loc, describe)?,
-                None => Arc::new(describe(sess)?),
+                Some(c) => {
+                    let key = content_key_of(&bytes);
+                    c.bdc
+                        .memoize(sess, &key, Freshness::default(), describe, |_| true)?
+                }
+                None => describe(sess)?,
             };
-            pending.push(Some(Arc::clone(&description)));
+            pending.push((loc.clone(), Some(Arc::clone(&description))));
             out.insert(
                 soname.clone(),
                 LibraryCopy {

@@ -86,7 +86,7 @@ impl SourceBundle {
         serde_json::json!({
             "gee_site": self.gee_site,
             "application": {
-                "path": self.app.path,
+                "path": crate::phases::SOURCE_APP_PATH,
                 "summary": self.app.summary(),
                 "required_glibc": self.app.required_glibc.as_ref().map(|v| v.render()),
             },
@@ -112,12 +112,12 @@ mod tests {
     use super::*;
     use crate::bdc::BinaryDescription;
 
-    fn dummy_description(path: &str) -> BinaryDescription {
+    fn dummy_description() -> BinaryDescription {
         let mut spec =
             feam_elf::ElfSpec::executable(feam_elf::Machine::X86_64, feam_elf::Class::Elf64);
         spec.needed = vec!["libc.so.6".into()];
         let bytes = spec.build().unwrap();
-        BinaryDescription::from_bytes(path, &bytes).unwrap()
+        BinaryDescription::from_bytes("/tmp/app", &bytes).unwrap()
     }
 
     fn dummy_env() -> EnvironmentDescription {
@@ -143,12 +143,12 @@ mod tests {
                 soname: "libx.so.1".into(),
                 origin: "/usr/lib64/libx.so.1".into(),
                 bytes: lib_bytes,
-                description: Arc::new(dummy_description("/usr/lib64/libx.so.1")),
+                description: Arc::new(dummy_description()),
             },
         );
         let bundle = SourceBundle {
             gee_site: "ranger".into(),
-            app: Arc::new(dummy_description("/home/user/app")),
+            app: Arc::new(dummy_description()),
             gee_env: Arc::new(dummy_env()),
             app_stack_ident: Some("openmpi-1.3-intel-10.1".into()),
             libraries,
@@ -163,6 +163,7 @@ mod tests {
         assert_eq!(bundle.total_bytes(), 10_500);
         let m = bundle.manifest();
         assert_eq!(m["gee_site"], "ranger");
+        assert_eq!(m["application"]["path"], crate::phases::SOURCE_APP_PATH);
         assert_eq!(m["libraries"].as_array().unwrap().len(), 1);
         assert_eq!(m["total_bytes"], 10_500);
         assert!(bundle.hello_world(Language::C).is_some());

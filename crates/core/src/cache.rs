@@ -10,11 +10,11 @@
 //!   descriptions keyed by [`BdcKey`], a fast content hash of the ELF
 //!   bytes plus a length and second-hash discriminator (so a primary-hash
 //!   collision between two distinct byte strings can never cross-serve a
-//!   description — `crates/core/tests/cache_keys.rs` pins this). Identical
-//!   images share one entry regardless of site, holding one description
-//!   per path described at ([`BdcCache`]); recursive library descriptions
-//!   gathered by the source phase go through the same layer
-//!   ([`crate::bdc::collect_libraries_cached`]).
+//!   description — `crates/core/tests/cache_keys.rs` pins this). The key
+//!   is the content key alone: a description is a function of the bytes,
+//!   so identical images share one entry whatever site or path they were
+//!   read at; recursive library descriptions gathered by the source phase
+//!   go through the same layer ([`crate::bdc::collect_libraries_cached`]).
 //! * `edc` ([`EdcCache`]) — environment descriptions keyed by **site
 //!   name**, fresh while the site's **configuration epoch** stays put and,
 //!   optionally, for a TTL on a logical clock. A site reconfiguration
@@ -245,36 +245,13 @@ impl<K: Eq + Hash, V: Clone> Memo<K, V> {
         K: Borrow<Q>,
         Q: Hash + Eq + ToOwned<Owned = K> + ?Sized,
     {
-        let serve = |held: &V| Some(held.clone());
-        self.memoize_in(sess, key, fresh, serve, compute, clean, |_, v| v)
-    }
-
-    /// [`memoize`](Self::memoize) for a layer that holds several answers
-    /// under one key: `serve` picks the wanted answer out of a fresh
-    /// entry, and a memoized miss stores `keep(fresh entry or None,
-    /// answer)` in its place.
-    #[allow(clippy::too_many_arguments)]
-    fn memoize_in<Q, A: Clone, E>(
-        &self,
-        sess: &mut Session<'_>,
-        key: &Q,
-        fresh: Freshness,
-        serve: impl FnOnce(&V) -> Option<A>,
-        compute: impl FnOnce(&mut Session<'_>) -> Result<A, E>,
-        clean: impl FnOnce(&A) -> bool,
-        keep: impl FnOnce(Option<V>, A) -> V,
-    ) -> Result<A, E>
-    where
-        K: Borrow<Q>,
-        Q: Hash + Eq + ToOwned<Owned = K> + ?Sized,
-    {
         let shard = self.shard(key);
         let hit = shard
             .lock()
             .expect("memo shard")
             .get(key)
             .filter(|e| fresh.admits(e))
-            .and_then(|e| serve(&e.value));
+            .map(|e| e.value.clone());
         let (counter, metric) = match &hit {
             Some(_) => (&self.hits, self.metrics.map(|(h, _)| h)),
             None => (&self.misses, self.metrics.map(|(_, m)| m)),
@@ -289,13 +266,14 @@ impl<K: Eq + Hash, V: Clone> Memo<K, V> {
         let before = sess.faults_seen.get();
         let value = compute(sess)?;
         if sess.faults_seen.get() == before && clean(&value) {
-            let mut map = shard.lock().expect("memo shard");
-            let held = map.remove(key).filter(|e| fresh.admits(e));
             let entry = Entry {
-                value: keep(held.map(|e| e.value), value.clone()),
+                value: value.clone(),
                 made: fresh,
             };
-            map.insert(key.to_owned(), entry);
+            shard
+                .lock()
+                .expect("memo shard")
+                .insert(key.to_owned(), entry);
         } else {
             self.rejected.fetch_add(1, Ordering::Relaxed);
         }
@@ -338,97 +316,6 @@ impl<K: Eq + Hash, V: Clone> Memo<K, V> {
             rejected: self.rejected.load(Ordering::Relaxed),
         }
     }
-}
-
-/// The BDC layer: binary descriptions by content key and, under one
-/// image, one description per path it was described at. Describing is
-/// pure in the bytes but for the `path` field, so an image met at a new
-/// path gets one more entry, and a hit hands out the shared entry that
-/// already names the caller's path. Identical images share one entry.
-pub struct BdcCache {
-    memo: Memo<BdcKey, Vec<Arc<BinaryDescription>>>,
-}
-
-impl BdcCache {
-    fn new() -> Self {
-        BdcCache {
-            memo: Memo::new(BDC_SHARDS, Some(("cache.bdc.hit", "cache.bdc.miss"))),
-        }
-    }
-
-    /// The description of the image `key` at `path`, through the memo: a
-    /// hit serves the entry described at `path`. A miss copies the image's
-    /// description at another path with `path` set, as describing differs
-    /// in nothing else, or `describe`s an image not held yet.
-    pub fn describe_at<E>(
-        &self,
-        sess: &mut Session<'_>,
-        key: &BdcKey,
-        path: &str,
-        describe: impl FnOnce(&mut Session<'_>) -> Result<BinaryDescription, E>,
-    ) -> Result<Arc<BinaryDescription>, E> {
-        let serve =
-            |held: &Vec<Arc<BinaryDescription>>| held.iter().find(|d| d.path == path).cloned();
-        let fresh = Freshness::default();
-        let describe = |s: &mut Session<'_>| {
-            let d = match self.peek(key, fresh) {
-                Some(held) => BinaryDescription {
-                    path: path.to_string(),
-                    ..(*held).clone()
-                },
-                None => describe(s)?,
-            };
-            Ok(Arc::new(d))
-        };
-        (self.memo).memoize_in(sess, key, fresh, serve, describe, |_| true, keep_path)
-    }
-
-    /// The [`Memo::memoize`] protocol by content alone: a hit serves the
-    /// first description held for `key`, whatever its path.
-    pub fn memoize<E>(
-        &self,
-        sess: &mut Session<'_>,
-        key: &BdcKey,
-        fresh: Freshness,
-        compute: impl FnOnce(&mut Session<'_>) -> Result<Arc<BinaryDescription>, E>,
-        clean: impl FnOnce(&Arc<BinaryDescription>) -> bool,
-    ) -> Result<Arc<BinaryDescription>, E> {
-        let serve = |held: &Vec<Arc<BinaryDescription>>| held.first().cloned();
-        (self.memo).memoize_in(sess, key, fresh, serve, compute, clean, keep_path)
-    }
-
-    /// The first description `fresh` admits under `key`, without touching
-    /// the counters — for tests and introspection.
-    pub fn peek(&self, key: &BdcKey, fresh: Freshness) -> Option<Arc<BinaryDescription>> {
-        self.memo.peek(key, fresh)?.first().cloned()
-    }
-
-    /// Images held, across all shards.
-    pub fn len(&self) -> usize {
-        self.memo.len()
-    }
-
-    /// True when no image is held.
-    pub fn is_empty(&self) -> bool {
-        self.memo.is_empty()
-    }
-
-    /// Hit/miss/reject totals so far.
-    pub fn stats(&self) -> CacheLayerStats {
-        self.memo.stats()
-    }
-}
-
-/// An image's descriptions with `d` added, unless one at its path is held.
-fn keep_path(
-    held: Option<Vec<Arc<BinaryDescription>>>,
-    d: Arc<BinaryDescription>,
-) -> Vec<Arc<BinaryDescription>> {
-    let mut held = held.unwrap_or_default();
-    if !held.iter().any(|h| h.path == d.path) {
-        held.push(d);
-    }
-    held
 }
 
 /// The EDC layer: environment descriptions memoized per site name, plus
@@ -523,9 +410,9 @@ impl EdcCache {
 /// uncached — the CLI and the evaluation sweep pay nothing. The service
 /// layer installs one shared `PhaseCaches` across all workers.
 pub struct PhaseCaches {
-    /// Binary descriptions by content key and path, in [`BDC_SHARDS`]
+    /// Binary descriptions by content key alone, in [`BDC_SHARDS`]
     /// shards.
-    pub bdc: BdcCache,
+    pub bdc: Memo<BdcKey, Arc<BinaryDescription>>,
     /// Environment descriptions by site, under epoch and TTL.
     pub edc: EdcCache,
     /// Native hello-world verdicts by (site, stack ident, probe seed,
@@ -548,7 +435,7 @@ impl PhaseCaches {
     /// New cache bundle; `edc_ttl` in logical ticks (0 = no expiry).
     pub fn new(edc_ttl: u64) -> Self {
         PhaseCaches {
-            bdc: BdcCache::new(),
+            bdc: Memo::new(BDC_SHARDS, Some(("cache.bdc.hit", "cache.bdc.miss"))),
             edc: EdcCache::new(edc_ttl),
             stack_tests: Memo::new(1, None),
         }
@@ -648,7 +535,7 @@ mod tests {
     }
 
     /// Count the `compute` calls `memoize` makes for these `keys`.
-    fn computed(c: &BdcCache, keys: &[BdcKey]) -> usize {
+    fn computed(c: &Memo<BdcKey, Arc<BinaryDescription>>, keys: &[BdcKey]) -> usize {
         let site = bare_site("fir");
         let mut sess = Session::new(&site);
         let mut spec =
@@ -689,7 +576,6 @@ mod tests {
         assert_eq!(computed(&c, &keys), 64);
         assert_eq!(c.len(), 64);
         let populated = c
-            .memo
             .shards
             .iter()
             .filter(|s| !s.lock().unwrap().is_empty())

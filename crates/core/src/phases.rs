@@ -10,7 +10,7 @@
 
 use crate::bdc::{self, BinaryDescription};
 use crate::bundle::{HelloWorldProbe, SourceBundle};
-use crate::cache::content_key_of;
+use crate::cache::{content_key_of, Freshness};
 use crate::edc::{self, EnvironmentDescription};
 use crate::error::{FeamError, Result};
 use crate::retry::{compile_with_retry, RetryPolicy};
@@ -87,23 +87,28 @@ impl Default for PhaseConfig {
     }
 }
 
-/// Describe a binary whose bytes are already in hand, through the
-/// content-addressed BDC memo when caches are configured; a hit is the
-/// shared entry.
+/// Path the source phase stages the application binary at, on the GEE.
+pub const SOURCE_APP_PATH: &str = "/home/user/feam/source_app.bin";
+
+/// Describe a binary whose bytes are already in hand and staged at `path`,
+/// through the content-addressed BDC memo when caches are configured; a
+/// hit is the shared entry, whatever path it was described at.
 fn describe_binary_cached(
     sess: &mut Session<'_>,
     path: &str,
     image: &Arc<Vec<u8>>,
     cfg: &PhaseConfig,
 ) -> Result<Arc<BinaryDescription>> {
-    let describe = |s: &mut Session<'_>| BinaryDescription::from_session(s, path);
+    let describe = |s: &mut Session<'_>| BinaryDescription::from_session(s, path).map(Arc::new);
     match cfg.caches.as_deref() {
         // Pointer-memoized: repeat requests for the same registered image
         // skip rehashing its bytes entirely.
-        Some(c) => c
-            .bdc
-            .describe_at(sess, &content_key_of(image), path, describe),
-        None => describe(sess).map(Arc::new),
+        Some(c) => {
+            let fresh = Freshness::default();
+            c.bdc
+                .memoize(sess, &content_key_of(image), fresh, describe, |_| true)
+        }
+        None => describe(sess),
     }
 }
 
@@ -161,11 +166,10 @@ pub fn run_source_phase(
     let rec = cfg.recorder.clone();
     let _phase_span = rec.span_in("source_phase", cfg.ctx);
     let mut sess = cfg.session(gee);
-    let app_path = "/home/user/feam/source_app.bin";
-    sess.stage_file(app_path, binary.clone());
+    sess.stage_file(SOURCE_APP_PATH, binary.clone());
     let app = {
         let _span = rec.span("bdc");
-        describe_binary_cached(&mut sess, app_path, binary, cfg)?
+        describe_binary_cached(&mut sess, SOURCE_APP_PATH, binary, cfg)?
     };
     let gee_env = {
         let _span = rec.span("edc");
@@ -176,7 +180,7 @@ pub fn run_source_phase(
     // when derivable from the .comment provenance, the same compiler
     // family.
     let bdc::MpiIdentification::Identified(imp) = app.mpi else {
-        return Err(FeamError::NotAnMpiBinary(app.path.clone()));
+        return Err(FeamError::NotAnMpiBinary(SOURCE_APP_PATH.to_string()));
     };
     let comp_family = feam_sim::exec::compiler_from_comments(&app.comments).map(|(f, _)| f);
     let candidates = gee_env.stacks_of(imp);
@@ -205,7 +209,7 @@ pub fn run_source_phase(
     // running the app's own dependency scan under it, then collect copies.
     let libraries = {
         let _span = rec.span("bdc.collect_libraries");
-        bdc::collect_libraries_cached(&mut sess, app_path, cfg.caches.as_deref())?
+        bdc::collect_libraries_cached(&mut sess, SOURCE_APP_PATH, cfg.caches.as_deref())?
     };
 
     // Compile hello worlds with the application's stack for transport.
@@ -374,7 +378,6 @@ pub fn run_target_phase(
 
 fn empty_description() -> BinaryDescription {
     BinaryDescription {
-        path: String::new(),
         format: String::new(),
         machine: feam_elf::Machine::Other(0),
         class: feam_elf::Class::Elf64,
@@ -392,7 +395,6 @@ fn empty_description() -> BinaryDescription {
         evidence: Default::default(),
         provenance: None,
         size: 0,
-        content_hash: 0,
     }
 }
 
@@ -482,7 +484,7 @@ mod tests {
             outcome.prediction.mode,
             crate::predict::PredictionMode::Extended
         );
-        assert_eq!(outcome.binary.path, bundle.app.path);
+        assert!(Arc::ptr_eq(&outcome.binary, &bundle.app));
     }
 
     #[test]
@@ -606,7 +608,10 @@ mod tests {
                 outcome.prediction.verdicts.len(),
                 uncached.prediction.verdicts.len()
             );
-            assert_eq!(outcome.binary.content_hash, uncached.binary.content_hash);
+            assert_eq!(
+                serde_json::to_string(&outcome.binary).unwrap(),
+                serde_json::to_string(&uncached.binary).unwrap()
+            );
         }
     }
 

@@ -11,7 +11,7 @@
 
 use feam_core::bdc::BinaryDescription;
 use feam_core::cache::{BdcKey, Freshness, PhaseCaches};
-use feam_core::phases::{run_target_phase, PhaseConfig};
+use feam_core::phases::{run_source_phase, run_target_phase, PhaseConfig};
 use feam_elf::{Class, ElfFile, ElfSpec, HostArch, ImportSpec, Machine};
 use feam_sim::site::{OsInfo, Session, Site, SiteConfig};
 use std::sync::Arc;
@@ -314,9 +314,8 @@ fn poisoning_guard_keeps_faulted_results_out_of_shared_caches() {
     assert!(caches.edc.contains(india.name()));
     assert!(healthy.environment.unobserved.is_empty());
     let served = caches.bdc.peek(&BdcKey::of(&image), Freshness::default());
-    assert_eq!(
-        served.unwrap().content_hash,
-        healthy.binary.content_hash,
+    assert!(
+        Arc::ptr_eq(&served.unwrap(), &healthy.binary),
         "the cached entry is the clean run's description"
     );
 
@@ -360,11 +359,11 @@ fn poisoning_guard_keeps_faulted_results_out_of_shared_caches() {
     assert_eq!(first.prediction.ready(), second.prediction.ready());
 }
 
-/// One library image installed at two paths of one site: each copy's
-/// description names the path it was copied from, cold and warm, and the
-/// image keeps one BDC entry described once per path.
+/// One library image installed at two paths of one site: each copy keeps
+/// the path it was copied from, cold and warm, and every copy shares the
+/// image's one description, described once.
 #[test]
-fn one_image_at_two_paths_is_described_at_each() {
+fn one_image_at_two_paths_is_described_once() {
     use feam_core::bdc::collect_libraries_cached;
 
     let os = OsInfo::new("CentOS", "5.6", "2.6.18");
@@ -384,19 +383,21 @@ fn one_image_at_two_paths_is_described_at_each() {
         feam_sim::site::env_prepend(&mut sess.env, "LD_LIBRARY_PATH", "/opt/twin");
         let copies =
             collect_libraries_cached(&mut sess, "/home/user/app", Some(&caches)).expect("collects");
+        let [a, b] = ["liba.so.1", "libb.so.1"].map(|so| &copies[so]);
         assert_eq!(copies.len(), 2, "{run}: both names are copied");
-        for copy in copies.values() {
-            assert_eq!(copy.description.path, copy.origin, "{run}: {}", copy.soname);
-        }
+        assert_eq!(a.origin, "/opt/twin/liba.so.1", "{run}");
+        assert_eq!(b.origin, "/opt/twin/libb.so.1", "{run}");
+        assert!(Arc::ptr_eq(&a.description, &b.description), "{run}");
     }
     assert_eq!(caches.bdc.len(), 1, "one image, one entry");
     let s = caches.bdc.stats();
-    assert_eq!((s.misses, s.hits), (2, 2), "one entry made per path");
+    assert_eq!((s.misses, s.hits), (1, 3), "described once, served thrice");
 }
 
 /// Warm reads hand out the stored values: two warm library collections
 /// share every description, two warm target phases share the binary and
-/// environment descriptions, and two `ldd` runs on one root share the
+/// environment descriptions, a target phase after a source phase shares
+/// the bundle's app description, and two `ldd` runs on one root share the
 /// listing.
 #[test]
 fn warm_reads_share_what_the_memos_store() {
@@ -454,6 +455,27 @@ fn warm_reads_share_what_the_memos_store() {
     assert!(
         Arc::ptr_eq(&x.environment, &y.environment),
         "target phases share the environment"
+    );
+
+    // The source phase describes the app at its staged path; a target
+    // phase on the same caches stages it elsewhere and is served that
+    // description, without a second miss.
+    let cold = Arc::new(PhaseCaches::new(0));
+    let cold_cfg = PhaseConfig {
+        caches: Some(cold.clone()),
+        ..cfg.clone()
+    };
+    let bundle = run_source_phase(ranger, &app, &cold_cfg).expect("source phase");
+    let misses = cold.bdc.stats().misses;
+    let outcome = run_target_phase(india, Some(&app), None, &cold_cfg);
+    assert!(
+        Arc::ptr_eq(&outcome.binary, &bundle.app),
+        "the target phase is served the bundle's app description"
+    );
+    assert_eq!(
+        cold.bdc.stats().misses,
+        misses,
+        "one BDC miss for the app, not two"
     );
 
     // `ldd` may be flaky on a root; the roots it resolves share listings.
