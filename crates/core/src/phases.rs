@@ -133,12 +133,12 @@ impl PhaseConfig {
     }
 }
 
-/// Output of a target phase.
+/// Output of a target phase. It reads through to its evaluation, so the
+/// prediction is `outcome.prediction`; `outcome.cpu_seconds` is the
+/// outcome's own field, the whole phase's charge.
 #[derive(Debug, Clone)]
 pub struct TargetOutcome {
-    /// The prediction with per-determinant verdicts.
-    pub prediction: crate::predict::Prediction,
-    /// The full TEC output (plan, resolution, stack tests).
+    /// The full TEC output (prediction, plan, resolution, stack tests).
     pub evaluation: TargetEvaluation,
     /// The environment description gathered at the target (shared with
     /// the EDC memo).
@@ -151,6 +151,14 @@ pub struct TargetOutcome {
     /// Metrics accumulated by `PhaseConfig::recorder` up to the moment the
     /// phase returned (empty when the recorder is disabled).
     pub telemetry: feam_obs::TelemetrySnapshot,
+}
+
+impl std::ops::Deref for TargetOutcome {
+    type Target = TargetEvaluation;
+
+    fn deref(&self) -> &TargetEvaluation {
+        &self.evaluation
+    }
 }
 
 /// Run the source phase at a guaranteed execution environment.
@@ -314,7 +322,7 @@ pub fn run_target_phase(
                         &[("reason", "binary-unreadable".into())],
                     );
                     let evaluation = TargetEvaluation::conclude(
-                        prediction.clone(),
+                        prediction,
                         Default::default(),
                         None,
                         Vec::new(),
@@ -322,7 +330,6 @@ pub fn run_target_phase(
                     );
                     drop(phase_span);
                     return TargetOutcome {
-                        prediction,
                         evaluation,
                         environment,
                         binary: Arc::new(empty_description()),
@@ -346,7 +353,7 @@ pub fn run_target_phase(
                 "no binary and no bundle provided",
             );
             let evaluation = TargetEvaluation::conclude(
-                prediction.clone(),
+                prediction,
                 Default::default(),
                 None,
                 Vec::new(),
@@ -354,7 +361,6 @@ pub fn run_target_phase(
             );
             drop(phase_span);
             return TargetOutcome {
-                prediction,
                 evaluation,
                 environment,
                 binary: Arc::new(empty_description()),
@@ -367,7 +373,6 @@ pub fn run_target_phase(
     let cpu_seconds = sess.cpu_seconds + evaluation.cpu_seconds;
     drop(phase_span);
     TargetOutcome {
-        prediction: evaluation.prediction.clone(),
         evaluation,
         environment,
         binary: description,

@@ -144,6 +144,11 @@ pub struct KillDrillReport {
 pub struct FleetBenchReport {
     pub seed: u64,
     pub quick: bool,
+    /// Cores the run could use (`available_parallelism`): the scale-out
+    /// curve means little without it.
+    pub cores: usize,
+    /// Build profile of the measuring binary: `release` or `debug`.
+    pub profile: &'static str,
     pub scale_out: Vec<ScalePoint>,
     pub kill_drill: KillDrillReport,
 }
@@ -398,6 +403,12 @@ pub fn fleet_bench(seed: u64, quick: bool) -> FleetBenchReport {
     FleetBenchReport {
         seed,
         quick,
+        cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
+        profile: if cfg!(debug_assertions) {
+            "debug"
+        } else {
+            "release"
+        },
         scale_out,
         kill_drill: KillDrillReport {
             nodes: drill_nodes,
@@ -423,7 +434,12 @@ pub fn fleet_bench(seed: u64, quick: bool) -> FleetBenchReport {
 pub fn render_fleet(report: &FleetBenchReport) -> String {
     let mut out = String::new();
     out.push_str("FLEET BENCHMARK (sharded serving, Zipf + diurnal closed loop)\n");
-    out.push_str("  scale-out:\n");
+    out.push_str(&format!(
+        "  scale-out ({} core{}, {} build):\n",
+        report.cores,
+        if report.cores == 1 { "" } else { "s" },
+        report.profile
+    ));
     for p in &report.scale_out {
         out.push_str(&format!(
             "    {} node{}  {:>5} reqs  {:>9.1} req/s  p50 {:>8}us  p99 {:>8}us  shed {}\n",
@@ -507,6 +523,8 @@ mod tests {
         let report = FleetBenchReport {
             seed: 1,
             quick: true,
+            cores: 2,
+            profile: "release",
             scale_out: vec![ScalePoint {
                 nodes: 2,
                 requests: 100,

@@ -173,6 +173,8 @@ fn fleet_bench_struct_schema_matches_golden() {
     let report = feam_eval::FleetBenchReport {
         seed: 42,
         quick: true,
+        cores: 2,
+        profile: "release",
         scale_out: vec![ScalePoint {
             nodes: 1,
             requests: 100,

@@ -107,15 +107,40 @@ pub fn normalize(path: &str) -> String {
 /// [`normalize`] without the copy when `path` is already normal: absolute,
 /// no empty, `.` or `..` component, no trailing `/` (except `/` itself).
 pub fn normalized(path: &str) -> Cow<'_, str> {
-    let normal = path == "/"
-        || path
-            .strip_prefix('/')
-            .is_some_and(|rest| rest.split('/').all(|c| !matches!(c, "" | "." | "..")));
-    if normal {
+    if is_normal(path.as_bytes()) {
         Cow::Borrowed(path)
     } else {
         Cow::Owned(normalize(path))
     }
+}
+
+/// The rule [`normalized`] borrows under, decided in one pass over the
+/// bytes: `len` counts the current component's bytes and `dots` its
+/// leading dots, so a component is `.` or `..` when both agree and are at
+/// most 2, and empty when `len` is 0 at a `/` or at the end.
+fn is_normal(path: &[u8]) -> bool {
+    let Some((b'/', rest)) = path.split_first() else {
+        return false;
+    };
+    if rest.is_empty() {
+        return true;
+    }
+    let bad = |len: usize, dots: usize| len == 0 || (dots == len && len <= 2);
+    let (mut len, mut dots) = (0, 0);
+    for &c in rest {
+        if c == b'/' {
+            if bad(len, dots) {
+                return false;
+            }
+            (len, dots) = (0, 0);
+        } else {
+            if c == b'.' && dots == len {
+                dots += 1;
+            }
+            len += 1;
+        }
+    }
+    !bad(len, dots)
 }
 
 /// Join a possibly-relative `name` onto the directory of `base`.
@@ -456,6 +481,40 @@ mod tests {
         assert_eq!(normalize("a/b"), "/a/b");
         assert_eq!(normalize("/"), "/");
         assert_eq!(normalize("/.."), "/");
+    }
+
+    #[test]
+    fn normalized_borrows_only_normal_paths() {
+        for path in [
+            "/",
+            "/a",
+            "/usr/lib64/libc.so.6",
+            "/.hidden",
+            "/a..b",
+            "/a/...",
+            "/a/.b/c.",
+        ] {
+            assert!(
+                matches!(normalized(path), Cow::Borrowed(p) if p == path),
+                "{path}"
+            );
+        }
+        for (path, normal) in [
+            ("/a/.", "/a"),
+            ("/a/..", "/"),
+            ("/a/./b", "/a/b"),
+            ("//", "/"),
+            ("/a/", "/a"),
+            ("/a//b", "/a/b"),
+            ("a/b", "/a/b"),
+            ("", "/"),
+            ("/..", "/"),
+        ] {
+            assert!(
+                matches!(normalized(path), Cow::Owned(p) if p == normal),
+                "{path}"
+            );
+        }
     }
 
     #[test]

@@ -132,22 +132,26 @@ pub struct FleetResponse {
 /// One logged configuration mutation. The log index order *is* the
 /// invalidation order fleet-wide.
 ///
-/// `Register` and `Update` carry the image's content key, taken once when
-/// the op is logged, so no node hashes the image. It comes from the
-/// allocation memo [`content_key_of`]: a buffer logged before (a
-/// rollback's) is not hashed again either.
+/// `Register` and `Update` carry one binding, built when the op is logged:
+/// the image's content key (from the allocation memo [`content_key_of`],
+/// so a buffer logged before, a rollback's, is not hashed again) and its
+/// home site resolved against node 0's site list, which the factory
+/// contract makes every node's. Every node binds that same `Arc`, so its
+/// source-bundle memo is shared: the source phase runs once per binding
+/// and home-site epoch, not once per node. The log keeps each node's EDC
+/// epochs in lockstep, since a node replays every op before it is
+/// dispatched to, and the memo serves a bundle only for the exact epoch it
+/// was gathered under. A lagging node's late computation under an older
+/// epoch can thus cost a recompute, but never serve a bundle from another
+/// environment.
 enum ConfigOp {
     Register {
         name: String,
-        image: Arc<Vec<u8>>,
-        content_key: BdcKey,
-        home_site: String,
+        binding: Arc<RegisteredBinary>,
     },
     Update {
         name: String,
-        image: Arc<Vec<u8>>,
-        content_key: BdcKey,
-        home_site: String,
+        binding: Arc<RegisteredBinary>,
     },
     Reconfigure {
         site: String,
@@ -323,9 +327,7 @@ impl Fleet {
         }
         ops.push(ConfigOp::Register {
             name: name.to_string(),
-            image,
-            content_key,
-            home_site: home_site.to_string(),
+            binding: self.inner.bind(image, content_key, home_site),
         });
         self.inner.apply_tail(&ops);
         Ok(())
@@ -344,9 +346,7 @@ impl Fleet {
             .insert(name.to_string(), content_key.hash);
         ops.push(ConfigOp::Update {
             name: name.to_string(),
-            image,
-            content_key,
-            home_site: home_site.to_string(),
+            binding: self.inner.bind(image, content_key, home_site),
         });
         self.inner.apply_tail(&ops);
         self.inner.cfg.recorder.count("fleet.config.update", 1);
@@ -671,6 +671,19 @@ impl FleetInner {
         self.t0.elapsed().as_millis() as u64
     }
 
+    /// The one binding a logged op hands every node: `image` under
+    /// `content_key`, its home site resolved against node 0's site list.
+    fn bind(
+        &self,
+        image: Arc<Vec<u8>>,
+        content_key: BdcKey,
+        home_site: &str,
+    ) -> Arc<RegisteredBinary> {
+        self.nodes[0]
+            .svc
+            .bind(RegisteredBinary::with_key(image, content_key, home_site))
+    }
+
     /// The ring point of the content `binary_ref` is bound to, at `site`.
     fn key_point(&self, binary_ref: &str, site: &str) -> Option<u64> {
         let &content = self.routes.lock().expect("routes").get(binary_ref)?;
@@ -737,25 +750,13 @@ impl FleetInner {
         let from = node.applied_epoch.load(Ordering::SeqCst) as usize;
         for op in &ops[from..] {
             match op {
-                ConfigOp::Register {
-                    name,
-                    image,
-                    content_key,
-                    home_site,
-                } => {
+                ConfigOp::Register { name, binding } => {
                     // ContentChanged cannot happen: the routes map
                     // rejected conflicting registrations before logging.
-                    let binary = RegisteredBinary::with_key(image.clone(), *content_key, home_site);
-                    let _ = node.svc.register_binary(name, binary);
+                    let _ = node.svc.register_bound(name, binding.clone());
                 }
-                ConfigOp::Update {
-                    name,
-                    image,
-                    content_key,
-                    home_site,
-                } => {
-                    let binary = RegisteredBinary::with_key(image.clone(), *content_key, home_site);
-                    node.svc.update_binary(name, binary);
+                ConfigOp::Update { name, binding } => {
+                    node.svc.update_bound(name, binding.clone());
                 }
                 ConfigOp::Reconfigure { site } => {
                     let _ = node.svc.reconfigure_site(site);

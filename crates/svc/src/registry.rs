@@ -23,6 +23,17 @@
 //! back to that binding's content and home site re-adopts it, memoized
 //! bundle and all, so a rollback costs no source phase; the service keeps
 //! the results of both contents for the same reason.
+//!
+//! A binding is an `Arc` that several registries may hold. A fleet binds
+//! each registered or updated image once, when it logs the op, and hands
+//! every node that same `Arc` (`insert_bound`, `update_bound`), so the
+//! bundle memo is fleet-wide: the source phase runs once per binding and
+//! home-site epoch, not once per node. Sharing it is sound because the
+//! ordered op log brings every node to the same EDC epoch per site before
+//! the node is dispatched to, and [`RegisteredBinary::bundle_under`]
+//! serves a bundle only for the exact epoch it was gathered under: a
+//! lagging node's stale-epoch computation can cost a recompute, never
+//! serve a bundle from another epoch.
 
 use feam_core::bundle::SourceBundle;
 use feam_core::cache::{content_key_of, BdcKey};
@@ -196,7 +207,7 @@ impl BinaryRegistry {
     }
 
     /// `binary` with its home site resolved, ready to bind.
-    fn bind(&self, mut binary: RegisteredBinary) -> Arc<RegisteredBinary> {
+    pub(crate) fn bind(&self, mut binary: RegisteredBinary) -> Arc<RegisteredBinary> {
         binary.home = self.sites.iter().position(|s| **s == *binary.home_site);
         Arc::new(binary)
     }
@@ -207,6 +218,18 @@ impl BinaryRegistry {
     /// existing name is rejected — changed bytes go through
     /// [`update`](BinaryRegistry::update) or take a new name.
     pub fn insert(&mut self, name: &str, binary: RegisteredBinary) -> Result<(), RegistryError> {
+        let binding = self.bind(binary);
+        self.insert_bound(name, binding)
+    }
+
+    /// [`insert`](BinaryRegistry::insert) for a binding already resolved
+    /// against this registry's site list, which other registries may hold
+    /// too.
+    pub(crate) fn insert_bound(
+        &mut self,
+        name: &str,
+        binary: Arc<RegisteredBinary>,
+    ) -> Result<(), RegistryError> {
         if let Some(existing) = self.entries.get(name) {
             if existing.binary.content_key != binary.content_key {
                 return Err(RegistryError::ContentConflict {
@@ -215,7 +238,6 @@ impl BinaryRegistry {
             }
             return Ok(());
         }
-        let binary = self.bind(binary);
         self.entries.insert(
             name.to_string(),
             Slot {
@@ -236,11 +258,22 @@ impl BinaryRegistry {
     /// (current, previous) pair and that no other name binds either:
     /// results derived from it can never be asked for again.
     pub fn update(&mut self, name: &str, binary: RegisteredBinary) -> (u64, Option<BdcKey>) {
+        let binding = self.bind(binary);
+        self.update_bound(name, binding)
+    }
+
+    /// [`update`](BinaryRegistry::update) for a binding already resolved
+    /// against this registry's site list, which other registries may hold
+    /// too.
+    pub(crate) fn update_bound(
+        &mut self,
+        name: &str,
+        bound: Arc<RegisteredBinary>,
+    ) -> (u64, Option<BdcKey>) {
         if !self.entries.contains_key(name) {
-            self.insert(name, binary).expect("a fresh name binds");
+            self.insert_bound(name, bound).expect("a fresh name binds");
             return (0, None);
         }
-        let bound = self.bind(binary);
         let slot = self.entries.get_mut(name).expect("bound name");
         let same = |b: &RegisteredBinary| {
             b.content_key == bound.content_key && b.home_site == bound.home_site

@@ -28,7 +28,7 @@
 
 use feam_core::cache::{BdcKey, PhaseCaches};
 use feam_core::phases::{run_source_phase, run_target_phase, PhaseConfig};
-use feam_core::predict::{Prediction, PredictionMode};
+use feam_core::predict::PredictionMode;
 use feam_core::tec::TargetEvaluation;
 use feam_obs::TraceCtx;
 use feam_sim::faults::FaultPlan;
@@ -62,14 +62,21 @@ pub struct PredictRequest {
 
 /// One evaluation's answer. It is built once per evaluation and shared
 /// by the result cache, every waiter's [`PredictResponse`] and fleet
-/// replication.
+/// replication. It reads through to its evaluation: `answer.prediction`
+/// is the per-determinant prediction (its mode may downgrade to `Basic`
+/// when an extended request's source phase is impossible, e.g. no GEE).
 #[derive(Debug)]
 pub struct PredictAnswer {
-    /// The per-determinant prediction (mode may downgrade to `Basic` when
-    /// an extended request's source phase is impossible, e.g. no GEE).
-    pub prediction: Prediction,
-    /// The full TEC output backing the prediction.
+    /// The full TEC output: the prediction and what backs it.
     pub evaluation: TargetEvaluation,
+}
+
+impl std::ops::Deref for PredictAnswer {
+    type Target = TargetEvaluation;
+
+    fn deref(&self) -> &TargetEvaluation {
+        &self.evaluation
+    }
 }
 
 /// A completed prediction. Its answer's `prediction` and `evaluation`
@@ -458,11 +465,28 @@ impl PredictService {
     /// takes a new name) so cached answers and coalesced waiters never
     /// alias.
     pub fn register_binary(&self, name: &str, binary: RegisteredBinary) -> Result<(), SvcError> {
+        self.register_bound(name, self.bind(binary))
+    }
+
+    /// `binary` with its home site resolved against this service's site
+    /// list: a binding that any service over the same site list may hold.
+    pub(crate) fn bind(&self, binary: RegisteredBinary) -> Arc<RegisteredBinary> {
+        self.inner.registry.read().expect("registry").bind(binary)
+    }
+
+    /// [`register_binary`](PredictService::register_binary) for a binding
+    /// from [`bind`](PredictService::bind): a fleet registers one binding
+    /// on every node.
+    pub(crate) fn register_bound(
+        &self,
+        name: &str,
+        binding: Arc<RegisteredBinary>,
+    ) -> Result<(), SvcError> {
         self.inner
             .registry
             .write()
             .expect("registry")
-            .insert(name, binary)
+            .insert_bound(name, binding)
             .map_err(|RegistryError::ContentConflict { name }| SvcError::ContentChanged { name })
     }
 
@@ -475,12 +499,19 @@ impl PredictService {
     /// waiters but is barred from the result cache by the generation check
     /// in `process`. Returns the new generation.
     pub fn update_binary(&self, name: &str, binary: RegisteredBinary) -> u64 {
+        self.update_bound(name, self.bind(binary))
+    }
+
+    /// [`update_binary`](PredictService::update_binary) for a binding from
+    /// [`bind`](PredictService::bind): a fleet updates every node to one
+    /// binding.
+    pub(crate) fn update_bound(&self, name: &str, binding: Arc<RegisteredBinary>) -> u64 {
         let (generation, fallen) = self
             .inner
             .registry
             .write()
             .expect("registry")
-            .update(name, binary);
+            .update_bound(name, binding);
         if let Some(content) = fallen {
             // Nothing binds these bytes any more, and the key embeds the
             // content key: drop their results eagerly.
@@ -1060,7 +1091,6 @@ fn process(inner: &Inner, job: Job) {
         && !outcome.evaluation.degraded
         && outcome.environment.unobserved.is_empty();
     let answer = Arc::new(PredictAnswer {
-        prediction: outcome.prediction,
         evaluation: outcome.evaluation,
     });
     let waiters = {

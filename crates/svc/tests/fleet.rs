@@ -579,3 +579,139 @@ fn expired_deadlines_shed_without_blaming_the_node() {
         assert_eq!(fleet.node_state(i), feam_svc::NodeState::Closed);
     }
 }
+
+/// An extended read of "app" at `site`.
+fn extended(site: &str) -> PredictRequest {
+    PredictRequest {
+        mode: PredictionMode::Extended,
+        ..req(site)
+    }
+}
+
+/// A started 4-node, R=2 fleet whose nodes all record into one recorder,
+/// returned with a count of the source phases that recorder has seen.
+fn counted_fleet() -> (Fleet, impl Fn() -> u64) {
+    let (nodes, _sink) = feam_obs::Recorder::memory();
+    let fleet = fleet_with(4, 2, None, &feam_obs::Recorder::disabled(), nodes.clone());
+    let source_phases = move || {
+        nodes
+            .snapshot()
+            .spans
+            .get("svc.source_phase")
+            .map_or(0, |s| s.count)
+    };
+    (fleet, source_phases)
+}
+
+/// Every node binds the one binding a logged op carries, so the fleet
+/// gathers a binary's source bundle once per home-site epoch, however
+/// many nodes serve its extended reads: a home-site reconfiguration costs
+/// one source phase, another site's none, and a rollback none.
+#[test]
+fn the_fleet_runs_one_source_phase_per_binding_and_home_epoch() {
+    let (fleet, source_phases) = counted_fleet();
+    let sites = fleet.node_service(0).site_names();
+    let home = fleet
+        .node_service(0)
+        .binding("app")
+        .unwrap()
+        .home_site
+        .clone();
+    let read_everywhere = || {
+        for site in &sites {
+            fleet.predict(&extended(site)).expect("answers");
+        }
+    };
+    read_everywhere();
+    assert_eq!(source_phases(), 1, "one bundle serves every node");
+
+    fleet.reconfigure_site(&home).expect("known site");
+    read_everywhere();
+    assert_eq!(source_phases(), 2, "a home-site epoch bump costs one");
+
+    let other = sites.iter().find(|s| **s != home).expect("two sites");
+    fleet.reconfigure_site(other).expect("known site");
+    read_everywhere();
+    assert_eq!(source_phases(), 2, "another site's bump costs none");
+
+    let a = fleet.node_service(0).binding("app").unwrap().image.clone();
+    let b = feam_svc::registry::demo_binary(8);
+    fleet.update_binary("app", b.image.clone(), &home);
+    read_everywhere();
+    assert_eq!(source_phases(), 3, "new content costs one");
+    fleet.update_binary("app", a, &home);
+    // Re-evaluate A everywhere but at home: each read needs A's bundle.
+    for site in sites.iter().filter(|s| **s != home) {
+        fleet.reconfigure_site(site).expect("known site");
+    }
+    read_everywhere();
+    assert_eq!(source_phases(), 3, "the rollback keeps A's bundle");
+}
+
+/// After a register, an update and a rollback, every node holds the same
+/// binding `Arc` as node 0.
+#[test]
+fn every_node_binds_the_ops_one_binding() {
+    let (fleet, _source_phases) = counted_fleet();
+    let one_binding = |when: &str| {
+        let first = fleet.node_service(0).binding("app").unwrap();
+        for i in 1..fleet.len() {
+            let binding = fleet.node_service(i).binding("app").unwrap();
+            assert!(Arc::ptr_eq(&binding, &first), "{when}: node {i}");
+        }
+        first
+    };
+    let registered = one_binding("register");
+    let b = feam_svc::registry::demo_binary(8);
+    fleet.update_binary("app", b.image.clone(), &b.home_site);
+    one_binding("update");
+    fleet.update_binary("app", registered.image.clone(), &registered.home_site);
+    assert!(
+        Arc::ptr_eq(&one_binding("rollback"), &registered),
+        "the rollback re-adopts the registered binding"
+    );
+}
+
+/// A node killed across a home-site reconfiguration catches up on revival
+/// and, serving from the shared bundle memo, answers an extended read
+/// exactly as a single node would.
+#[test]
+fn a_revived_node_answers_from_the_shared_bundle_like_a_single_node() {
+    let (fleet, _source_phases) = counted_fleet();
+    let home = fleet
+        .node_service(0)
+        .binding("app")
+        .unwrap()
+        .home_site
+        .clone();
+    for site in fleet.node_service(0).site_names() {
+        fleet.predict(&extended(&site)).expect("answers");
+    }
+    let j = fleet.replica_set("app", "india").expect("registered")[0];
+    fleet.kill_node(j);
+    fleet.reconfigure_site(&home).expect("known site");
+    let elsewhere = fleet.predict(&extended("india")).expect("failover answers");
+    assert_ne!(*elsewhere.node, format!("node-{j}"));
+    fleet.revive_node(j);
+    let revived = fleet.predict(&extended("india")).expect("j answers");
+    assert_eq!(*revived.node, format!("node-{j}"), "the primary is back");
+
+    let mut solo = PredictService::new(ServiceConfig {
+        workers: 1,
+        caching: true,
+        result_cache: true,
+        fault_plan: Some(Arc::new(FaultPlan::none())),
+        ..ServiceConfig::default()
+    });
+    solo.register_binary("app", feam_svc::registry::demo_binary(7))
+        .expect("registers");
+    solo.start();
+    solo.reconfigure_site(&home).expect("known site");
+    let oracle = solo.predict(&extended("india")).expect("solo answers");
+    for resp in [&elsewhere, &revived] {
+        assert_eq!(
+            serde_json::to_string(&resp.response.prediction).unwrap(),
+            serde_json::to_string(&oracle.prediction).unwrap(),
+        );
+    }
+}
