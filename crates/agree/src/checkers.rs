@@ -12,7 +12,7 @@ use feam_elf::LazyElf;
 use feam_sim::site::Site;
 
 /// A member's tri-state readiness verdict.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize)]
 pub enum MemberVerdict {
     Ready,
     NotReady,

@@ -9,7 +9,7 @@
 use crate::checkers::{MemberOutcome, MemberVerdict};
 
 /// Per-checker confusion matrix against execution ground truth.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize)]
 pub struct Confusion {
     /// Predicted ready, actually ran.
     pub tp: u32,

@@ -28,13 +28,13 @@ use feam_sim::mpi::MpiImpl;
 use feam_sim::site::Session;
 use feam_sim::tools::{self, LddResult};
 use feam_sim::LddListing;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
 
 /// Identification of the MPI implementation a binary was compiled with,
 /// using Table I's link-level signatures.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum MpiIdentification {
     /// Identified as one of the three implementations.
     Identified(MpiImpl),
@@ -74,7 +74,7 @@ pub fn identify_mpi<S: AsRef<str>>(needed: &[S]) -> MpiIdentification {
 
 /// Build-environment hints recovered from `.comment` (what OS / compiler /
 /// C library the binary was created with).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
 pub struct BuildEnvironment {
     /// Compiler identification string.
     pub compiler: Option<String>,
@@ -83,7 +83,7 @@ pub struct BuildEnvironment {
 }
 
 /// The Figure 3 description of one binary.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct BinaryDescription {
     /// File format name (always `ELF` for parseable inputs).
     pub format: String,

@@ -18,11 +18,11 @@ use feam_sim::faults::Chokepoint;
 use feam_sim::mpi::MpiImpl;
 use feam_sim::site::{InstalledStack, Session, Site};
 use feam_sim::tools::{self, LddResult};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::sync::Arc;
 
 /// How a stack was discovered.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum DiscoveryMethod {
     EnvironmentModules,
     SoftEnv,
@@ -31,7 +31,7 @@ pub enum DiscoveryMethod {
 }
 
 /// One MPI stack discovered at a site.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct DiscoveredStack {
     pub mpi: MpiImpl,
     pub mpi_version: String,
@@ -59,7 +59,7 @@ impl DiscoveredStack {
 }
 
 /// The Figure 4 description of a computing environment.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct EnvironmentDescription {
     /// `uname -p` output.
     pub isa: String,

@@ -18,7 +18,7 @@
 //! Properties (id stability, round-trips, collision freedom, reset
 //! safety) are pinned by `crates/core/tests/intern_properties.rs`.
 
-use serde::{Content, Deserialize, Error as DeError, Serialize};
+use serde::{Serialize, Value};
 use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::fmt;
@@ -105,17 +105,8 @@ impl PartialEq<String> for IStr {
 // Serialized exactly like `String` so descriptions holding `IStr` fields
 // stay byte-identical to earlier releases.
 impl Serialize for IStr {
-    fn to_content(&self) -> Content {
-        Content::Str(self.0.to_string())
-    }
-}
-
-impl Deserialize for IStr {
-    fn from_content(c: &Content) -> Result<Self, DeError> {
-        match c {
-            Content::Str(s) => Ok(IStr::new(s)),
-            _ => Err(DeError("expected a string".into())),
-        }
+    fn to_value(&self) -> Value {
+        self.as_str().to_value()
     }
 }
 
@@ -205,9 +196,8 @@ mod tests {
     #[test]
     fn istr_serializes_exactly_like_string() {
         let s = IStr::new("GLIBC_2.5");
-        assert_eq!(s.to_content(), "GLIBC_2.5".to_string().to_content());
-        let back = IStr::from_content(&s.to_content()).unwrap();
-        assert_eq!(back, s);
+        assert_eq!(s.to_value(), "GLIBC_2.5".to_string().to_value());
+        assert_eq!(s.to_value(), Value::String("GLIBC_2.5".into()));
     }
 
     #[test]

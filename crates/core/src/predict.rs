@@ -14,10 +14,10 @@
 //!    resolution.
 
 use feam_elf::{Class, HostArch, Machine, Soname, VersionName};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The four determinants of Figure 1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum Determinant {
     Isa,
     MpiStack,
@@ -70,7 +70,7 @@ impl Determinant {
 /// decide the determinant could not be observed (description files
 /// unreadable, databases corrupt), so the prediction proceeds on partial
 /// evidence with lowered confidence instead of aborting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum Determination {
     Compatible,
     Incompatible,
@@ -99,7 +99,7 @@ impl Determination {
 }
 
 /// The verdict on one determinant.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct DeterminantVerdict {
     pub determinant: Determinant,
     pub verdict: Determination,
@@ -120,7 +120,7 @@ impl DeterminantVerdict {
 }
 
 /// Which FEAM phases informed a prediction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum PredictionMode {
     /// Target phase only (§VI.B's *basic prediction*).
     Basic,
@@ -131,7 +131,7 @@ pub enum PredictionMode {
 
 /// One ensemble member's readiness verdict, as recorded in a
 /// [`Dissent`] report.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct MemberVote {
     /// Checker name (`feam`, `symdiff`, `closure`).
     pub member: String,
@@ -142,7 +142,7 @@ pub struct MemberVote {
 /// Ensemble disagreement attached to a prediction by the checker
 /// ensemble (`feam-agree`). Absent on every prediction the standalone
 /// pipeline produces — only the ensemble/serving layer fills it in.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Dissent {
     /// Every member's verdict, in canonical member order.
     pub members: Vec<MemberVote>,
@@ -172,7 +172,7 @@ impl Dissent {
 }
 
 /// A complete prediction for one (binary, target site) pair.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Prediction {
     pub mode: PredictionMode,
     /// Verdicts in evaluation order; evaluation may stop early when a

@@ -26,7 +26,7 @@ use crate::versions::{
 };
 
 /// An imported (undefined) symbol.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize)]
 pub struct ImportSpec {
     /// Symbol name, e.g. `MPI_Init` or `memcpy`.
     pub symbol: String,
@@ -63,7 +63,7 @@ impl ImportSpec {
 }
 
 /// An exported (defined) symbol.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize)]
 pub struct ExportSpec {
     /// Symbol name.
     pub symbol: String,
@@ -82,7 +82,7 @@ impl ExportSpec {
 }
 
 /// A version this object defines even if no listed export carries it.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize)]
 pub struct DefinedVersion {
     pub name: String,
     /// Predecessor versions in the inheritance chain.
@@ -90,7 +90,7 @@ pub struct DefinedVersion {
 }
 
 /// Full specification of an ELF image to synthesize.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize)]
 pub struct ElfSpec {
     pub class: Class,
     pub endian: Endian,

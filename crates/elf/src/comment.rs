@@ -39,7 +39,7 @@ pub fn encode_comment(strings: &[String]) -> Vec<u8> {
 }
 
 /// Provenance extracted from `.comment` strings.
-#[derive(Debug, Clone, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, serde::Serialize)]
 pub struct Provenance {
     /// Compiler identification, e.g. `GCC: (GNU) 4.1.2`.
     pub compiler: Option<String>,

@@ -133,7 +133,7 @@ pub fn encode_entries(entries: &[DynEntry], class: Class, e: Endian) -> Vec<u8> 
 
 /// Decoded, string-resolved dynamic information — the fields Figure 3 of
 /// the paper says the BDC gathers from the Dynamic Section.
-#[derive(Debug, Clone, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, serde::Serialize)]
 pub struct DynamicInfo {
     /// `DT_NEEDED` sonames, in file order.
     pub needed: Vec<String>,

@@ -8,7 +8,7 @@
 use crate::error::{Error, Result};
 
 /// Byte order declared by an ELF file (`EI_DATA`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize)]
 pub enum Endian {
     /// `ELFDATA2LSB` — two's complement, little-endian (x86, x86-64, ARM).
     Little,

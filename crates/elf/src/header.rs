@@ -5,7 +5,7 @@ use crate::ident::{Class, Ident};
 use crate::machine::Machine;
 
 /// Object file type (`e_type`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize)]
 pub enum FileKind {
     /// `ET_REL` — relocatable object.
     Relocatable,

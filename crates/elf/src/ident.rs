@@ -13,7 +13,7 @@ pub const EI_NIDENT: usize = 16;
 /// The paper's ISA determinant distinguishes both the instruction set *and*
 /// word length ("32 vs. 64-bit"); the class carries the latter and is also
 /// used when selecting between 32-bit and 64-bit shared libraries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize)]
 pub enum Class {
     /// `ELFCLASS32`.
     Elf32,
@@ -61,7 +61,7 @@ impl Class {
 
 /// OS/ABI identification (`EI_OSABI`). Only the values seen on the paper's
 /// Linux testbed are named; everything else round-trips as `Other`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize)]
 pub enum OsAbi {
     /// `ELFOSABI_NONE` / `ELFOSABI_SYSV` — what Linux toolchains emit.
     SysV,

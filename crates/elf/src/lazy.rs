@@ -37,7 +37,7 @@ use std::sync::OnceLock;
 /// `.comment` or `.symtab`), a static binary legitimately has no dynamic
 /// section. Downstream components use this survey to pick an evidence
 /// tier instead of treating the gap as an error.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize)]
 pub struct EvidenceSurvey {
     /// Section header table present (the `objdump`/`readelf` route).
     pub has_section_headers: bool,

@@ -8,7 +8,7 @@ use crate::ident::Class;
 /// The named variants cover the architectures discussed in the paper (x86
 /// vs. ppc as the motivating incompatibility; the testbed itself is
 /// x86-64/ia64-era hardware). Unknown values are preserved as `Other`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize)]
 pub enum Machine {
     /// `EM_386` — 32-bit x86.
     X86,
@@ -89,7 +89,7 @@ impl Machine {
 /// processor executes both `EM_X86_64`/64-bit and `EM_386`/32-bit binaries.
 /// This type captures the native ISA and answers the paper's ISA
 /// compatibility question for any (machine, class) pair.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize)]
 pub enum HostArch {
     /// 64-bit x86 (all five paper sites).
     X86_64,

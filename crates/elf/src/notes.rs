@@ -12,7 +12,7 @@ use crate::error::{Error, Result};
 pub const NT_GNU_ABI_TAG: u32 = 1;
 
 /// Operating systems named by `NT_GNU_ABI_TAG`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize)]
 pub enum AbiTagOs {
     Linux,
     Gnu,
@@ -68,7 +68,7 @@ pub struct Note {
 }
 
 /// The decoded `NT_GNU_ABI_TAG` payload.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize)]
 pub struct AbiTag {
     pub os: AbiTagOs,
     /// Minimum kernel version (major, minor, patch).

@@ -8,7 +8,7 @@
 use std::fmt;
 
 /// A parsed shared-object name.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, serde::Serialize)]
 pub struct Soname {
     /// The stem, e.g. `libmpich` for `libmpich.so.1.2`.
     pub base: String,

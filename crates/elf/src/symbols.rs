@@ -181,7 +181,7 @@ pub fn parse_table(data: &[u8], class: Class, e: Endian) -> Result<Vec<Symbol>> 
 
 /// A symbol with its resolved name and version, as exposed by
 /// the eager `reader::ElfFile::dynamic_symbols`.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize)]
 pub struct NamedSymbol {
     pub name: String,
     /// Version name bound via versym/verneed/verdef, if any.

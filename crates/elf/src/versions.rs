@@ -36,7 +36,7 @@ pub fn elf_hash(name: &str) -> u32 {
 }
 
 /// One needed version from one dependency file.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize)]
 pub struct VersionRefEntry {
     /// Version name, e.g. `GLIBC_2.5` or `OMPI_1.4`.
     pub name: String,
@@ -47,7 +47,7 @@ pub struct VersionRefEntry {
 }
 
 /// All versions referenced from one dependency file (one `Verneed` record).
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize)]
 pub struct VersionRef {
     /// The dependency's soname, e.g. `libc.so.6`.
     pub file: String,
@@ -56,7 +56,7 @@ pub struct VersionRef {
 }
 
 /// One version this object defines (one `Verdef` record).
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize)]
 pub struct VersionDef {
     /// Version name, e.g. `GLIBC_2.12`; for the base definition this is the
     /// soname.
@@ -346,7 +346,7 @@ pub fn encode_versym(indices: &[u16], e: Endian) -> Vec<u8> {
 /// Ordering compares the numeric components lexicographically, which gives
 /// the usual glibc ordering (2.3.4 < 2.5 < 2.12). Names without a numeric
 /// suffix carry an empty number list.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, serde::Serialize)]
 pub struct VersionName {
     /// Text before the last `_`, e.g. `GLIBC`, `GCC`, `OMPI`.
     pub prefix: String,

@@ -19,13 +19,13 @@ use feam_sim::compile::BinaryVariant;
 use feam_workloads::hostile::{hostile_corpus, HOSTILE_VARIANTS};
 use feam_workloads::sites::standard_sites;
 use feam_workloads::testset::{TestSet, TestSetBuilder};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The CI floor on compiler-family recovery.
 pub const MIN_FAMILY_ACCURACY: f64 = 0.9;
 
 /// Accuracy of one hostile variant.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct VariantAccuracy {
     /// `stripped` / `static` / `cross`.
     pub variant: String,
@@ -46,7 +46,7 @@ impl VariantAccuracy {
 }
 
 /// The full `--provenance-bench` report.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct ProvenanceBenchReport {
     pub seed: u64,
     pub quick: bool,

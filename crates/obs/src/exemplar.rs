@@ -13,7 +13,7 @@
 use std::collections::HashMap;
 use std::sync::Mutex;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::trace::span_tree;
 use crate::{Event, EventKind, FieldValue};
@@ -118,7 +118,7 @@ impl Exemplar {
 
 /// Snapshot-friendly exemplar digest: the span tree by name plus any
 /// injected-fault chokepoints, without the raw event payload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ExemplarSummary {
     pub trace_id: u64,
     pub metric: String,

@@ -76,11 +76,11 @@ pub enum FieldValue {
 impl FieldValue {
     pub fn to_json(&self) -> serde_json::Value {
         match self {
-            FieldValue::Str(s) => serde_json::__to_value(s),
-            FieldValue::U64(v) => serde_json::__to_value(v),
-            FieldValue::I64(v) => serde_json::__to_value(v),
-            FieldValue::F64(v) => serde_json::__to_value(v),
-            FieldValue::Bool(v) => serde_json::__to_value(v),
+            FieldValue::Str(s) => serde::Serialize::to_value(s),
+            FieldValue::U64(v) => serde::Serialize::to_value(v),
+            FieldValue::I64(v) => serde::Serialize::to_value(v),
+            FieldValue::F64(v) => serde::Serialize::to_value(v),
+            FieldValue::Bool(v) => serde::Serialize::to_value(v),
         }
     }
 }

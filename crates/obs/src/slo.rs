@@ -20,12 +20,12 @@
 //! long high (`Page`), the short window drains first after the burst
 //! (`Warning`), and the long window draining completes recovery (`Ok`).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::window::WindowedRegistry;
 
 /// What a "bad" observation is for an SLO.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub enum SloKind {
     /// Bad = observations of `metric` (a histogram) strictly above
     /// `threshold` (bucket resolution: the threshold rounds up to its
@@ -46,7 +46,7 @@ pub enum SloKind {
 }
 
 /// One declarative objective with its burn-rate alerting policy.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SloSpec {
     pub name: String,
     pub kind: SloKind,
@@ -61,7 +61,7 @@ pub struct SloSpec {
 }
 
 /// Evaluated SLO health.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum SloState {
     Ok,
     Warning,
@@ -79,7 +79,7 @@ impl SloState {
 }
 
 /// The outcome of evaluating one [`SloSpec`] against a registry.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SloEvaluation {
     pub name: String,
     pub state: SloState,

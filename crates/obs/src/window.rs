@@ -29,7 +29,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, RwLock};
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::exemplar::ExemplarSummary;
 use crate::slo::SloEvaluation;
@@ -449,7 +449,7 @@ impl HistWindowRaw {
 }
 
 /// Windowed view of one counter in a [`MetricsSnapshot`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct CounterWindow {
     pub total: u64,
     pub windowed: u64,
@@ -457,7 +457,7 @@ pub struct CounterWindow {
 }
 
 /// Windowed view of one gauge.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct GaugeWindow {
     pub last: f64,
     pub min: f64,
@@ -465,7 +465,7 @@ pub struct GaugeWindow {
 }
 
 /// One occupied histogram bucket (`le` = inclusive upper bound).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct BucketCount {
     pub le: u64,
     pub count: u64,
@@ -485,7 +485,7 @@ fn occupied_buckets(counts: &[u64]) -> Vec<BucketCount> {
 }
 
 /// Windowed view of one histogram.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct HistWindow {
     pub count: u64,
     pub sum: u64,
@@ -498,7 +498,7 @@ pub struct HistWindow {
 }
 
 /// Lifetime duration statistics for one span name.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct SpanStat {
     pub count: u64,
     pub total_us: u64,
@@ -506,7 +506,7 @@ pub struct SpanStat {
 }
 
 /// Lifetime view of one histogram.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct HistStat {
     pub count: u64,
     pub sum: f64,
@@ -530,7 +530,7 @@ impl HistStat {
 /// totals and histogram totals since the recorder was created. This is
 /// the object that lands under the `"telemetry"` key of the migration
 /// report.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct TelemetrySnapshot {
     pub spans: BTreeMap<String, SpanStat>,
     pub counters: BTreeMap<String, u64>,
@@ -558,7 +558,7 @@ struct SpanTotals {
 /// A point-in-time windowed view of the whole registry, renderable as
 /// JSON or Prometheus text via [`crate::expo`]. `exemplars` and `slos`
 /// are filled by the serving layer / SLO evaluator respectively.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct MetricsSnapshot {
     pub at_ms: u64,
     pub window_ms: u64,
@@ -834,16 +834,42 @@ mod tests {
         reg.observe("lat", 250.0, 100);
         reg.observe("queue.wait_s", 2.5, 100);
         reg.span("target_phase", 1234);
+        let round_trip =
+            |v: &serde_json::Value| serde_json::from_str(&serde_json::to_string(v).unwrap());
         let snap = reg.snapshot(500, 60_000);
-        let text = serde_json::to_string(&serde_json::to_value(&snap).unwrap()).unwrap();
-        let back: MetricsSnapshot =
-            serde_json::from_value(serde_json::from_str(&text).unwrap()).unwrap();
-        assert_eq!(snap, back);
+        let v = serde_json::to_value(&snap).unwrap();
+        let keys: Vec<&String> = v.as_object().unwrap().iter().map(|(k, _)| k).collect();
+        let want = [
+            "at_ms",
+            "window_ms",
+            "counters",
+            "gauges",
+            "histograms",
+            "exemplars",
+            "slos",
+        ];
+        assert_eq!(keys, want, "fields in declaration order");
+        assert_eq!(v["at_ms"], 500u64);
+        assert_eq!(v["counters"]["req"]["total"], 3u64);
+        assert_eq!(
+            v["counters"]["req"]["rate_per_s"],
+            snap.counters["req"].rate_per_s
+        );
+        assert_eq!(v["gauges"]["depth"]["last"], 1.5);
+        let lat = &snap.histograms["lat"];
+        assert_eq!(v["histograms"]["lat"]["p99"], lat.p99);
+        let buckets = v["histograms"]["lat"]["buckets"].as_array().unwrap();
+        assert_eq!(buckets.len(), lat.buckets.len());
+        assert_eq!(buckets[0]["le"], lat.buckets[0].le);
+        assert_eq!(round_trip(&v).unwrap(), v);
+
         let life = reg.lifetime();
-        let text = serde_json::to_string(&life.to_json()).unwrap();
-        let back: TelemetrySnapshot =
-            serde_json::from_value(serde_json::from_str(&text).unwrap()).unwrap();
-        assert_eq!(life, back);
+        let v = life.to_json();
+        assert_eq!(v["spans"]["target_phase"]["count"], 1u64);
+        assert_eq!(v["spans"]["target_phase"]["total_us"], 1234u64);
+        assert_eq!(v["counters"]["req"], 3u64);
+        assert_eq!(v["histograms"]["queue.wait_s"]["sum"], 2.5);
+        assert_eq!(round_trip(&v).unwrap(), v);
     }
 
     #[test]

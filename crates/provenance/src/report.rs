@@ -2,13 +2,13 @@
 
 use feam_sim::mpi::MpiImpl;
 use feam_sim::toolchain::CompilerFamily;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Which evidence tier established a claim. Ordered strongest-first; the
 /// calibrated confidences are all strictly below the `1.0` that direct
 /// evidence (`.comment`, `DT_NEEDED`, `verneed`) carries, so a provenance
 /// claim can never outrank a direct observation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum EvidenceTier {
     /// The family idiom *and* exact version bytes matched the signature
     /// database.
@@ -42,7 +42,7 @@ impl EvidenceTier {
 }
 
 /// The compiler that (probably) built the binary.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct CompilerClaim {
     pub family: CompilerFamily,
     /// Exact version when the version signature matched; `None` on a
@@ -83,7 +83,7 @@ impl CompilerClaim {
 }
 
 /// A language/compiler runtime library observed in the binary.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct RuntimeClaim {
     /// Which runtime, e.g. `gfortran runtime` or `intel fortran runtime`.
     pub runtime: String,
@@ -93,7 +93,7 @@ pub struct RuntimeClaim {
 }
 
 /// The MPI implementation the binary was linked against.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct MpiClaim {
     pub implementation: MpiImpl,
     pub tier: EvidenceTier,
@@ -121,7 +121,7 @@ impl MpiClaim {
 }
 
 /// Everything a provenance scan recovered from one binary.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ProvenanceReport {
     /// Version of the signature database that produced the claims.
     pub db_version: u32,

@@ -27,14 +27,14 @@ use crate::toolchain::{
     glibcxx_max_for_gcc, gnu_cxx_soname, rt_marker, runtime_needed, CompilerFamily, Language,
 };
 use feam_elf::{strip_section_headers, Class, ElfSpec, ImportSpec, Machine};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 /// How a binary is packaged — the hostile-binary axes of the provenance
 /// evaluation. `Normal` is a cooperative dynamic executable; the others
 /// progressively remove direct evidence channels.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum BinaryVariant {
     /// Dynamic executable with full section headers and `.comment`.
     Normal,
@@ -88,7 +88,7 @@ fn cross_target(native: Machine) -> (Machine, Class) {
 }
 
 /// A program to compile (a benchmark model or a hello-world probe).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct ProgramSpec {
     /// Name, e.g. `bt.A.4` or `104.milc`.
     pub name: String,

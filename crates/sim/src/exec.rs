@@ -15,14 +15,14 @@ use crate::loader::{closure_verdict, object_read, LoadError, ObjectMeta};
 use crate::rng;
 use crate::site::{InstalledStack, Session};
 use crate::toolchain::CompilerFamily;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::sync::Arc;
 
 /// Default number of launch attempts (§VI.C: "five execution attempts").
 pub const DEFAULT_ATTEMPTS: u32 = 5;
 
 /// Kinds of unpredictable system errors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum SystemErrorKind {
     /// `mpd`/`orted` daemon failed to spawn.
     DaemonSpawn,

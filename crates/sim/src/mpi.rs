@@ -10,10 +10,10 @@
 use crate::rng;
 use crate::toolchain::{Compiler, Language, LibraryBlueprint};
 use feam_elf::{ExportSpec, ImportSpec};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The three dominant open-source MPI implementations of the paper's era.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum MpiImpl {
     OpenMpi,
     Mpich2,
@@ -92,7 +92,7 @@ impl MpiImpl {
 
 /// Interconnect type of a stack (§I: "the combination of the MPI
 /// implementation, associated compilers, and interconnection network").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum Network {
     Ethernet,
     Infiniband,
@@ -108,7 +108,7 @@ impl Network {
 }
 
 /// A full MPI stack: implementation + version + compiler + network.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize)]
 pub struct MpiStack {
     pub mpi: MpiImpl,
     pub version: String,

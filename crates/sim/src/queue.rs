@@ -8,10 +8,10 @@
 //! dependent wait times; jobs that exceed a queue's walltime are killed.
 
 use crate::rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One batch queue at a site (PBS/SGE/SLURM-style).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct QueueSpec {
     /// Queue name, e.g. `debug` or `normal`.
     pub name: String,
@@ -51,7 +51,7 @@ impl QueueSpec {
 }
 
 /// The outcome of pushing a job through a queue.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub enum QueueOutcome {
     /// Ran to completion.
     Completed {

@@ -52,7 +52,7 @@ pub fn path_list(list: Option<&str>) -> impl Iterator<Item = &str> {
 }
 
 /// Operating-system identity of a site (Table II column 2).
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize)]
 pub struct OsInfo {
     /// Distribution family, e.g. `CentOS`.
     pub distro: String,
@@ -115,7 +115,7 @@ impl OsInfo {
 }
 
 /// User-environment management system present at a site (§V.B).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize)]
 pub enum EnvMgmt {
     /// TCL Environment Modules (`module avail`, `module list`).
     Modules,

@@ -9,10 +9,10 @@
 
 use crate::rng;
 use feam_elf::{DefinedVersion, ExportSpec, ImportSpec};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Compiler family, per Table II's i/g/p annotations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum CompilerFamily {
     Gnu,
     Intel,
@@ -67,7 +67,7 @@ impl CompilerFamily {
 }
 
 /// A concrete compiler installation, e.g. Intel 11.1 or GNU 4.1.2.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize)]
 pub struct Compiler {
     pub family: CompilerFamily,
     /// Dotted version, e.g. `4.1.2`, `11.1`, `12.0`.
@@ -132,7 +132,7 @@ impl Compiler {
 
 /// Source language of a program; drives which runtime libraries `mpicc` /
 /// `mpif90` pull in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum Language {
     C,
     /// C++ adds `libstdc++`.

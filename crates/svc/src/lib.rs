@@ -8,7 +8,9 @@
 //! service shaped for that stream:
 //!
 //! * **Content-addressed memoization.** Binary descriptions are keyed by
-//!   the FNV-1a hash of the ELF image, environment descriptions by site
+//!   the ELF image's [`BdcKey`](feam_core::cache::BdcKey) (a
+//!   word-at-a-time FNV-style hash, the length and an independent second
+//!   hash), environment descriptions by site
 //!   name + configuration epoch ([`feam_core::cache`]); full evaluations
 //!   by the `(content, site, epoch, mode)` tuple, plus the home site and
 //!   its epoch for an extended answer. A site reconfiguration

@@ -78,9 +78,9 @@ struct BundleMemo {
 pub struct RegisteredBinary {
     /// The ELF image as staged at sites.
     pub image: Arc<Vec<u8>>,
-    /// Full content key of the image (FNV-1a primary hash + length +
-    /// second-hash discriminators) — the content-addressed identity every
-    /// cache layer keys on.
+    /// Full content key of the image (word-at-a-time FNV-style primary
+    /// hash + length + independent second hash) — the content-addressed
+    /// identity every cache layer keys on.
     pub content_key: BdcKey,
     /// Site whose GEE runs the source phase for extended predictions.
     pub home_site: String,

@@ -15,10 +15,10 @@ use feam_sim::compile::ProgramSpec;
 use feam_sim::mpi::MpiStack;
 use feam_sim::rng;
 use feam_sim::toolchain::{CompilerFamily, Language};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Which suite a benchmark belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum Suite {
     /// NAS Parallel Benchmarks v2.4 (MPI reference implementation).
     Npb,
@@ -37,7 +37,7 @@ impl Suite {
 }
 
 /// One benchmark's model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Benchmark {
     /// Name as the paper writes it (`bt`, `104.milc`, …).
     pub name: String,

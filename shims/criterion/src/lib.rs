@@ -25,7 +25,6 @@ const ROUNDS: usize = 11;
 #[derive(Debug, Clone, Copy)]
 pub enum Throughput {
     Bytes(u64),
-    Elements(u64),
 }
 
 /// How large a batched input is (accepted for API compatibility; every
@@ -33,8 +32,6 @@ pub enum Throughput {
 #[derive(Debug, Clone, Copy)]
 pub enum BatchSize {
     SmallInput,
-    LargeInput,
-    PerIteration,
 }
 
 /// Per-iteration timer handle passed to benchmark closures.
@@ -120,16 +117,6 @@ impl Criterion {
         }
     }
 
-    /// Total timed iterations per benchmark.
-    pub fn sample_size(&mut self, n: usize) -> &mut Self {
-        self.samples = n.max(1);
-        self
-    }
-
-    pub fn measurement_time(&mut self, _d: Duration) -> &mut Self {
-        self
-    }
-
     /// Does the command line's filter select the benchmark `id`?
     fn selects(&self, id: &str) -> bool {
         self.filters.is_empty() || self.filters.iter().any(|f| id.contains(f.as_str()))
@@ -147,10 +134,6 @@ pub struct BenchmarkGroup<'a> {
 impl BenchmarkGroup<'_> {
     pub fn sample_size(&mut self, n: usize) -> &mut Self {
         self.samples = n.max(1);
-        self
-    }
-
-    pub fn measurement_time(&mut self, _d: Duration) -> &mut Self {
         self
     }
 
@@ -193,10 +176,6 @@ fn run_one<F: FnMut(&mut Bencher)>(name: &str, samples: usize, tput: Option<Thro
         Some(Throughput::Bytes(n)) if per_iter > Duration::ZERO => {
             let mibs = n as f64 / per_iter.as_secs_f64() / (1024.0 * 1024.0);
             format!("  ({mibs:.1} MiB/s)")
-        }
-        Some(Throughput::Elements(n)) if per_iter > Duration::ZERO => {
-            let eps = n as f64 / per_iter.as_secs_f64();
-            format!("  ({eps:.0} elem/s)")
         }
         _ => String::new(),
     };

@@ -1,15 +1,15 @@
 //! Offline stand-in for `serde_derive`.
 //!
-//! Implements `#[derive(Serialize)]` and `#[derive(Deserialize)]` against
-//! the sibling `serde` shim's `Content` data model. The parser is
+//! Implements `#[derive(Serialize)]`, lowering a type straight into the
+//! sibling `serde` shim's JSON `Value`. The parser is
 //! deliberately small: it handles plain (non-generic) structs and enums
 //! with unit, tuple and struct variants — exactly the shapes this
 //! workspace derives on — and rejects anything fancier with a compile
 //! error rather than silently mis-serializing it.
 //!
 //! The generated representation mirrors serde's default JSON behavior:
-//! named structs → maps, newtype structs → the inner value, unit variants
-//! → strings, data variants → single-key maps.
+//! named structs → objects, newtype structs → the inner value, unit
+//! variants → strings, data variants → single-key objects.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
@@ -19,14 +19,6 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
     gen_serialize(&item)
         .parse()
         .expect("generated Serialize impl parses")
-}
-
-#[proc_macro_derive(Deserialize)]
-pub fn derive_deserialize(input: TokenStream) -> TokenStream {
-    let item = parse_item(input);
-    gen_deserialize(&item)
-        .parse()
-        .expect("generated Deserialize impl parses")
 }
 
 // ---- a tiny item model ----------------------------------------------------
@@ -247,180 +239,88 @@ fn parse_variants(stream: TokenStream) -> Vec<Variant> {
 
 // ---- codegen --------------------------------------------------------------
 
-fn gen_serialize(item: &Item) -> String {
-    match item {
-        Item::Struct { name, fields } => {
-            let body = match fields {
-                Fields::Unit => "::serde::Content::Null".to_string(),
-                Fields::Tuple(1) => "::serde::Serialize::to_content(&self.0)".to_string(),
-                Fields::Tuple(n) => {
-                    let items: Vec<String> = (0..*n)
-                        .map(|i| format!("::serde::Serialize::to_content(&self.{i})"))
-                        .collect();
-                    format!("::serde::Content::Seq(vec![{}])", items.join(", "))
-                }
-                Fields::Named(names) => {
-                    let entries: Vec<String> = names
-                        .iter()
-                        .map(|f| {
-                            format!(
-                                "(\"{f}\".to_string(), ::serde::Serialize::to_content(&self.{f}))"
-                            )
-                        })
-                        .collect();
-                    format!("::serde::Content::Map(vec![{}])", entries.join(", "))
-                }
-            };
-            format!(
-                "impl ::serde::Serialize for {name} {{\n\
-                     fn to_content(&self) -> ::serde::Content {{ {body} }}\n\
-                 }}"
-            )
-        }
-        Item::Enum { name, variants } => {
-            let mut arms = Vec::new();
-            for v in variants {
-                let vn = &v.name;
-                let arm = match &v.fields {
-                    Fields::Unit => {
-                        format!("{name}::{vn} => ::serde::Content::Str(\"{vn}\".to_string()),")
-                    }
-                    Fields::Tuple(1) => format!(
-                        "{name}::{vn}(f0) => ::serde::Content::Map(vec![(\"{vn}\".to_string(), \
-                         ::serde::Serialize::to_content(f0))]),"
-                    ),
-                    Fields::Tuple(n) => {
-                        let binds: Vec<String> = (0..*n).map(|i| format!("f{i}")).collect();
-                        let items: Vec<String> = binds
-                            .iter()
-                            .map(|b| format!("::serde::Serialize::to_content({b})"))
-                            .collect();
-                        format!(
-                            "{name}::{vn}({binds}) => ::serde::Content::Map(vec![(\"{vn}\".to_string(), \
-                             ::serde::Content::Seq(vec![{items}]))]),",
-                            binds = binds.join(", "),
-                            items = items.join(", "),
-                        )
-                    }
-                    Fields::Named(field_names) => {
-                        let binds = field_names.join(", ");
-                        let entries: Vec<String> = field_names
-                            .iter()
-                            .map(|f| {
-                                format!(
-                                    "(\"{f}\".to_string(), ::serde::Serialize::to_content({f}))"
-                                )
-                            })
-                            .collect();
-                        format!(
-                            "{name}::{vn} {{ {binds} }} => ::serde::Content::Map(vec![(\"{vn}\".to_string(), \
-                             ::serde::Content::Map(vec![{entries}]))]),",
-                            entries = entries.join(", "),
-                        )
-                    }
-                };
-                arms.push(arm);
-            }
-            format!(
-                "impl ::serde::Serialize for {name} {{\n\
-                     fn to_content(&self) -> ::serde::Content {{\n\
-                         match self {{\n{arms}\n}}\n\
-                     }}\n\
-                 }}",
-                arms = arms.join("\n")
-            )
-        }
-    }
+/// `::serde::Serialize::to_value(<expr>)`.
+fn lower(expr: &str) -> String {
+    format!("::serde::Serialize::to_value({expr})")
 }
 
-fn gen_deserialize(item: &Item) -> String {
-    match item {
+fn array(items: &[String]) -> String {
+    format!("::serde::Value::Array(vec![{}])", items.join(", "))
+}
+
+/// An object from `(key, value expression)` pairs; keys are field or
+/// variant names, so they are distinct.
+fn object<'a>(entries: impl IntoIterator<Item = (&'a str, String)>) -> String {
+    let entries: Vec<String> = entries
+        .into_iter()
+        .map(|(k, v)| format!("(\"{k}\".to_string(), {v})"))
+        .collect();
+    format!(
+        "::serde::Value::Object(::serde::Map::from_distinct(vec![{}]))",
+        entries.join(", ")
+    )
+}
+
+fn gen_serialize(item: &Item) -> String {
+    let (name, body) = match item {
         Item::Struct { name, fields } => {
             let body = match fields {
-                Fields::Unit => format!("Ok({name})"),
-                Fields::Tuple(1) => {
-                    format!("Ok({name}(::serde::Deserialize::from_content(c)?))")
-                }
+                Fields::Unit => "::serde::Value::Null".to_string(),
+                Fields::Tuple(1) => lower("&self.0"),
                 Fields::Tuple(n) => {
-                    let items: Vec<String> = (0..*n)
-                        .map(|i| format!("::serde::de_index(c, {i})?"))
-                        .collect();
-                    format!("Ok({name}({}))", items.join(", "))
+                    let items: Vec<String> =
+                        (0..*n).map(|i| lower(&format!("&self.{i}"))).collect();
+                    array(&items)
                 }
-                Fields::Named(names) => {
-                    let inits: Vec<String> = names
+                Fields::Named(names) => object(
+                    names
                         .iter()
-                        .map(|f| format!("{f}: ::serde::de_field(c, \"{f}\")?"))
-                        .collect();
-                    format!("Ok({name} {{ {} }})", inits.join(", "))
-                }
+                        .map(|f| (f.as_str(), lower(&format!("&self.{f}")))),
+                ),
             };
-            format!(
-                "impl ::serde::Deserialize for {name} {{\n\
-                     fn from_content(c: &::serde::Content) -> ::std::result::Result<Self, ::serde::Error> {{\n\
-                         {body}\n\
-                     }}\n\
-                 }}"
-            )
+            (name, body)
         }
         Item::Enum { name, variants } => {
-            let mut unit_arms = Vec::new();
-            let mut keyed_arms = Vec::new();
-            for v in variants {
-                let vn = &v.name;
-                match &v.fields {
-                    Fields::Unit => {
-                        unit_arms.push(format!("\"{vn}\" => Ok({name}::{vn}),"));
-                        // serde also accepts `{"Variant": null}`? It does not
-                        // for unit variants in JSON maps, so neither do we.
+            let arms: Vec<String> = variants
+                .iter()
+                .map(|v| {
+                    let vn = &v.name;
+                    match &v.fields {
+                        Fields::Unit => {
+                            format!("{name}::{vn} => ::serde::Value::String(\"{vn}\".to_string()),")
+                        }
+                        Fields::Tuple(1) => {
+                            format!(
+                                "{name}::{vn}(f0) => {},",
+                                object([(vn.as_str(), lower("f0"))])
+                            )
+                        }
+                        Fields::Tuple(n) => {
+                            let binds: Vec<String> = (0..*n).map(|i| format!("f{i}")).collect();
+                            let items: Vec<String> = binds.iter().map(|b| lower(b)).collect();
+                            format!(
+                                "{name}::{vn}({}) => {},",
+                                binds.join(", "),
+                                object([(vn.as_str(), array(&items))])
+                            )
+                        }
+                        Fields::Named(fields) => {
+                            let inner = object(fields.iter().map(|f| (f.as_str(), lower(f))));
+                            format!(
+                                "{name}::{vn} {{ {} }} => {},",
+                                fields.join(", "),
+                                object([(vn.as_str(), inner)])
+                            )
+                        }
                     }
-                    Fields::Tuple(1) => keyed_arms.push(format!(
-                        "\"{vn}\" => Ok({name}::{vn}(::serde::Deserialize::from_content(payload)?)),"
-                    )),
-                    Fields::Tuple(n) => {
-                        let items: Vec<String> = (0..*n)
-                            .map(|i| format!("::serde::de_index(payload, {i})?"))
-                            .collect();
-                        keyed_arms.push(format!(
-                            "\"{vn}\" => Ok({name}::{vn}({})),",
-                            items.join(", ")
-                        ));
-                    }
-                    Fields::Named(field_names) => {
-                        let inits: Vec<String> = field_names
-                            .iter()
-                            .map(|f| format!("{f}: ::serde::de_field(payload, \"{f}\")?"))
-                            .collect();
-                        keyed_arms.push(format!(
-                            "\"{vn}\" => Ok({name}::{vn} {{ {} }}),",
-                            inits.join(", ")
-                        ));
-                    }
-                }
-            }
-            format!(
-                "impl ::serde::Deserialize for {name} {{\n\
-                     fn from_content(c: &::serde::Content) -> ::std::result::Result<Self, ::serde::Error> {{\n\
-                         match c {{\n\
-                             ::serde::Content::Str(s) => match s.as_str() {{\n\
-                                 {unit_arms}\n\
-                                 other => Err(::serde::Error(format!(\"unknown variant `{{other}}` of {name}\"))),\n\
-                             }},\n\
-                             ::serde::Content::Map(entries) if entries.len() == 1 => {{\n\
-                                 let (key, payload) = &entries[0];\n\
-                                 let _ = payload;\n\
-                                 match key.as_str() {{\n\
-                                     {keyed_arms}\n\
-                                     other => Err(::serde::Error(format!(\"unknown variant `{{other}}` of {name}\"))),\n\
-                                 }}\n\
-                             }}\n\
-                             _ => Err(::serde::Error(\"expected a string or single-key map for enum {name}\".to_string())),\n\
-                         }}\n\
-                     }}\n\
-                 }}",
-                unit_arms = unit_arms.join("\n"),
-                keyed_arms = keyed_arms.join("\n"),
-            )
+                })
+                .collect();
+            (name, format!("match self {{\n{}\n}}", arms.join("\n")))
         }
-    }
+    };
+    format!(
+        "impl ::serde::Serialize for {name} {{\n\
+             fn to_value(&self) -> ::serde::Value {{ {body} }}\n\
+         }}"
+    )
 }

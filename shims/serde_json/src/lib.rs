@@ -1,459 +1,50 @@
 //! Offline stand-in for the `serde_json` crate.
 //!
-//! Provides the subset this workspace uses: [`Value`] with indexing and
-//! accessor methods, the [`json!`] macro, [`to_value`], [`to_string`],
-//! [`to_string_pretty`] and [`from_str`], all built on the `serde` shim's
-//! `Content` data model.
+//! Re-exports the `serde` shim's JSON data model ([`Value`], [`Number`],
+//! [`Map`], [`Serialize`]) and adds what the workspace calls on top of
+//! it: [`to_value`], [`to_string`], [`to_string_pretty`], the [`json!`]
+//! macro, and [`from_str`], which parses JSON text into a [`Value`].
 
-use serde::{Content, Deserialize, Serialize};
 use std::fmt;
 
 mod parse;
 
 pub use parse::from_str;
+pub use serde::{Map, Number, Serialize, Value};
 
-/// JSON number: integers are kept exact, like serde_json's `Number`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Number {
-    U64(u64),
-    I64(i64),
-    F64(f64),
-}
+/// A JSON parse error: what was expected and where. Serializing never
+/// fails; `to_value` and the writers return `Result` to keep
+/// serde_json's signatures.
+#[derive(Debug)]
+pub struct Error(pub(crate) String);
 
-impl Number {
-    pub fn as_u64(&self) -> Option<u64> {
-        match *self {
-            Number::U64(v) => Some(v),
-            Number::I64(v) => u64::try_from(v).ok(),
-            Number::F64(_) => None,
-        }
-    }
-
-    pub fn as_i64(&self) -> Option<i64> {
-        match *self {
-            Number::U64(v) => i64::try_from(v).ok(),
-            Number::I64(v) => Some(v),
-            Number::F64(_) => None,
-        }
-    }
-
-    pub fn as_f64(&self) -> Option<f64> {
-        match *self {
-            Number::U64(v) => Some(v as f64),
-            Number::I64(v) => Some(v as f64),
-            Number::F64(v) => Some(v),
-        }
-    }
-}
-
-impl fmt::Display for Number {
+impl fmt::Display for Error {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match *self {
-            Number::U64(v) => write!(f, "{v}"),
-            Number::I64(v) => write!(f, "{v}"),
-            Number::F64(v) => {
-                if !v.is_finite() {
-                    // serde_json refuses non-finite numbers; emit null so
-                    // output stays parseable.
-                    write!(f, "null")
-                } else if v == v.trunc() && v.abs() < 1e15 {
-                    // Keep the trailing `.0` so the value reparses as a
-                    // float (serde_json/ryu behavior).
-                    write!(f, "{v:.1}")
-                } else {
-                    write!(f, "{v}")
-                }
-            }
-        }
+        write!(f, "serde_json shim: {}", self.0)
     }
 }
 
-/// Insertion-ordered JSON object, like serde_json's `Map` with the
-/// `preserve_order` feature.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct Map {
-    entries: Vec<(String, Value)>,
-}
-
-impl Map {
-    pub fn new() -> Self {
-        Map::default()
-    }
-
-    pub fn insert(&mut self, key: String, value: Value) -> Option<Value> {
-        if let Some(slot) = self.entries.iter_mut().find(|(k, _)| *k == key) {
-            Some(std::mem::replace(&mut slot.1, value))
-        } else {
-            self.entries.push((key, value));
-            None
-        }
-    }
-
-    pub fn get(&self, key: &str) -> Option<&Value> {
-        self.entries.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-    }
-
-    pub fn contains_key(&self, key: &str) -> bool {
-        self.get(key).is_some()
-    }
-
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    pub fn iter(&self) -> impl Iterator<Item = (&String, &Value)> {
-        self.entries.iter().map(|(k, v)| (k, v))
-    }
-
-    pub fn keys(&self) -> impl Iterator<Item = &String> {
-        self.entries.iter().map(|(k, _)| k)
-    }
-
-    pub fn values(&self) -> impl Iterator<Item = &Value> {
-        self.entries.iter().map(|(_, v)| v)
-    }
-}
-
-/// A JSON value.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub enum Value {
-    #[default]
-    Null,
-    Bool(bool),
-    Number(Number),
-    String(String),
-    Array(Vec<Value>),
-    Object(Map),
-}
-
-static NULL: Value = Value::Null;
-
-impl Value {
-    pub fn is_null(&self) -> bool {
-        matches!(self, Value::Null)
-    }
-
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Value::Number(n) => n.as_u64(),
-            _ => None,
-        }
-    }
-
-    pub fn as_i64(&self) -> Option<i64> {
-        match self {
-            Value::Number(n) => n.as_i64(),
-            _ => None,
-        }
-    }
-
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Value::Number(n) => n.as_f64(),
-            _ => None,
-        }
-    }
-
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::String(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    pub fn as_array(&self) -> Option<&Vec<Value>> {
-        match self {
-            Value::Array(a) => Some(a),
-            _ => None,
-        }
-    }
-
-    pub fn as_object(&self) -> Option<&Map> {
-        match self {
-            Value::Object(m) => Some(m),
-            _ => None,
-        }
-    }
-
-    pub fn get(&self, key: &str) -> Option<&Value> {
-        match self {
-            Value::Object(m) => m.get(key),
-            _ => None,
-        }
-    }
-}
-
-impl std::ops::Index<&str> for Value {
-    type Output = Value;
-    fn index(&self, key: &str) -> &Value {
-        self.get(key).unwrap_or(&NULL)
-    }
-}
-
-impl std::ops::Index<usize> for Value {
-    type Output = Value;
-    fn index(&self, idx: usize) -> &Value {
-        match self {
-            Value::Array(a) => a.get(idx).unwrap_or(&NULL),
-            _ => &NULL,
-        }
-    }
-}
-
-impl PartialEq<bool> for Value {
-    fn eq(&self, other: &bool) -> bool {
-        self.as_bool() == Some(*other)
-    }
-}
-
-impl PartialEq<&str> for Value {
-    fn eq(&self, other: &&str) -> bool {
-        self.as_str() == Some(*other)
-    }
-}
-
-impl PartialEq<str> for Value {
-    fn eq(&self, other: &str) -> bool {
-        self.as_str() == Some(other)
-    }
-}
-
-impl PartialEq<String> for Value {
-    fn eq(&self, other: &String) -> bool {
-        self.as_str() == Some(other.as_str())
-    }
-}
-
-macro_rules! value_eq_num {
-    ($($t:ty => $accessor:ident as $cast:ty),* $(,)?) => {$(
-        impl PartialEq<$t> for Value {
-            fn eq(&self, other: &$t) -> bool {
-                self.$accessor() == Some(*other as $cast)
-            }
-        }
-    )*};
-}
-
-value_eq_num!(
-    u8 => as_u64 as u64, u16 => as_u64 as u64, u32 => as_u64 as u64,
-    u64 => as_u64 as u64, usize => as_u64 as u64,
-    i8 => as_i64 as i64, i16 => as_i64 as i64, i32 => as_i64 as i64,
-    i64 => as_i64 as i64, isize => as_i64 as i64,
-    f64 => as_f64 as f64,
-);
-
-impl From<&str> for Value {
-    fn from(s: &str) -> Self {
-        Value::String(s.to_string())
-    }
-}
-
-impl From<String> for Value {
-    fn from(s: String) -> Self {
-        Value::String(s)
-    }
-}
-
-impl From<bool> for Value {
-    fn from(b: bool) -> Self {
-        Value::Bool(b)
-    }
-}
-
-// ---- bridging to the serde shim's data model ------------------------------
-
-fn content_to_value(c: &Content) -> Value {
-    match c {
-        Content::Null => Value::Null,
-        Content::Bool(b) => Value::Bool(*b),
-        // Like real serde_json, store non-negative integers unsigned so a
-        // value compares equal to its parsed-back self.
-        Content::I64(v) if *v >= 0 => Value::Number(Number::U64(*v as u64)),
-        Content::I64(v) => Value::Number(Number::I64(*v)),
-        Content::U64(v) => Value::Number(Number::U64(*v)),
-        Content::F64(v) => Value::Number(Number::F64(*v)),
-        Content::Str(s) => Value::String(s.clone()),
-        Content::Seq(items) => Value::Array(items.iter().map(content_to_value).collect()),
-        Content::Map(entries) => {
-            let mut map = Map::new();
-            for (k, v) in entries {
-                map.insert(k.clone(), content_to_value(v));
-            }
-            Value::Object(map)
-        }
-    }
-}
-
-fn value_to_content(v: &Value) -> Content {
-    match v {
-        Value::Null => Content::Null,
-        Value::Bool(b) => Content::Bool(*b),
-        Value::Number(Number::U64(n)) => Content::U64(*n),
-        Value::Number(Number::I64(n)) => Content::I64(*n),
-        Value::Number(Number::F64(n)) => Content::F64(*n),
-        Value::String(s) => Content::Str(s.clone()),
-        Value::Array(items) => Content::Seq(items.iter().map(value_to_content).collect()),
-        Value::Object(map) => Content::Map(
-            map.iter()
-                .map(|(k, v)| (k.clone(), value_to_content(v)))
-                .collect(),
-        ),
-    }
-}
-
-impl Serialize for Value {
-    fn to_content(&self) -> Content {
-        value_to_content(self)
-    }
-}
-
-impl Deserialize for Value {
-    fn from_content(c: &Content) -> Result<Self, serde::Error> {
-        Ok(content_to_value(c))
-    }
-}
-
-/// (De)serialization error.
-pub type Error = serde::Error;
+impl std::error::Error for Error {}
 
 /// Convert any serializable value into a [`Value`].
 pub fn to_value<T: Serialize>(value: T) -> Result<Value, Error> {
-    Ok(content_to_value(&value.to_content()))
+    Ok(value.to_value())
 }
 
 /// Infallible conversion used by the `json!` macro.
 #[doc(hidden)]
 pub fn __to_value<T: Serialize>(value: &T) -> Value {
-    content_to_value(&value.to_content())
-}
-
-// ---- serialization to text ------------------------------------------------
-
-fn escape_into(out: &mut String, s: &str) {
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{08}' => out.push_str("\\b"),
-            '\u{0c}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-fn write_compact(out: &mut String, v: &Value) {
-    match v {
-        Value::Null => out.push_str("null"),
-        Value::Bool(true) => out.push_str("true"),
-        Value::Bool(false) => out.push_str("false"),
-        Value::Number(n) => out.push_str(&n.to_string()),
-        Value::String(s) => escape_into(out, s),
-        Value::Array(items) => {
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_compact(out, item);
-            }
-            out.push(']');
-        }
-        Value::Object(map) => {
-            out.push('{');
-            for (i, (k, val)) in map.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                escape_into(out, k);
-                out.push(':');
-                write_compact(out, val);
-            }
-            out.push('}');
-        }
-    }
-}
-
-fn write_pretty(out: &mut String, v: &Value, indent: usize) {
-    const PAD: &str = "  ";
-    match v {
-        Value::Array(items) if !items.is_empty() => {
-            out.push_str("[\n");
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(",\n");
-                }
-                out.push_str(&PAD.repeat(indent + 1));
-                write_pretty(out, item, indent + 1);
-            }
-            out.push('\n');
-            out.push_str(&PAD.repeat(indent));
-            out.push(']');
-        }
-        Value::Object(map) if !map.is_empty() => {
-            out.push_str("{\n");
-            for (i, (k, val)) in map.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(",\n");
-                }
-                out.push_str(&PAD.repeat(indent + 1));
-                escape_into(out, k);
-                out.push_str(": ");
-                write_pretty(out, val, indent + 1);
-            }
-            out.push('\n');
-            out.push_str(&PAD.repeat(indent));
-            out.push('}');
-        }
-        other => write_compact(out, other),
-    }
-}
-
-impl fmt::Display for Value {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut s = String::new();
-        write_compact(&mut s, self);
-        f.write_str(&s)
-    }
+    value.to_value()
 }
 
 /// Serialize to a compact JSON string.
 pub fn to_string<T: Serialize>(value: &T) -> Result<String, Error> {
-    let v = content_to_value(&value.to_content());
-    let mut s = String::new();
-    write_compact(&mut s, &v);
-    Ok(s)
+    Ok(value.to_value().to_string())
 }
 
 /// Serialize to a human-readable, two-space-indented JSON string.
 pub fn to_string_pretty<T: Serialize>(value: &T) -> Result<String, Error> {
-    let v = content_to_value(&value.to_content());
-    let mut s = String::new();
-    write_pretty(&mut s, &v, 0);
-    Ok(s)
-}
-
-/// Deserialize a typed value from a JSON `Value`.
-pub fn from_value<T: Deserialize>(value: Value) -> Result<T, Error> {
-    T::from_content(&value_to_content(&value))
+    Ok(format!("{:#}", value.to_value()))
 }
 
 /// Build a [`Value`] from JSON-like syntax. Supports `null`, literals,
@@ -599,5 +190,77 @@ mod tests {
     fn float_integers_keep_their_point() {
         assert_eq!(to_string(&json!(51.0f64)).unwrap(), "51.0");
         assert_eq!(to_string(&json!(51u32)).unwrap(), "51");
+    }
+
+    #[test]
+    fn strings_escape_only_quotes_backslashes_and_controls() {
+        let s = "a\u{1}é\"\\\t\u{7f}→";
+        assert_eq!(to_string(&s).unwrap(), "\"a\\u0001é\\\"\\\\\\t\u{7f}→\"");
+    }
+
+    #[derive(serde::Serialize)]
+    struct Named {
+        zeta: u8,
+        alpha: Option<u8>,
+        items: Vec<&'static str>,
+    }
+
+    #[derive(serde::Serialize)]
+    struct Newtype(u32);
+
+    #[derive(serde::Serialize)]
+    struct Pair(u8, &'static str);
+
+    #[derive(serde::Serialize)]
+    enum Shape {
+        Unit,
+        Newtype(u8),
+        Tuple(u8, bool),
+        Struct { b: u8, a: u8 },
+    }
+
+    #[test]
+    fn derived_structs_keep_serde_shapes() {
+        let named = Named {
+            zeta: 1,
+            alpha: None,
+            items: vec!["x"],
+        };
+        let v = to_value(&named).unwrap();
+        let keys: Vec<&String> = v.as_object().unwrap().iter().map(|(k, _)| k).collect();
+        assert_eq!(keys, ["zeta", "alpha", "items"], "declaration order");
+        assert_eq!(
+            to_string(&named).unwrap(),
+            r#"{"zeta":1,"alpha":null,"items":["x"]}"#
+        );
+        assert_eq!(to_string(&Newtype(7)).unwrap(), "7");
+        assert_eq!(to_string(&Pair(2, "y")).unwrap(), r#"[2,"y"]"#);
+    }
+
+    #[test]
+    fn derived_enum_variants_keep_serde_shapes() {
+        let text = |s: Shape| to_string(&s).unwrap();
+        assert_eq!(text(Shape::Unit), r#""Unit""#);
+        assert_eq!(text(Shape::Newtype(3)), r#"{"Newtype":3}"#);
+        assert_eq!(text(Shape::Tuple(4, true)), r#"{"Tuple":[4,true]}"#);
+        assert_eq!(
+            text(Shape::Struct { b: 5, a: 6 }),
+            r#"{"Struct":{"b":5,"a":6}}"#
+        );
+    }
+
+    #[test]
+    fn primitives_lower_to_json_values() {
+        assert_eq!(to_value(Option::<u8>::None).unwrap(), Value::Null);
+        assert_eq!(to_value(3i64).unwrap(), Value::Number(Number::U64(3)));
+        assert_eq!(to_value(-3i64).unwrap(), Value::Number(Number::I64(-3)));
+        let map: std::collections::HashMap<String, u8> = [
+            ("b".to_string(), 2),
+            ("a".to_string(), 1),
+            ("c".to_string(), 3),
+        ]
+        .into();
+        assert_eq!(to_string(&map).unwrap(), r#"{"a":1,"b":2,"c":3}"#);
+        assert_eq!(to_string(&51.0f64).unwrap(), "51.0");
     }
 }

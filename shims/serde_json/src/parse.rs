@@ -1,10 +1,9 @@
 //! Recursive-descent JSON parser for the serde_json shim.
 
-use crate::{Map, Number, Value};
-use serde::{Deserialize, Error};
+use crate::{Error, Map, Number, Value};
 
-/// Deserialize a typed value from JSON text.
-pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
+/// Parse JSON text into a [`Value`].
+pub fn from_str(s: &str) -> Result<Value, Error> {
     let mut p = Parser {
         bytes: s.as_bytes(),
         pos: 0,
@@ -15,7 +14,7 @@ pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
     if p.pos != p.bytes.len() {
         return Err(Error(format!("trailing characters at byte {}", p.pos)));
     }
-    crate::from_value(value)
+    Ok(value)
 }
 
 struct Parser<'a> {
