@@ -691,11 +691,11 @@ fn check_service(
 }
 
 /// Drive the sharded fleet over the universe: every request answered by
-/// the fleet — routed, failed over, hedge-free for determinism — must
-/// match the oracle's expectation for the answered mode, exactly as a
-/// single node would. One node is killed halfway through the request
-/// list and revived at three quarters, so the crossing also covers
-/// failover routing and rejoin catch-up.
+/// the fleet — routed and failed over — must match the oracle's
+/// expectation for the answered mode, exactly as a single node would. One
+/// node is killed halfway through the request list and revived at three
+/// quarters, so the crossing also covers failover routing and rejoin
+/// catch-up.
 fn check_fleet(
     spec: &UniverseSpec,
     uni: &universe::Universe,
@@ -715,8 +715,8 @@ fn check_fleet(
     };
     let fleet_cfg = feam_svc::FleetConfig {
         replication: 2,
-        hedge_after: None,
         recorder: feam_obs::Recorder::disabled(),
+        ..feam_svc::FleetConfig::default()
     };
     let mut fleet = feam_svc::Fleet::with_factory(fleet_cfg, 3, |_| {
         // Each node gets its own identical copy of the world (Site is

@@ -94,8 +94,6 @@ pub struct PhaseStats {
     pub p99_us: u64,
     /// Replica-set members skipped before an answer (dead/open/overloaded).
     pub failovers: u64,
-    /// Answers won by a hedge rather than the primary dispatch.
-    pub hedged: u64,
     /// Answers served from outside the replica set.
     pub degraded_routes: u64,
 }
@@ -135,8 +133,6 @@ pub struct KillDrillReport {
     pub p99_inflation_during: f64,
     pub replication_applied: u64,
     pub replication_dropped: u64,
-    pub hedges_fired: u64,
-    pub hedges_won: u64,
 }
 
 /// The full `--fleet-bench` artifact.
@@ -205,7 +201,6 @@ struct Answered {
     fingerprint: String,
     latency_us: u64,
     failovers: u32,
-    hedged: bool,
     degraded: bool,
 }
 
@@ -265,7 +260,6 @@ fn run_stream(
                             fingerprint: fingerprint(&req, &resp.response.prediction),
                             latency_us: resp.response.latency_us,
                             failovers: resp.failovers,
-                            hedged: resp.hedged,
                             degraded: resp.degraded_route,
                         });
                     }
@@ -298,7 +292,6 @@ fn phase_stats(results: &[Option<Answered>]) -> PhaseStats {
                 stats.answered += 1;
                 latencies.push(a.latency_us);
                 stats.failovers += a.failovers as u64;
-                stats.hedged += u64::from(a.hedged);
                 stats.degraded_routes += u64::from(a.degraded);
             }
             None => stats.shed += 1,
@@ -421,8 +414,6 @@ pub fn fleet_bench(seed: u64, quick: bool) -> FleetBenchReport {
             p99_inflation_during: during.p99_us as f64 / steady_p99 as f64,
             replication_applied: counter("fleet.replication.applied"),
             replication_dropped: counter("fleet.replication.dropped"),
-            hedges_fired: counter("fleet.hedge.fired"),
-            hedges_won: counter("fleet.hedge.won"),
             before,
             during,
             after,
@@ -475,8 +466,7 @@ pub fn render_fleet(report: &FleetBenchReport) -> String {
         d.p99_inflation_during,
     ));
     out.push_str(&format!(
-        "    answers {} vs single-node oracle ({} wrong); replication applied {} dropped {}; \
-         hedges {}/{} won\n",
+        "    answers {} vs single-node oracle ({} wrong); replication applied {} dropped {}\n",
         if d.equivalent {
             "byte-identical"
         } else {
@@ -485,8 +475,6 @@ pub fn render_fleet(report: &FleetBenchReport) -> String {
         d.wrong_answers,
         d.replication_applied,
         d.replication_dropped,
-        d.hedges_won,
-        d.hedges_fired,
     ));
     out
 }
@@ -517,7 +505,6 @@ mod tests {
             p50_us: 100,
             p99_us: 900,
             failovers: 3,
-            hedged: 1,
             degraded_routes: 0,
         };
         let report = FleetBenchReport {
@@ -549,8 +536,6 @@ mod tests {
                 p99_inflation_during: 1.2,
                 replication_applied: 5,
                 replication_dropped: 0,
-                hedges_fired: 2,
-                hedges_won: 1,
             },
         };
         let s = render_fleet(&report);

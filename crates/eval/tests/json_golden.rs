@@ -167,7 +167,6 @@ fn fleet_bench_struct_schema_matches_golden() {
         p50_us: 10,
         p99_us: 90,
         failovers: 2,
-        hedged: 1,
         degraded_routes: 1,
     };
     let report = feam_eval::FleetBenchReport {
@@ -199,8 +198,6 @@ fn fleet_bench_struct_schema_matches_golden() {
             p99_inflation_during: 1.1,
             replication_applied: 3,
             replication_dropped: 0,
-            hedges_fired: 1,
-            hedges_won: 1,
         },
     };
     let v = serde_json::to_value(&report).expect("serialize");

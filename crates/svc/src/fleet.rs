@@ -1,7 +1,6 @@
 //! The sharded serving fleet: N [`PredictService`] nodes behind a
-//! consistent-hash router with health-gated failover, hedged requests,
-//! result replication on the answering thread, and epoch-propagated
-//! invalidation.
+//! consistent-hash router with health-gated failover, result replication
+//! on the answering thread, and epoch-propagated invalidation.
 //!
 //! ## Failure domains
 //!
@@ -12,17 +11,12 @@
 //! `replication` nodes and walks it:
 //!
 //! 1. **Primary** — the first replica whose breaker admits traffic and
-//!    whose process is up and reachable.
+//!    whose process is up and reachable. The caller waits for its answer:
+//!    a flight still queued runs on the calling thread, and a read that
+//!    coalesced onto a running flight waits for that flight.
 //! 2. **Failover** — a down / partitioned / open / overloaded replica is
 //!    skipped (`fleet.failover`); the next replica takes the request.
-//! 3. **Hedge** — the caller first claims the primary's flight and, if it
-//!    is still queued, runs it itself: that answer cannot be hedged. A
-//!    flight another thread runs (a pool thread dequeued it, or the read
-//!    coalesced onto another caller's) that is slow past `hedge_after` gets
-//!    a duplicate dispatched to the next viable node
-//!    (`fleet.hedge.fired`/`fleet.hedge.won`); first answer wins, the
-//!    loser's answer is discarded when it lands.
-//! 4. **Degraded fallback** — when *every* replica refuses, any up node
+//! 3. **Degraded fallback** — when *every* replica refuses, any up node
 //!    serves (`fleet.fallback.degraded`): worse cache locality, same
 //!    answer, which beats refusing outright.
 //!
@@ -58,8 +52,8 @@ use crate::service::{
 use feam_core::cache::{content_key_of, BdcKey};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
 /// Ring points per node; more = smoother balance.
 const VNODES: usize = 64;
@@ -72,21 +66,22 @@ const RING_SEED: u64 = 0xF1EE7;
 pub struct FleetConfig {
     /// Replica-set size R: how many nodes a key maps onto.
     pub replication: usize,
-    /// Hedge a pending request to the next viable node after this long;
-    /// `None` disables hedging.
-    pub hedge_after: Option<Duration>,
-    /// Fleet-level telemetry (node gauges, failover/hedge/replication
+    /// Fleet-level telemetry (node gauges, failover/replication
     /// counters). Per-node service telemetry rides each node's own
     /// recorder.
     pub recorder: feam_obs::Recorder,
+    /// Not a setting: keeps `..FleetConfig::default()` meaningful in a
+    /// literal that names every setting.
+    #[doc(hidden)]
+    pub _non_exhaustive: (),
 }
 
 impl Default for FleetConfig {
     fn default() -> Self {
         FleetConfig {
             replication: 2,
-            hedge_after: Some(Duration::from_millis(250)),
             recorder: feam_obs::Recorder::disabled(),
+            _non_exhaustive: (),
         }
     }
 }
@@ -121,7 +116,8 @@ pub struct FleetResponse {
     pub node: Arc<str>,
     /// Replicas skipped (down / open / overloaded) before dispatch.
     pub failovers: u32,
-    /// The winning answer came from a hedge, not the primary dispatch.
+    /// Always `false`: the fleet no longer hedges. Kept for readers that
+    /// still report it.
     pub hedged: bool,
     /// Served outside the replica set (all replicas refused).
     pub degraded_route: bool,
@@ -200,9 +196,6 @@ pub struct Fleet {
     /// Boxed, so that a `Fleet` is as small to move as a `PredictService`.
     inner: Box<FleetInner>,
 }
-
-/// A dispatch's end: the index of the node that answered and the answer.
-type Answered = Result<(usize, FleetResponse), FleetError>;
 
 impl Fleet {
     /// Build `n` nodes from a factory. The factory must produce
@@ -438,8 +431,7 @@ impl Fleet {
 
     // ---- data plane ---------------------------------------------------
 
-    /// Route, dispatch (with failover and hedging) and answer one
-    /// request.
+    /// Route, dispatch (with failover) and answer one request.
     pub fn predict(&self, req: &PredictRequest) -> Result<FleetResponse, FleetError> {
         self.route(req, None)
     }
@@ -489,6 +481,7 @@ impl Fleet {
 
         let mut failovers = 0u32;
         let mut attempts = 0u32;
+        let mut degraded_counted = false;
         for (pos, &i) in candidates.iter().enumerate() {
             let degraded_route = pos >= degraded_from;
             let now = inner.now_ms();
@@ -501,22 +494,14 @@ impl Fleet {
                 }
                 continue;
             }
-            if degraded_route && pos == degraded_from {
+            if degraded_route && !degraded_counted {
+                degraded_counted = true;
                 rec.count("fleet.fallback.degraded", 1);
             }
             attempts += 1;
             let answered = match inner.dispatch(i, req) {
-                Ok(Delivery::Ready(resp)) => {
-                    inner.settle(i, Ok(resp), failovers, false, degraded_route)
-                }
-                Ok(Delivery::Pending(rx)) => self.await_answer(
-                    i,
-                    rx,
-                    &candidates[pos + 1..],
-                    req,
-                    failovers,
-                    degraded_route,
-                ),
+                Ok(Delivery::Ready(resp)) => inner.settle(i, Ok(resp), failovers, degraded_route),
+                Ok(Delivery::Pending(rx)) => inner.settle_recv(i, &rx, failovers, degraded_route),
                 Err(e) if e.retryable() || matches!(e, SvcError::ShuttingDown) => {
                     // Overloaded (node sheds) or a kill raced the admit
                     // check: the next replica takes the request and the
@@ -537,132 +522,18 @@ impl Fleet {
                     return Err(FleetError::Svc(e));
                 }
             };
-            let (winner, out) = answered?;
+            let out = answered?;
             if let Some(epoch) = replicate_at {
                 let resp = &out.response;
                 if resp.cacheable && !resp.from_result_cache {
                     let replicas = &candidates[..degraded_from];
-                    inner.replicate(req, winner, replicas, &resp.answer, epoch);
+                    inner.replicate(req, i, replicas, &resp.answer, epoch);
                 }
             }
             return Ok(out);
         }
         rec.count("fleet.unavailable", 1);
         Err(FleetError::Unavailable { attempts })
-    }
-
-    /// Wait for a pending answer. The caller first claims the primary's
-    /// flight; one it runs itself is never hedged. A flight running
-    /// elsewhere that is slow gets a hedge to the next viable candidate;
-    /// first answer wins, and the loser's (eventual) answer is discarded
-    /// with its handle.
-    fn await_answer(
-        &self,
-        primary: usize,
-        rx: Pending,
-        backups: &[usize],
-        req: &PredictRequest,
-        failovers: u32,
-        degraded_route: bool,
-    ) -> Answered {
-        let inner = &self.inner;
-        let rec = &inner.cfg.recorder;
-
-        // Phase 0: claim the flight. A flight this thread ran leaves
-        // nothing to hedge; with no hedging, `recv` makes the claim.
-        let hedge_after = match inner.cfg.hedge_after {
-            Some(d) if !rx.claim() => d,
-            _ => return inner.settle_recv(primary, &rx, failovers, degraded_route),
-        };
-
-        // Phase 1: give the primary `hedge_after` to answer.
-        match rx.recv_timeout(hedge_after) {
-            Ok(out) => return inner.settle(primary, out, failovers, false, degraded_route),
-            Err(mpsc::RecvTimeoutError::Disconnected) => {
-                inner.release_probe(primary);
-                return Err(FleetError::Svc(SvcError::ShuttingDown));
-            }
-            Err(mpsc::RecvTimeoutError::Timeout) => {}
-        }
-
-        // Phase 2: fire one hedge at the first viable backup.
-        let mut hedge: Option<(usize, Pending)> = None;
-        for &b in backups {
-            let now = inner.now_ms();
-            if !inner.nodes[b].reachable()
-                || !inner.nodes[b].health.lock().expect("health").admit(now)
-            {
-                continue;
-            }
-            match inner.dispatch(b, req) {
-                Ok(Delivery::Ready(resp)) => {
-                    rec.count("fleet.hedge.fired", 1);
-                    rec.count("fleet.hedge.won", 1);
-                    let won = inner.settle(b, Ok(resp), failovers, true, degraded_route);
-                    // The primary's eventual answer is discarded — its
-                    // probe slot comes back without an outcome.
-                    inner.release_probe(primary);
-                    return won;
-                }
-                Ok(Delivery::Pending(hrx)) => {
-                    rec.count("fleet.hedge.fired", 1);
-                    hedge = Some((b, hrx));
-                    break;
-                }
-                Err(_) => {
-                    inner.observe_error(b);
-                    continue;
-                }
-            }
-        }
-
-        let Some((hb, hrx)) = hedge else {
-            // No viable hedge target: wait the primary out.
-            return inner.settle_recv(primary, &rx, failovers, degraded_route);
-        };
-
-        // Phase 3: race primary and hedge; first answer wins. The loser's
-        // discarded dispatch returns its probe slot without an outcome —
-        // exactly once, guarded by the alive flags.
-        let tick = Duration::from_millis(1);
-        let mut primary_alive = true;
-        let mut hedge_alive = true;
-        loop {
-            if primary_alive {
-                match rx.recv_timeout(tick) {
-                    Ok(out) => {
-                        if hedge_alive {
-                            inner.release_probe(hb);
-                        }
-                        return inner.settle(primary, out, failovers, false, degraded_route);
-                    }
-                    Err(mpsc::RecvTimeoutError::Timeout) => {}
-                    Err(mpsc::RecvTimeoutError::Disconnected) => {
-                        primary_alive = false;
-                        inner.release_probe(primary);
-                    }
-                }
-            }
-            if hedge_alive {
-                match hrx.recv_timeout(tick) {
-                    Ok(out) => {
-                        rec.count("fleet.hedge.won", 1);
-                        if primary_alive {
-                            inner.release_probe(primary);
-                        }
-                        return inner.settle(hb, out, failovers, true, degraded_route);
-                    }
-                    Err(mpsc::RecvTimeoutError::Timeout) => {}
-                    Err(mpsc::RecvTimeoutError::Disconnected) => {
-                        hedge_alive = false;
-                        inner.release_probe(hb);
-                    }
-                }
-            }
-            if !primary_alive && !hedge_alive {
-                return Err(FleetError::Svc(SvcError::ShuttingDown));
-            }
-        }
     }
 }
 
@@ -788,20 +659,18 @@ impl FleetInner {
         node_idx: usize,
         out: Result<PredictResponse, SvcError>,
         failovers: u32,
-        hedged: bool,
         degraded_route: bool,
-    ) -> Answered {
+    ) -> Result<FleetResponse, FleetError> {
         match out {
             Ok(resp) => {
                 self.observe_success(node_idx);
-                let out = FleetResponse {
+                Ok(FleetResponse {
                     node: Arc::clone(&self.nodes[node_idx].name),
                     failovers,
-                    hedged,
+                    hedged: false,
                     degraded_route,
                     response: resp,
-                };
-                Ok((node_idx, out))
+                })
             }
             // A deadline shed is the *request's* failure, not the
             // node's: the worker was healthy enough to shed on time.
@@ -818,20 +687,20 @@ impl FleetInner {
         }
     }
 
-    /// Block for the primary's answer (claiming its flight if it is still
-    /// queued) and settle it. A dead answer channel has no outcome to
-    /// attribute, so it frees the admitted probe slot.
+    /// Block for node `node_idx`'s answer (running its flight here if it
+    /// is still queued) and settle it. A dead answer channel has no
+    /// outcome to attribute, so it frees the admitted probe slot.
     fn settle_recv(
         &self,
-        primary: usize,
+        node_idx: usize,
         rx: &Pending,
         failovers: u32,
         degraded_route: bool,
-    ) -> Answered {
+    ) -> Result<FleetResponse, FleetError> {
         match rx.recv() {
-            Ok(out) => self.settle(primary, out, failovers, false, degraded_route),
+            Ok(out) => self.settle(node_idx, out, failovers, degraded_route),
             Err(_) => {
-                self.release_probe(primary);
+                self.release_probe(node_idx);
                 Err(FleetError::Svc(SvcError::ShuttingDown))
             }
         }
@@ -849,8 +718,8 @@ impl FleetInner {
 
     /// Return node `i`'s admitted probe slot without recording an
     /// outcome — the dispatch resolved in a way that says nothing about
-    /// the node's health (request-scoped rejection, discarded hedge
-    /// loser, dead answer channel). Every `admit` must be balanced by
+    /// the node's health (request-scoped rejection, dead answer
+    /// channel). Every `admit` must be balanced by
     /// exactly one of `observe_success` / `observe_error` /
     /// `release_probe`, or a HalfOpen breaker leaks its probe budget and
     /// wedges.

@@ -96,7 +96,7 @@ impl HealthTracker {
     /// Return an admitted probe slot without recording an outcome — for
     /// dispatches that resolved in a way that says nothing about the
     /// node's health (an expired deadline, a request-level rejection, a
-    /// hedge loser whose answer was discarded). Without this, a probe
+    /// dead answer channel). Without this, a probe
     /// whose outcome is never attributed would hold the single HalfOpen
     /// slot forever and wedge the breaker: no further probe could ever be
     /// admitted, so no outcome could ever close *or* reopen it.

@@ -18,8 +18,7 @@
 //!    [`Pending::recv`] while it is still queued, which runs it on the
 //!    calling thread instead of sleeping through a thread hop. A lone
 //!    flight is queued without waking a pool thread; one is woken by the
-//!    next push, a [`Pending::recv_timeout`], an unreceived [`Pending`]'s
-//!    drop, or a shed.
+//!    next push, an unreceived [`Pending`]'s drop, or a shed.
 //!
 //! Evaluations run the ordinary [`feam_core::phases`] entry points with
 //! the shared [`PhaseCaches`] installed, so the BDC/EDC description caches
@@ -37,7 +36,7 @@ use std::cell::Cell;
 use std::collections::hash_map::{Entry, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, RwLock, Weak};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use crate::pool::Pool;
 use crate::registry::{BinaryRegistry, RegisteredBinary, RegistryError};
@@ -182,11 +181,7 @@ pub enum Delivery {
 ///
 /// * [`recv`](Pending::recv) takes the task out of the pool's FIFO if it is
 ///   still there and runs it on the calling thread, then reads the answer.
-///   A fleet's primary read makes the same claim before it may hedge.
-/// * [`recv_timeout`](Pending::recv_timeout) wakes a pool thread to run
-///   it, then waits at most `timeout`: a caller racing a deadline keeps
-///   the evaluation off its own thread.
-/// * Dropping a handle that neither call has seen wakes a pool thread, so
+/// * Dropping a handle that `recv` has not seen wakes a pool thread, so
 ///   the flight still runs and lands in the result cache.
 ///
 /// The handle holds its pool weakly: once the service is dropped, `recv`
@@ -195,54 +190,30 @@ pub struct Pending {
     rx: mpsc::Receiver<Result<PredictResponse, SvcError>>,
     pool: Weak<Pool>,
     task: u64,
-    /// No claim or `recv_timeout` has run yet, so a drop must wake.
+    /// No `recv` has run yet, so a drop must wake.
     unseen: Cell<bool>,
 }
 
 impl Pending {
-    /// Run the flight here if it is still queued, then block for the
-    /// answer. `Err` when the service went away without answering.
+    /// Run the flight here if no thread has dequeued it, then block for
+    /// the answer. `Err` when the service went away without answering.
+    /// Another thread running the flight (a pool thread, or the caller a
+    /// read coalesced onto) answers this handle when it lands.
     pub fn recv(&self) -> Result<Result<PredictResponse, SvcError>, mpsc::RecvError> {
-        self.claim();
-        self.rx.recv()
-    }
-
-    /// Take the flight's task out of the pool's FIFO if no thread has
-    /// dequeued it and run it here; whether this call ran it. A miss means
-    /// another thread has it (or the service is gone), so the handle
-    /// counts as seen either way and its drop wakes nobody.
-    pub(crate) fn claim(&self) -> bool {
         self.unseen.set(false);
-        let Some(task) = self.pool.upgrade().and_then(|pool| pool.take(self.task)) else {
-            return false;
-        };
-        task();
-        true
-    }
-
-    /// Wake a pool thread for the flight (once per handle), then wait at
-    /// most `timeout` for the answer.
-    pub fn recv_timeout(
-        &self,
-        timeout: Duration,
-    ) -> Result<Result<PredictResponse, SvcError>, mpsc::RecvTimeoutError> {
-        if self.unseen.replace(false) {
-            self.wake();
+        if let Some(task) = self.pool.upgrade().and_then(|pool| pool.take(self.task)) {
+            task();
         }
-        self.rx.recv_timeout(timeout)
-    }
-
-    fn wake(&self) {
-        if let Some(pool) = self.pool.upgrade() {
-            pool.wake();
-        }
+        self.rx.recv()
     }
 }
 
 impl Drop for Pending {
     fn drop(&mut self) {
         if self.unseen.get() {
-            self.wake();
+            if let Some(pool) = self.pool.upgrade() {
+                pool.wake();
+            }
         }
     }
 }
@@ -350,7 +321,7 @@ struct Waiter {
 
 /// One in-flight evaluation: the leader request whose context the worker
 /// evaluates under, every waiter (leader included) to fan out to, and the
-/// pool task that runs it, which every waiter's [`Pending`] may claim.
+/// pool task that runs it, which every waiter's [`Pending`] may take back.
 struct Flight {
     leader: TraceCtx,
     waiters: Vec<Waiter>,

@@ -29,8 +29,8 @@ fn node_config() -> ServiceConfig {
 fn fleet(n: usize, recorder: feam_obs::Recorder) -> Fleet {
     let cfg = FleetConfig {
         replication: 2,
-        hedge_after: None,
         recorder,
+        ..FleetConfig::default()
     };
     let fleet = Fleet::with_factory(cfg, n, |_| PredictService::new(node_config()));
     let demo = feam_svc::registry::demo_binary(7);

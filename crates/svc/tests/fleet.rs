@@ -2,8 +2,8 @@
 //! smaller than R, health-gated failover when the primary dies,
 //! all-replicas-open degraded fallback, result replication on the
 //! answering thread, epoch catch-up for nodes that missed configuration
-//! ops, hedging only for a flight another thread runs, and fleet-level
-//! deadline propagation.
+//! ops, where a read's evaluation runs (on its caller, or on the flight it
+//! coalesced onto), and fleet-level deadline propagation.
 
 use feam_core::cache::BdcKey;
 use feam_core::predict::PredictionMode;
@@ -12,15 +12,15 @@ use feam_svc::{
     Fleet, FleetConfig, FleetError, NodeState, PredictRequest, PredictService, ResultOrigin,
     ServiceConfig, SvcError,
 };
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// A started fleet of `n` identically configured nodes (chaos pinned off,
 /// caching on) with one registered binary "app", plus the fleet recorder.
-fn test_fleet(n: usize, r: usize, hedge: Option<Duration>) -> (Fleet, feam_obs::Recorder) {
+fn test_fleet(n: usize, r: usize) -> (Fleet, feam_obs::Recorder) {
     let (recorder, _sink) = feam_obs::Recorder::memory();
-    let fleet = fleet_with(n, r, hedge, &recorder, feam_obs::Recorder::disabled());
+    let fleet = fleet_with(n, r, &recorder, feam_obs::Recorder::disabled());
     (fleet, recorder)
 }
 
@@ -28,14 +28,13 @@ fn test_fleet(n: usize, r: usize, hedge: Option<Duration>) -> (Fleet, feam_obs::
 fn fleet_with(
     n: usize,
     r: usize,
-    hedge: Option<Duration>,
     recorder: &feam_obs::Recorder,
     node_recorder: feam_obs::Recorder,
 ) -> Fleet {
     let cfg = FleetConfig {
         replication: r,
-        hedge_after: hedge,
         recorder: recorder.clone(),
+        ..FleetConfig::default()
     };
     let mut fleet = Fleet::with_factory(cfg, n, |_| {
         let mut node_cfg = ServiceConfig {
@@ -69,7 +68,7 @@ fn req(site: &str) -> PredictRequest {
 /// a capacity decision, never a semantic one.
 #[test]
 fn fleet_answer_matches_a_single_node() {
-    let (fleet, _rec) = test_fleet(3, 2, None);
+    let (fleet, _rec) = test_fleet(3, 2);
     let fleet_resp = fleet.predict(&req("india")).expect("fleet answers");
 
     let mut solo_cfg = ServiceConfig {
@@ -98,7 +97,7 @@ fn fleet_answer_matches_a_single_node() {
 /// every replica set, and requests still answer.
 #[test]
 fn replica_set_smaller_than_r_uses_every_node() {
-    let (fleet, _rec) = test_fleet(2, 3, None);
+    let (fleet, _rec) = test_fleet(2, 3);
     let replicas = fleet.replica_set("app", "india").expect("registered");
     assert_eq!(replicas.len(), 2, "R=3 over 2 nodes = both nodes");
     let resp = fleet.predict(&req("india")).expect("tiny fleet answers");
@@ -109,7 +108,7 @@ fn replica_set_smaller_than_r_uses_every_node() {
 /// next replica — same answer, `fleet.failover` counted.
 #[test]
 fn killed_primary_fails_over_to_the_next_replica() {
-    let (fleet, rec) = test_fleet(4, 2, None);
+    let (fleet, rec) = test_fleet(4, 2);
     let before = fleet.predict(&req("india")).expect("warm answer");
 
     let replicas = fleet.replica_set("app", "india").expect("registered");
@@ -135,7 +134,7 @@ fn killed_primary_fails_over_to_the_next_replica() {
 /// beats unavailability — and the fallback is counted.
 #[test]
 fn all_replicas_down_falls_back_to_any_up_node() {
-    let (fleet, rec) = test_fleet(3, 2, None);
+    let (fleet, rec) = test_fleet(3, 2);
     let replicas = fleet.replica_set("app", "india").expect("registered");
     for &i in &replicas {
         fleet.kill_node(i);
@@ -160,6 +159,24 @@ fn all_replicas_down_falls_back_to_any_up_node() {
         .predict(&req("india"))
         .expect_err("nothing left to serve");
     assert!(matches!(err, FleetError::Unavailable { .. }), "{err:?}");
+
+    // The first node outside the replica set is down too: a later one
+    // serves, and the fallback is still counted once.
+    let (fleet, rec) = test_fleet(4, 2);
+    let replicas = fleet.replica_set("app", "india").expect("registered");
+    let outside = (0..fleet.len())
+        .find(|i| !replicas.contains(i))
+        .expect("4 nodes, R=2");
+    for &i in replicas.iter().chain([&outside]) {
+        fleet.kill_node(i);
+    }
+    let resp = fleet
+        .predict(&req("india"))
+        .expect("degraded fallback serves");
+    assert!(resp.degraded_route);
+    assert_ne!(*resp.node, format!("node-{outside}"));
+    let counters = rec.snapshot().counters;
+    assert_eq!(counters.get("fleet.fallback.degraded"), Some(&1));
 }
 
 /// A cacheable answer is installed on the rest of its replica set before
@@ -167,7 +184,7 @@ fn all_replicas_down_falls_back_to_any_up_node() {
 /// without ever evaluating.
 #[test]
 fn results_replicate_to_replica_peers() {
-    let (fleet, rec) = test_fleet(3, 2, None);
+    let (fleet, rec) = test_fleet(3, 2);
     let first = fleet.predict_replicated(&req("india")).expect("answers");
     assert!(first.response.cacheable, "clean chaos-free answer");
     assert!(!first.response.from_result_cache);
@@ -209,7 +226,7 @@ fn results_replicate_to_replica_peers() {
 /// never answer from stale configuration.
 #[test]
 fn rejoining_nodes_catch_up_missed_epochs_before_serving() {
-    let (fleet, rec) = test_fleet(3, 2, None);
+    let (fleet, rec) = test_fleet(3, 2);
     let node1_state =
         || rec.metrics_snapshot(60_000).unwrap().gauges["fleet.node.state.node-1"].last;
     assert_eq!(fleet.epoch(), 1, "the registration is op #1");
@@ -271,77 +288,83 @@ fn rejoining_nodes_catch_up_missed_epochs_before_serving() {
     }
 }
 
-/// A node sink that holds every evaluation (the `svc.eval` span) until the
-/// fleet recorder shows a fired hedge, and counts the evaluations opened,
-/// so a flight is slow by construction, not by how fast a cold evaluation
-/// runs or how the client thread is scheduled.
-struct HoldEvalsUntilHedged {
-    fleet: feam_obs::Recorder,
+/// A node sink that holds the first evaluation (the `svc.eval` span) for
+/// at least 400 ms and until a second read has coalesced onto it, and
+/// counts the evaluations opened, so a flight is slow by construction,
+/// not by how fast a cold evaluation runs or how the client thread is
+/// scheduled.
+#[derive(Clone, Default)]
+struct HoldFirstEval {
     opened: Arc<AtomicUsize>,
+    coalesced: Arc<AtomicBool>,
 }
 
-impl feam_obs::Sink for HoldEvalsUntilHedged {
+impl feam_obs::Sink for HoldFirstEval {
     fn record(&self, event: &feam_obs::Event) {
-        if event.name != "svc.eval" {
+        if event.name == "svc.coalesced_onto" {
+            self.coalesced.store(true, Ordering::SeqCst);
+        }
+        if event.kind != feam_obs::EventKind::SpanStart || event.name != "svc.eval" {
             return;
         }
-        if event.kind == feam_obs::EventKind::SpanStart {
-            self.opened.fetch_add(1, Ordering::SeqCst);
+        if self.opened.fetch_add(1, Ordering::SeqCst) > 0 {
+            return;
         }
-        // Bounded, so a hedge that never fires fails the assertion below
-        // instead of hanging the test.
-        let give_up = Instant::now() + Duration::from_secs(30);
-        while !self
-            .fleet
-            .snapshot()
-            .counters
-            .contains_key("fleet.hedge.fired")
-            && Instant::now() < give_up
-        {
+        let start = Instant::now();
+        std::thread::sleep(Duration::from_millis(400));
+        // Bounded, so a read that never coalesces fails the assertions
+        // below instead of hanging the test.
+        while !self.coalesced.load(Ordering::SeqCst) && start.elapsed() < Duration::from_secs(30) {
             std::thread::sleep(Duration::from_millis(1));
         }
     }
 }
 
-/// A primary whose flight another thread is running, and that has not
-/// answered within the hedge window, gets a hedge; the answer is still
-/// correct and the hedge counters move. A second thread's read claims the
-/// flight first and is held inside the evaluation, so the test's read
-/// coalesces onto a flight it cannot claim.
+/// A read that coalesces onto a flight another thread is running waits
+/// for that flight: one evaluation fleet-wide, however long it takes, and
+/// both reads get its answer from the same node. A second thread's read
+/// claims the flight first and is held inside the evaluation.
 #[test]
-fn hedging_fires_for_slow_primaries() {
-    let (rec, _sink) = feam_obs::Recorder::memory();
-    let opened = Arc::new(AtomicUsize::new(0));
-    let held = feam_obs::Recorder::with_sink(Box::new(HoldEvalsUntilHedged {
-        fleet: rec.clone(),
-        opened: opened.clone(),
-    }));
-    let fleet = Arc::new(fleet_with(2, 2, Some(Duration::from_millis(0)), &rec, held));
+fn a_coalesced_read_waits_for_the_running_flight() {
+    let hold = HoldFirstEval::default();
+    let node_recorder = feam_obs::Recorder::with_sink(Box::new(hold.clone()));
+    let fleet = Arc::new(fleet_with(
+        2,
+        2,
+        &feam_obs::Recorder::disabled(),
+        node_recorder,
+    ));
     let claimer = {
         let fleet = fleet.clone();
         std::thread::spawn(move || fleet.predict(&req("india")))
     };
     let give_up = Instant::now() + Duration::from_secs(30);
-    while opened.load(Ordering::SeqCst) == 0 && Instant::now() < give_up {
+    while hold.opened.load(Ordering::SeqCst) == 0 && Instant::now() < give_up {
         std::thread::sleep(Duration::from_millis(1));
     }
     assert_eq!(
-        opened.load(Ordering::SeqCst),
+        hold.opened.load(Ordering::SeqCst),
         1,
         "the claimer is evaluating"
     );
 
     let resp = fleet
         .predict(&req("india"))
-        .expect("hedged request answers");
-    assert!(!resp.response.prediction.verdicts.is_empty());
+        .expect("coalesced read answers");
     let claimed = claimer.join().expect("claimer").expect("claimer answers");
-    assert!(!claimed.hedged, "the claimer ran its own flight");
-    let counters = rec.snapshot().counters;
+    assert!(hold.coalesced.load(Ordering::SeqCst), "the read coalesced");
     assert_eq!(
-        counters.get("fleet.hedge.fired"),
-        Some(&1),
-        "the coalesced read, and only it, hedged"
+        hold.opened.load(Ordering::SeqCst),
+        1,
+        "one evaluation fleet-wide"
+    );
+    assert_eq!(
+        resp.node, claimed.node,
+        "both reads were answered by one node"
+    );
+    assert!(
+        Arc::ptr_eq(&resp.response.answer, &claimed.response.answer),
+        "the coalesced read got the flight's answer"
     );
 }
 
@@ -365,15 +388,13 @@ impl EvalThreads {
 }
 
 /// A computed read whose flight is still queued runs it on the calling
-/// thread, and that answer is never hedged, even with a zero hedge window.
-/// The pool's threads are given time to park first; nothing wakes them
+/// thread. The pool's threads are given time to park first; nothing wakes them
 /// afterwards, since replication installs run on the caller too.
 #[test]
-fn a_claimed_primary_evaluates_on_the_caller_and_never_hedges() {
-    let (rec, _sink) = feam_obs::Recorder::memory();
+fn a_fleet_read_evaluates_on_its_caller() {
     let threads = EvalThreads::default();
     let node_recorder = feam_obs::Recorder::with_sink(Box::new(threads.clone()));
-    let fleet = fleet_with(4, 2, Some(Duration::ZERO), &rec, node_recorder);
+    let fleet = fleet_with(4, 2, &feam_obs::Recorder::disabled(), node_recorder);
     std::thread::sleep(Duration::from_millis(50));
 
     let (tx, rx) = mpsc::channel();
@@ -386,7 +407,6 @@ fn a_claimed_primary_evaluates_on_the_caller_and_never_hedges() {
                     let read = PredictRequest { mode, ..req(&site) };
                     let out = fleet.predict_replicated(&read).expect("answers");
                     assert!(!out.response.from_result_cache, "each key is read once");
-                    assert!(!out.hedged);
                     computed += 1;
                 }
             }
@@ -403,8 +423,6 @@ fn a_claimed_primary_evaluates_on_the_caller_and_never_hedges() {
         names.iter().all(|n| n == "fleet-client"),
         "every evaluation ran on its caller: {names:?}"
     );
-    let counters = rec.snapshot().counters;
-    assert_eq!(counters.get("fleet.hedge.fired"), None, "{counters:?}");
 }
 
 /// Request-scoped failures (expired deadlines, unknown sites) admitted
@@ -417,8 +435,8 @@ fn request_scoped_failures_do_not_wedge_a_halfopen_breaker() {
     let (recorder, _sink) = feam_obs::Recorder::memory();
     let cfg = FleetConfig {
         replication: 2,
-        hedge_after: None,
         recorder: recorder.clone(),
+        ..FleetConfig::default()
     };
     let mut fleet = Fleet::with_factory(cfg, 3, |_| {
         let mut node_cfg = ServiceConfig {
@@ -557,7 +575,7 @@ fn replication_install_verifies_origin_coordinates() {
 /// health or trip failover.
 #[test]
 fn expired_deadlines_shed_without_blaming_the_node() {
-    let (fleet, rec) = test_fleet(3, 2, None);
+    let (fleet, rec) = test_fleet(3, 2);
     let expired = PredictRequest {
         deadline: Some(Instant::now() - Duration::from_millis(1)),
         ..req("india")
@@ -592,7 +610,7 @@ fn extended(site: &str) -> PredictRequest {
 /// returned with a count of the source phases that recorder has seen.
 fn counted_fleet() -> (Fleet, impl Fn() -> u64) {
     let (nodes, _sink) = feam_obs::Recorder::memory();
-    let fleet = fleet_with(4, 2, None, &feam_obs::Recorder::disabled(), nodes.clone());
+    let fleet = fleet_with(4, 2, &feam_obs::Recorder::disabled(), nodes.clone());
     let source_phases = move || {
         nodes
             .snapshot()

@@ -73,8 +73,8 @@ fn a_service_rollback_answers_from_the_result_cache() {
 fn a_fleet_rollback_answers_from_the_result_cache() {
     let cfg = FleetConfig {
         replication: 2,
-        hedge_after: None,
         recorder: feam_obs::Recorder::disabled(),
+        ..FleetConfig::default()
     };
     let mut fleet = Fleet::with_factory(cfg, 2, |_| PredictService::new(node_config()));
     let (a, b) = (demo_binary(5), demo_binary(6));
