@@ -719,10 +719,7 @@ fn check_fleet(
         ..feam_svc::FleetConfig::default()
     };
     let mut fleet = feam_svc::Fleet::with_factory(fleet_cfg, 3, |_| {
-        // Each node gets its own identical copy of the world (Site is
-        // consumed by value).
-        let node_uni = universe::materialize(spec);
-        PredictService::with_sites(node_cfg.clone(), node_uni.sites)
+        PredictService::with_sites(node_cfg, universe::materialize(spec).sites)
     });
     for ub in &uni.binaries {
         fleet

@@ -4,11 +4,12 @@
 //!
 //! ## Failure domains
 //!
-//! A node is logical state — cache shard, breaker, epoch, op-log cursor —
-//! and every node's work runs on one shared worker pool, so a node loss
-//! costs cache warmth, never correctness. The router consistent-hashes
-//! `(binary content hash, target site)` onto a replica set of
-//! `replication` nodes and walks it:
+//! A fleet is one world: the factory builds node 0, and every other node
+//! is its sibling over the same site list and worker pool. A node owns
+//! only logical state — phase caches, registry, result cache, EDC epochs,
+//! breaker, op-log cursor — so a node loss costs cache warmth, never
+//! correctness. The router consistent-hashes `(binary content hash,
+//! target site)` onto a replica set of `replication` nodes and walks it:
 //!
 //! 1. **Primary** — the first replica whose breaker admits traffic and
 //!    whose process is up and reachable. The caller waits for its answer:
@@ -43,7 +44,6 @@
 //! merely re-evaluates on its first hit.
 
 use crate::health::{HealthTracker, NodeState};
-use crate::pool::Pool;
 use crate::registry::RegisteredBinary;
 use crate::router::HashRing;
 use crate::service::{
@@ -131,15 +131,14 @@ pub struct FleetResponse {
 /// `Register` and `Update` carry one binding, built when the op is logged:
 /// the image's content key (from the allocation memo [`content_key_of`],
 /// so a buffer logged before, a rollback's, is not hashed again) and its
-/// home site resolved against node 0's site list, which the factory
-/// contract makes every node's. Every node binds that same `Arc`, so its
-/// source-bundle memo is shared: the source phase runs once per binding
-/// and home-site epoch, not once per node. The log keeps each node's EDC
-/// epochs in lockstep, since a node replays every op before it is
-/// dispatched to, and the memo serves a bundle only for the exact epoch it
-/// was gathered under. A lagging node's late computation under an older
-/// epoch can thus cost a recompute, but never serve a bundle from another
-/// environment.
+/// home site resolved against the site list every node shares. Every
+/// node binds that same `Arc`, so its source-bundle memo is shared: the
+/// source phase runs once per binding and home-site epoch, not once per
+/// node. The log keeps each node's EDC epochs in lockstep, since a node
+/// replays every op before it is dispatched to, and the memo serves a
+/// bundle only for the exact epoch it was gathered under. A lagging node's
+/// late computation under an older epoch can thus cost a recompute, but
+/// never serve a bundle from another environment.
 enum ConfigOp {
     Register {
         name: String,
@@ -198,23 +197,21 @@ pub struct Fleet {
 }
 
 impl Fleet {
-    /// Build `n` nodes from a factory. The factory must produce
-    /// *identically configured* services (same sites seed, phase seed and
-    /// fault plan) — the fleet's correctness contract is that any node
-    /// answers any request exactly as a single-node service would.
+    /// Build `n` nodes. The factory runs once, for node 0; nodes 1..n are
+    /// its siblings, over the same site list and pool, so every node
+    /// answers a request exactly as node 0 would.
     pub fn with_factory(
         cfg: FleetConfig,
         n: usize,
-        factory: impl Fn(usize) -> PredictService,
+        factory: impl FnOnce(usize) -> PredictService,
     ) -> Self {
-        let pool = Arc::<Pool>::default();
+        let first = factory(0);
+        let siblings: Vec<_> = (1..n).map(|_| first.sibling()).collect();
         let mut ring = HashRing::new(RING_SEED, VNODES);
         let mut nodes = Vec::with_capacity(n);
-        for i in 0..n.max(1) {
+        for (i, svc) in std::iter::once(first).chain(siblings).enumerate() {
             let name: Arc<str> = format!("node-{i}").into();
             ring.add(&name);
-            let mut svc = factory(i);
-            svc.use_pool(pool.clone());
             nodes.push(FleetNode {
                 name,
                 svc,
@@ -237,10 +234,10 @@ impl Fleet {
         }
     }
 
-    /// Spawn the shared pool's threads: node 0's `workers` (the factory
-    /// contract makes every node's the same). Idempotent.
+    /// Spawn the shared pool's threads: `workers` of the one config every
+    /// node shares. Idempotent.
     pub fn start(&mut self) {
-        self.inner.nodes[0].svc.start_pool();
+        self.inner.nodes[0].svc.start();
     }
 
     /// Node count (fixed at build; kill/revive toggles availability, not
@@ -350,7 +347,7 @@ impl Fleet {
     /// EDC epoch for `site`, orphaning descriptions and results derived
     /// from the stale environment. Returns the new fleet epoch.
     pub fn reconfigure_site(&self, site: &str) -> Result<u64, SvcError> {
-        // Validate against any node's site table (all nodes share one).
+        // Validate against the site list every node shares.
         if self.inner.nodes[0].svc.site_transient_rate(site).is_none() {
             return Err(SvcError::UnknownSite(site.to_string()));
         }
@@ -543,7 +540,7 @@ impl FleetInner {
     }
 
     /// The one binding a logged op hands every node: `image` under
-    /// `content_key`, its home site resolved against node 0's site list.
+    /// `content_key`, its home site resolved against the shared site list.
     fn bind(
         &self,
         image: Arc<Vec<u8>>,

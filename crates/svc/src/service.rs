@@ -350,7 +350,8 @@ struct Job {
 
 struct Inner {
     cfg: ServiceConfig,
-    sites: Vec<Site>,
+    /// Shared with every sibling: a fleet builds its site list once.
+    sites: Arc<[Site]>,
     /// Site names in site order, shared with every response.
     site_names: Vec<Arc<str>>,
     site_idx: HashMap<String, usize>,
@@ -392,6 +393,17 @@ impl PredictService {
 
     /// A service over an explicit site list.
     pub fn with_sites(cfg: ServiceConfig, sites: Vec<Site>) -> Self {
+        Self::over(cfg, sites.into(), Arc::default())
+    }
+
+    /// A service like this one, with its own caches, registry and epochs,
+    /// over the same site list and pool: a fleet's nodes 1..n.
+    pub(crate) fn sibling(&self) -> Self {
+        let sites = Arc::clone(&self.inner.sites);
+        Self::over(self.inner.cfg.clone(), sites, Arc::clone(&self.pool))
+    }
+
+    fn over(cfg: ServiceConfig, sites: Arc<[Site]>, pool: Arc<Pool>) -> Self {
         let caches = cfg.caching.then(|| Arc::new(PhaseCaches::new(cfg.edc_ttl)));
         let mut phase_cfg = PhaseConfig {
             seed: cfg.phase_seed,
@@ -424,7 +436,7 @@ impl PredictService {
                 shutdown: AtomicBool::new(false),
                 evaluated: AtomicU64::new(0),
             }),
-            pool: Arc::default(),
+            pool,
         }
     }
 
@@ -500,19 +512,7 @@ impl PredictService {
     /// unstarted service to observe queueing, coalescing and shedding
     /// deterministically.
     pub fn start(&mut self) {
-        self.start_pool();
-    }
-
-    /// `start` through a shared reference (the fleet starts via node 0).
-    pub(crate) fn start_pool(&self) {
         self.pool.start(self.inner.cfg.workers);
-    }
-
-    /// Run this service's evaluations on the fleet's shared `pool`; only
-    /// for a service with nothing queued.
-    pub(crate) fn use_pool(&mut self, pool: Arc<Pool>) {
-        self.pool.shutdown();
-        self.pool = pool;
     }
 
     /// Number of registered binaries.

@@ -93,6 +93,26 @@ fn fleet_answer_matches_a_single_node() {
     assert!(!fleet_resp.degraded_route);
 }
 
+/// A fleet is one world: every node serves from the very `Site` values
+/// node 0 was built with, never from a copy of its own.
+#[test]
+fn every_node_serves_from_one_site_list() {
+    let (fleet, _rec) = test_fleet(4, 2);
+    let first = fleet.node_service(0);
+    let names = first.site_names();
+    assert!(!names.is_empty());
+    for s in &names {
+        let site = first.site(s).expect("node 0 serves its own site");
+        for i in 1..fleet.len() {
+            let other = fleet.node_service(i).site(s).expect("every node serves it");
+            assert!(
+                std::ptr::eq(site, other),
+                "node {i} holds its own copy of site {s}"
+            );
+        }
+    }
+}
+
 /// R larger than the fleet degrades to full replication: every node is in
 /// every replica set, and requests still answer.
 #[test]
