@@ -266,8 +266,8 @@ fn bench(c: &mut Criterion) {
     });
     g.finish();
 
-    // The same computed read through a started 4-node, R=2 fleet: routing,
-    // the primary's evaluation, and the install on its replica peer.
+    // The same computed read through a started 4-node, R=2 fleet: routing
+    // and the primary's evaluation.
     let fleet_cfg = FleetConfig {
         replication: 2,
         ..FleetConfig::default()
@@ -283,7 +283,7 @@ fn bench(c: &mut Criterion) {
         b.iter_batched(
             || fleet.reconfigure_site(&read.target_site).unwrap(),
             |_| {
-                let out = fleet.predict_replicated(&read).unwrap();
+                let out = fleet.predict(&read).unwrap();
                 assert!(!out.response.from_result_cache);
                 out
             },

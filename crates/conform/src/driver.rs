@@ -512,8 +512,7 @@ pub fn check_universe(spec: &UniverseSpec, cfg: &ConformConfig) -> UniverseCheck
     check_service(spec, &uni, &expectations, &mut check);
 
     // Crossing 6: the sharded fleet vs the oracle, with a node killed
-    // mid-crossing — routing, failover and replication must never change
-    // an answer.
+    // mid-crossing — routing and failover must never change an answer.
     check_fleet(spec, &uni, &expectations, &mut check);
 
     check
@@ -749,7 +748,7 @@ fn check_fleet(
             PredictionMode::Basic => "basic",
             PredictionMode::Extended => "extended",
         };
-        let resp = match fleet.predict_replicated(&PredictRequest {
+        let resp = match fleet.predict(&PredictRequest {
             binary_ref: bin.clone(),
             target_site: site.clone(),
             mode: *mode,

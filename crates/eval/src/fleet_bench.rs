@@ -131,8 +131,6 @@ pub struct KillDrillReport {
     pub equivalent: bool,
     /// `during.p99 / max(before.p99, after.p99)` — brownout tail cost.
     pub p99_inflation_during: f64,
-    pub replication_applied: u64,
-    pub replication_dropped: u64,
 }
 
 /// The full `--fleet-bench` artifact.
@@ -166,11 +164,9 @@ fn build_fleet(
     params: &FleetBenchParams,
     n: usize,
     corpus: &[(String, std::sync::Arc<Vec<u8>>, String)],
-    recorder: feam_obs::Recorder,
 ) -> Fleet {
     let cfg = FleetConfig {
         replication: params.replication,
-        recorder,
         ..FleetConfig::default()
     };
     let seed = params.stream.seed;
@@ -254,7 +250,7 @@ fn run_stream(
                     std::thread::sleep(Duration::from_micros(pause));
                 }
                 let req = stream_request(&params.stream, &names, &sites, i);
-                match fleet.predict_replicated(&req) {
+                match fleet.predict(&req) {
                     Ok(resp) => {
                         *results[i].lock().expect("result slot") = Some(Answered {
                             fingerprint: fingerprint(&req, &resp.response.prediction),
@@ -338,7 +334,7 @@ pub fn fleet_bench(seed: u64, quick: bool) -> FleetBenchReport {
 
     let mut scale_out = Vec::new();
     for &nodes in &params.scale_points {
-        let fleet = build_fleet(&params, nodes, &corpus, feam_obs::Recorder::disabled());
+        let fleet = build_fleet(&params, nodes, &corpus);
         let out = run_stream(&fleet, &params, params.scale_requests, None);
         let stats = phase_stats(&out.results);
         scale_out.push(ScalePoint {
@@ -360,8 +356,7 @@ pub fn fleet_bench(seed: u64, quick: bool) -> FleetBenchReport {
     // Kill drill: 4 nodes, kill the first replica of the hottest key's
     // set at 1/3 of the stream, revive at 2/3.
     let drill_nodes = 4;
-    let (recorder, _sink) = feam_obs::Recorder::memory();
-    let fleet = build_fleet(&params, drill_nodes, &corpus, recorder.clone());
+    let fleet = build_fleet(&params, drill_nodes, &corpus);
     let names = fleet.node_service(0).binary_names();
     let hottest = &names[0]; // rank 0 carries the Zipf head
     let victim = fleet
@@ -390,8 +385,6 @@ pub fn fleet_bench(seed: u64, quick: bool) -> FleetBenchReport {
     let issued = (before.issued + during.issued + after.issued).max(1);
     let answered = before.answered + during.answered + after.answered;
     let steady_p99 = before.p99_us.max(after.p99_us).max(1);
-    let counters = recorder.snapshot().counters;
-    let counter = |name: &str| counters.get(name).copied().unwrap_or(0);
 
     FleetBenchReport {
         seed,
@@ -412,8 +405,6 @@ pub fn fleet_bench(seed: u64, quick: bool) -> FleetBenchReport {
             wrong_answers,
             equivalent: wrong_answers == 0,
             p99_inflation_during: during.p99_us as f64 / steady_p99 as f64,
-            replication_applied: counter("fleet.replication.applied"),
-            replication_dropped: counter("fleet.replication.dropped"),
             before,
             during,
             after,
@@ -466,15 +457,13 @@ pub fn render_fleet(report: &FleetBenchReport) -> String {
         d.p99_inflation_during,
     ));
     out.push_str(&format!(
-        "    answers {} vs single-node oracle ({} wrong); replication applied {} dropped {}\n",
+        "    answers {} vs single-node oracle ({} wrong)\n",
         if d.equivalent {
             "byte-identical"
         } else {
             "DIVERGED"
         },
         d.wrong_answers,
-        d.replication_applied,
-        d.replication_dropped,
     ));
     out
 }
@@ -534,8 +523,6 @@ mod tests {
                 wrong_answers: 0,
                 equivalent: true,
                 p99_inflation_during: 1.2,
-                replication_applied: 5,
-                replication_dropped: 0,
             },
         };
         let s = render_fleet(&report);

@@ -196,8 +196,6 @@ fn fleet_bench_struct_schema_matches_golden() {
             wrong_answers: 0,
             equivalent: true,
             p99_inflation_during: 1.1,
-            replication_applied: 3,
-            replication_dropped: 0,
         },
     };
     let v = serde_json::to_value(&report).expect("serialize");

@@ -1,6 +1,6 @@
 //! The sharded serving fleet: N [`PredictService`] nodes behind a
-//! consistent-hash router with health-gated failover, result replication
-//! on the answering thread, and epoch-propagated invalidation.
+//! consistent-hash router with health-gated failover and
+//! epoch-propagated invalidation.
 //!
 //! ## Failure domains
 //!
@@ -9,7 +9,8 @@
 //! only logical state — phase caches, registry, result cache, EDC epochs,
 //! breaker, op-log cursor — so a node loss costs cache warmth, never
 //! correctness. The router consistent-hashes `(binary content hash,
-//! target site)` onto a replica set of `replication` nodes and walks it:
+//! target site)` onto the ring; the key's first `replication` successors
+//! are its **replica set**, and the router walks them in ring order:
 //!
 //! 1. **Primary** — the first replica whose breaker admits traffic and
 //!    whose process is up and reachable. The caller waits for its answer:
@@ -17,37 +18,29 @@
 //!    coalesced onto a running flight waits for that flight.
 //! 2. **Failover** — a down / partitioned / open / overloaded replica is
 //!    skipped (`fleet.failover`); the next replica takes the request.
-//! 3. **Degraded fallback** — when *every* replica refuses, any up node
-//!    serves (`fleet.fallback.degraded`): worse cache locality, same
-//!    answer, which beats refusing outright.
+//! 3. **Degraded fallback** — when *every* replica refuses, the rest of
+//!    the ring, in order, serves (`fleet.fallback.degraded`): worse cache
+//!    locality, same answer, which beats refusing outright.
 //!
-//! ## Replication and invalidation ordering
+//! An answer is cached only on the node that computed it. A read that
+//! fails over computes its own answer on the node that takes it: every
+//! node holds the same bindings and site list, so it recomputes the same
+//! bytes.
+//!
+//! ## Invalidation ordering
 //!
 //! All configuration mutations (register / update / reconfigure) append
 //! to a fleet-wide ordered op log; the log length is the **fleet
 //! epoch**. Reachable nodes apply the op immediately; a node that was
 //! down or partitioned replays the missed suffix (catch-up) before it is
 //! ever dispatched to again — a rejoined node can never serve from stale
-//! configuration. Result replication is synchronous and epoch-gated:
-//! before `predict_replicated` returns a computed cacheable answer, the
-//! calling thread installs it on the rest of the replica set it was
-//! routed over, stamped with the fleet epoch captured *before* the answer
-//! was computed — so any config op landing while the answer was in
-//! flight makes the stamp stale — and drops it on any node whose epoch no
-//! longer matches both that stamp and the current fleet epoch
-//! (`fleet.replication.{applied,dropped}`). As a last line of defence
-//! the install itself re-verifies the payload's origin coordinates
-//! (content key, target EDC epoch, home site and its EDC epoch) against
-//! the target's current state and keys the entry by those coordinates, so
-//! an op racing the install can only orphan the entry, never relabel it.
-//! Dropping is always safe — a replica that misses a replicated result
-//! merely re-evaluates on its first hit.
+//! configuration.
 
 use crate::health::{HealthTracker, NodeState};
 use crate::registry::RegisteredBinary;
 use crate::router::HashRing;
 use crate::service::{
-    Delivery, Pending, PredictAnswer, PredictRequest, PredictResponse, PredictService, SvcError,
+    Delivery, Pending, PredictRequest, PredictResponse, PredictService, SvcError,
 };
 use feam_core::cache::{content_key_of, BdcKey};
 use std::collections::HashMap;
@@ -64,9 +57,10 @@ const RING_SEED: u64 = 0xF1EE7;
 /// Fleet tuning knobs.
 #[derive(Clone)]
 pub struct FleetConfig {
-    /// Replica-set size R: how many nodes a key maps onto.
+    /// How many ring successors a key fails over across before the
+    /// route counts as degraded.
     pub replication: usize,
-    /// Fleet-level telemetry (node gauges, failover/replication
+    /// Fleet-level telemetry (node gauges, failover and fallback
     /// counters). Per-node service telemetry rides each node's own
     /// recorder.
     pub recorder: feam_obs::Recorder,
@@ -428,31 +422,9 @@ impl Fleet {
 
     // ---- data plane ---------------------------------------------------
 
-    /// Route, dispatch (with failover) and answer one request.
+    /// Route, dispatch (with failover) and answer one request. The
+    /// answer is cached only on the node that computed it.
     pub fn predict(&self, req: &PredictRequest) -> Result<FleetResponse, FleetError> {
-        self.route(req, None)
-    }
-
-    /// `predict`, then install the answer on the rest of its replica set
-    /// if it was computed, is clean, and is still fresh. The public entry
-    /// point used by the bench and conform crossing.
-    pub fn predict_replicated(&self, req: &PredictRequest) -> Result<FleetResponse, FleetError> {
-        // Capture the epoch BEFORE evaluating, so a config op landing
-        // while the answer is in flight leaves it stamped with the pre-op
-        // epoch and the freshness gate drops it. Stamping after the fact
-        // would let an answer computed against old bytes or a stale
-        // environment slip through under the new epoch.
-        self.route(req, Some(self.epoch()))
-    }
-
-    /// Walk the candidates (replica set, then every other node) until one
-    /// answers. With `replicate_at`, a computed cacheable answer is then
-    /// installed on the replica set under that fleet epoch.
-    fn route(
-        &self,
-        req: &PredictRequest,
-        replicate_at: Option<u64>,
-    ) -> Result<FleetResponse, FleetError> {
         let inner = &self.inner;
         let rec = &inner.cfg.recorder;
         rec.count("fleet.requests", 1);
@@ -463,18 +435,14 @@ impl Fleet {
             )));
         };
 
-        // Candidate order: the replica set, then (degraded fallback)
-        // every other node. `degraded_from` marks where fallback starts.
+        // Candidate order: every node in ring order from the key's point.
+        // The first `degraded_from` are the replica set; the rest are the
+        // degraded fallback.
         let mut candidates = Vec::with_capacity(inner.nodes.len());
         inner
             .ring
-            .replicas_into(point, inner.cfg.replication, &mut candidates);
-        let degraded_from = candidates.len();
-        for i in 0..inner.nodes.len() {
-            if !candidates[..degraded_from].contains(&i) {
-                candidates.push(i);
-            }
-        }
+            .replicas_into(point, inner.nodes.len(), &mut candidates);
+        let degraded_from = inner.cfg.replication.min(inner.nodes.len());
 
         let mut failovers = 0u32;
         let mut attempts = 0u32;
@@ -496,7 +464,7 @@ impl Fleet {
                 rec.count("fleet.fallback.degraded", 1);
             }
             attempts += 1;
-            let answered = match inner.dispatch(i, req) {
+            return match inner.dispatch(i, req) {
                 Ok(Delivery::Ready(resp)) => inner.settle(i, Ok(resp), failovers, degraded_route),
                 Ok(Delivery::Pending(rx)) => inner.settle_recv(i, &rx, failovers, degraded_route),
                 Err(e) if e.retryable() || matches!(e, SvcError::ShuttingDown) => {
@@ -516,21 +484,18 @@ impl Fleet {
                     // admitted probe slot without an outcome so a
                     // HalfOpen breaker is not wedged by it.
                     inner.release_probe(i);
-                    return Err(FleetError::Svc(e));
+                    Err(FleetError::Svc(e))
                 }
             };
-            let out = answered?;
-            if let Some(epoch) = replicate_at {
-                let resp = &out.response;
-                if resp.cacheable && !resp.from_result_cache {
-                    let replicas = &candidates[..degraded_from];
-                    inner.replicate(req, i, replicas, &resp.answer, epoch);
-                }
-            }
-            return Ok(out);
         }
         rec.count("fleet.unavailable", 1);
         Err(FleetError::Unavailable { attempts })
+    }
+
+    /// [`predict`](Fleet::predict) under its former name, kept only while
+    /// the benchmark of record still calls it.
+    pub fn predict_replicated(&self, req: &PredictRequest) -> Result<FleetResponse, FleetError> {
+        self.predict(req)
     }
 }
 
@@ -556,47 +521,6 @@ impl FleetInner {
     fn key_point(&self, binary_ref: &str, site: &str) -> Option<u64> {
         let &content = self.routes.lock().expect("routes").get(binary_ref)?;
         Some(self.ring.key_point(content, site))
-    }
-
-    /// Install a cacheable answer on the rest of its replica set, on this
-    /// thread. `epoch` is the fleet epoch captured *before* the answer was
-    /// computed; the origin coordinates (content key, EDC epochs of the
-    /// target and the home site) are read from the winner. Any config op
-    /// landing anywhere in the window is caught by the epoch gate (epochs
-    /// only grow, so a stale stamp can never match again) or, for ops
-    /// racing the install itself, by the coordinate verification inside
-    /// `install_result`.
-    fn replicate(
-        &self,
-        req: &PredictRequest,
-        winner: usize,
-        replicas: &[usize],
-        answer: &Arc<PredictAnswer>,
-        epoch: u64,
-    ) {
-        if replicas.iter().all(|&t| t == winner) {
-            return;
-        }
-        let (name, site) = (&req.binary_ref, &req.target_site);
-        let Some(origin) = self.nodes[winner].svc.result_origin(name, site) else {
-            return;
-        };
-        let rec = &self.cfg.recorder;
-        for &t in replicas.iter().filter(|&&t| t != winner) {
-            let node = &self.nodes[t];
-            let fresh = node.reachable()
-                && node.applied_epoch.load(Ordering::SeqCst) == epoch
-                && self.epoch.load(Ordering::SeqCst) == epoch;
-            let installed = fresh
-                && node
-                    .svc
-                    .install_result(name, site, req.mode, origin, answer);
-            if installed {
-                rec.count("fleet.replication.applied", 1);
-            } else {
-                rec.count("fleet.replication.dropped", 1);
-            }
-        }
     }
 
     /// Apply the newest op (tail of the log) to every reachable node and

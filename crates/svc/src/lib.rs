@@ -78,5 +78,5 @@ pub use registry::{BinaryRegistry, RegisteredBinary, RegistryError};
 pub use router::HashRing;
 pub use service::{
     Delivery, Pending, PredictAnswer, PredictRequest, PredictResponse, PredictService,
-    ResultOrigin, ServiceConfig, SvcError,
+    ServiceConfig, SvcError,
 };

@@ -1,7 +1,6 @@
 //! The crate's one executor and only thread spawner: a FIFO of boxed tasks
 //! drained by N `feam-svc-<i>` threads. A `PredictService` owns one; a
-//! `Fleet` shares one across every node's evaluations (its replication
-//! installs run on the answering caller, not here). Tasks pushed before
+//! `Fleet` shares one across every node's evaluations. Tasks pushed before
 //! [`Pool::start`] wait.
 //!
 //! Every task is queued with [`push_deferred`](Pool::push_deferred) and

@@ -113,24 +113,23 @@ impl HashRing {
 
     /// The replica set for a key point: the first `r` distinct nodes at
     /// or after the point, wrapping. A fleet smaller than `r` returns
-    /// every present node — a tiny fleet degrades to full replication
-    /// rather than failing.
+    /// every present node rather than failing.
     pub fn replicas(&self, point: u64, r: usize) -> Vec<usize> {
         let mut out = Vec::with_capacity(r.min(self.len()));
         self.replicas_into(point, r, &mut out);
         out
     }
 
-    /// [`replicas`](HashRing::replicas), written into the empty `out`: a
-    /// caller that goes on to list more nodes sizes one buffer for all.
+    /// [`replicas`](HashRing::replicas), written into the empty `out`, whose
+    /// capacity the caller chooses.
     pub(crate) fn replicas_into(&self, point: u64, r: usize, out: &mut Vec<usize>) {
         debug_assert!(out.is_empty());
-        if self.ring.is_empty() || r == 0 {
+        if r == 0 {
             return;
         }
         let start = self.ring.partition_point(|&(p, _)| p < point);
-        for step in 0..self.ring.len() {
-            let (_, idx) = self.ring[(start + step) % self.ring.len()];
+        let (wrapped, from_point) = self.ring.split_at(start);
+        for &(_, idx) in from_point.iter().chain(wrapped) {
             if !out.contains(&idx) {
                 out.push(idx);
                 if out.len() == r {
@@ -188,7 +187,7 @@ mod tests {
         let ring = ring_of(&["n0", "n1"]);
         for key in sample_keys(&ring, 50) {
             let reps = ring.replicas(key, 3);
-            assert_eq!(reps.len(), 2, "R > N degrades to full replication");
+            assert_eq!(reps.len(), 2, "R > N returns every node");
         }
         let empty = HashRing::new(1, 8);
         assert!(empty.replicas(42, 2).is_empty());

@@ -60,8 +60,7 @@ pub struct PredictRequest {
 }
 
 /// One evaluation's answer. It is built once per evaluation and shared
-/// by the result cache, every waiter's [`PredictResponse`] and fleet
-/// replication. It reads through to its evaluation: `answer.prediction`
+/// by the result cache and every waiter's [`PredictResponse`]. It reads through to its evaluation: `answer.prediction`
 /// is the per-determinant prediction (its mode may downgrade to `Basic`
 /// when an extended request's source phase is impossible, e.g. no GEE).
 #[derive(Debug)]
@@ -91,8 +90,7 @@ pub struct PredictResponse {
     /// Whether this answer came straight from the result cache.
     pub from_result_cache: bool,
     /// Whether this answer was clean enough to memoize (current
-    /// generation, not degraded, fully observed environment). Fleet
-    /// replication forwards only cacheable answers to replica peers.
+    /// generation, not degraded, fully observed environment).
     pub cacheable: bool,
     /// This waiter's end-to-end latency, submit to delivery.
     pub latency_us: u64,
@@ -285,27 +283,6 @@ struct RequestKey {
     extended: bool,
     home: Option<usize>,
     home_epoch: u64,
-}
-
-/// The configuration coordinates an evaluation was computed under: the
-/// binding's content key, the target site's EDC epoch, and the binding's
-/// home site with its EDC epoch (what an extended answer's source phase
-/// ran under). Replicated results carry their origin's coordinates so
-/// [`install_result`](PredictService::install_result) can refuse a
-/// payload whose configuration has moved on — and key accepted entries
-/// by the state they actually derive from, never by state read at
-/// install time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ResultOrigin {
-    /// Content key of the binary the answer was computed for.
-    pub content: BdcKey,
-    /// EDC epoch of the target site the answer was computed under.
-    pub edc_epoch: u64,
-    /// The binding's home site, as an index into the site list every
-    /// node of a fleet shares (`None`: the home site is not served).
-    pub home: Option<usize>,
-    /// EDC epoch of the home site the answer was computed under.
-    pub home_epoch: u64,
 }
 
 struct Waiter {
@@ -798,95 +775,6 @@ impl PredictService {
         Ok(pending(task))
     }
 
-    /// The configuration coordinates a result was computed under — the
-    /// binding's content key, the target site's EDC epoch, and the
-    /// binding's home site with its EDC epoch. A replicated payload
-    /// carries its origin's coordinates so the installer can verify them
-    /// against (and key the entry by) the state the answer actually
-    /// derives from.
-    pub fn result_origin(&self, binary_ref: &str, site: &str) -> Option<ResultOrigin> {
-        let inner = &self.inner;
-        let (content, home) = inner
-            .registry
-            .read()
-            .expect("registry")
-            .get(binary_ref)
-            .map(|b| (b.content_key, b.home))?;
-        Some(ResultOrigin {
-            content,
-            edc_epoch: inner.epoch(inner.site_idx.get(site).copied()),
-            home,
-            home_epoch: inner.epoch(home),
-        })
-    }
-
-    /// Install a completed evaluation into the result cache, as if this
-    /// node had evaluated it itself — the fleet's asynchronous
-    /// replication path. The caller passes the [`ResultOrigin`] the
-    /// payload was computed under, and the cache key is derived from
-    /// those coordinates after verifying they still match this node's
-    /// current binding and epoch. A config op racing the install
-    /// therefore cannot land an old payload under a new-state key: if
-    /// the op is observed here the payload is refused, and if it lands
-    /// after the checks the entry's key still embeds the old
-    /// coordinates (content- and epoch-addressed), so the new binding
-    /// can never reach it: the op's own purge sweeps it, or keeps it as
-    /// the right answer for content the name may roll back to. An extended
-    /// payload is also checked, and keyed, by its home site and that
-    /// site's epoch; a basic one derives from neither. Degraded payloads
-    /// are refused. The entry shares `answer`. Returns whether the entry
-    /// was installed.
-    pub fn install_result(
-        &self,
-        binary_ref: &str,
-        site: &str,
-        mode: PredictionMode,
-        origin: ResultOrigin,
-        answer: &Arc<PredictAnswer>,
-    ) -> bool {
-        let inner = &self.inner;
-        if !inner.cfg.result_cache || inner.caches.is_none() || answer.evaluation.degraded {
-            return false;
-        }
-        let Some(&site_idx) = inner.site_idx.get(site) else {
-            return false;
-        };
-        let extended = mode == PredictionMode::Extended;
-        let current = inner
-            .registry
-            .read()
-            .expect("registry")
-            .get(binary_ref)
-            .map(|b| (b.content_key, b.home));
-        let Some((content, home)) = current else {
-            return false;
-        };
-        if content != origin.content || (extended && home != origin.home) {
-            return false; // the binding moved since the origin evaluated
-        }
-        if inner.epoch(Some(site_idx)) != origin.edc_epoch {
-            return false; // the site was reconfigured since
-        }
-        if extended && inner.epoch(origin.home) != origin.home_epoch {
-            return false; // the home site was reconfigured since
-        }
-        let key = RequestKey {
-            binary_key: origin.content,
-            site: site_idx,
-            epoch: origin.edc_epoch,
-            extended,
-            home: origin.home.filter(|_| extended),
-            home_epoch: if extended { origin.home_epoch } else { 0 },
-        };
-        inner
-            .results
-            .lock()
-            .expect("results")
-            .insert(key, Arc::clone(answer));
-        inner.cfg.recorder.count("svc.result.replicated_in", 1);
-        true
-    }
-
     /// Submit and block until the answer arrives.
     pub fn predict(&self, req: &PredictRequest) -> Result<PredictResponse, SvcError> {
         match self.submit(req)? {
@@ -1057,7 +945,7 @@ fn process(inner: &Inner, job: Job) {
         rec.count("svc.stale_result_dropped", 1);
     }
     // One flag for "clean enough to memoize": it also rides out on every
-    // response so the fleet knows which answers are safe to replicate.
+    // response.
     let cacheable = generation_current
         && !outcome.evaluation.degraded
         && outcome.environment.unobserved.is_empty();

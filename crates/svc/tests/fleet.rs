@@ -1,16 +1,15 @@
 //! Fleet behaviour under routing, failure and invalidation: replica sets
 //! smaller than R, health-gated failover when the primary dies,
-//! all-replicas-open degraded fallback, result replication on the
-//! answering thread, epoch catch-up for nodes that missed configuration
+//! all-replicas-open degraded fallback, answers cached only where they
+//! were computed, epoch catch-up for nodes that missed configuration
 //! ops, where a read's evaluation runs (on its caller, or on the flight it
 //! coalesced onto), and fleet-level deadline propagation.
 
-use feam_core::cache::BdcKey;
 use feam_core::predict::PredictionMode;
 use feam_sim::faults::FaultPlan;
 use feam_svc::{
-    Fleet, FleetConfig, FleetError, NodeState, PredictRequest, PredictService, ResultOrigin,
-    ServiceConfig, SvcError,
+    Fleet, FleetConfig, FleetError, NodeState, PredictRequest, PredictService, ServiceConfig,
+    SvcError,
 };
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -113,8 +112,8 @@ fn every_node_serves_from_one_site_list() {
     }
 }
 
-/// R larger than the fleet degrades to full replication: every node is in
-/// every replica set, and requests still answer.
+/// R larger than the fleet puts every node in every replica set, and
+/// requests still answer.
 #[test]
 fn replica_set_smaller_than_r_uses_every_node() {
     let (fleet, _rec) = test_fleet(2, 3);
@@ -181,12 +180,19 @@ fn all_replicas_down_falls_back_to_any_up_node() {
     assert!(matches!(err, FleetError::Unavailable { .. }), "{err:?}");
 
     // The first node outside the replica set is down too: a later one
-    // serves, and the fallback is still counted once.
+    // serves, and the fallback is still counted once. Fallback walks the
+    // ring on from the replica set, and an R=4 fleet over the same four
+    // nodes lists that walk as its replica set.
     let (fleet, rec) = test_fleet(4, 2);
     let replicas = fleet.replica_set("app", "india").expect("registered");
-    let outside = (0..fleet.len())
-        .find(|i| !replicas.contains(i))
-        .expect("4 nodes, R=2");
+    let (whole_ring, _) = test_fleet(4, 4);
+    let ring_order = whole_ring.replica_set("app", "india").expect("registered");
+    assert_eq!(
+        ring_order[..2],
+        replicas[..],
+        "the walk starts at the replicas"
+    );
+    let outside = ring_order[2];
     for &i in replicas.iter().chain([&outside]) {
         fleet.kill_node(i);
     }
@@ -199,45 +205,50 @@ fn all_replicas_down_falls_back_to_any_up_node() {
     assert_eq!(counters.get("fleet.fallback.degraded"), Some(&1));
 }
 
-/// A cacheable answer is installed on the rest of its replica set before
-/// `predict_replicated` returns: the peer answers from its result cache
-/// without ever evaluating.
+/// A computed answer is cached only on the node that computed it. When
+/// that node dies, the same read fails over to its replica peer, which
+/// computes the same answer itself. The read goes through
+/// `predict_replicated`, the name the benchmark of record still calls, to
+/// pin that it copies nothing either.
 #[test]
-fn results_replicate_to_replica_peers() {
-    let (fleet, rec) = test_fleet(3, 2);
+fn a_computed_answer_stays_on_the_node_that_computed_it() {
+    let (fleet, _rec) = test_fleet(3, 2);
     let first = fleet.predict_replicated(&req("india")).expect("answers");
     assert!(first.response.cacheable, "clean chaos-free answer");
     assert!(!first.response.from_result_cache);
 
-    // No waiting: the install ran on this thread.
-    let counters = rec.snapshot().counters;
-    assert!(
-        counters
-            .get("fleet.replication.applied")
-            .copied()
-            .unwrap_or(0)
-            >= 1,
-        "replication had not landed when predict_replicated returned: {counters:?}"
+    let replicas = fleet.replica_set("app", "india").expect("registered");
+    let [primary, peer] = replicas[..] else {
+        panic!("R=2 over 3 nodes: {replicas:?}");
+    };
+    assert_eq!(
+        *first.node,
+        format!("node-{primary}"),
+        "the primary answers"
+    );
+    assert_eq!(fleet.node_service(primary).result_cache_len(), 1);
+    assert_eq!(
+        fleet.node_service(peer).result_cache_len(),
+        0,
+        "no copy lands on the peer"
     );
 
-    let replicas = fleet.replica_set("app", "india").expect("registered");
-    let winner = replicas
-        .iter()
-        .position(|&i| *first.node == format!("node-{i}"))
-        .expect("primary answer comes from the replica set");
-    let peer = replicas[1 - winner];
-    let svc = fleet.node_service(peer);
-    assert_eq!(svc.result_cache_len(), 1, "the peer holds the answer");
-    assert_eq!(svc.evaluations(), 0, "the peer never evaluated");
-    let hit = svc.predict(&req("india")).expect("peer answers");
-    assert!(
-        hit.from_result_cache,
-        "the replicated result serves the peer's first request"
+    fleet.kill_node(primary);
+    let peer_svc = fleet.node_service(peer);
+    assert_eq!(peer_svc.evaluations(), 0);
+    let after = fleet.predict(&req("india")).expect("failover answers");
+    assert_eq!(*after.node, format!("node-{peer}"));
+    assert_eq!(after.failovers, 1);
+    assert!(!after.response.from_result_cache);
+    assert_eq!(
+        peer_svc.evaluations(),
+        1,
+        "the peer computes its own answer"
     );
     assert_eq!(
-        serde_json::to_string(&hit.prediction).unwrap(),
+        serde_json::to_string(&after.response.prediction).unwrap(),
         serde_json::to_string(&first.response.prediction).unwrap(),
-        "replication changed the answer"
+        "the peer's answer differs from the primary's"
     );
 }
 
@@ -408,8 +419,8 @@ impl EvalThreads {
 }
 
 /// A computed read whose flight is still queued runs it on the calling
-/// thread. The pool's threads are given time to park first; nothing wakes them
-/// afterwards, since replication installs run on the caller too.
+/// thread. The pool's threads are given time to park first; nothing in a
+/// read wakes them afterwards.
 #[test]
 fn a_fleet_read_evaluates_on_its_caller() {
     let threads = EvalThreads::default();
@@ -425,7 +436,7 @@ fn a_fleet_read_evaluates_on_its_caller() {
             for site in fleet.node_service(0).site_names() {
                 for mode in [PredictionMode::Basic, PredictionMode::Extended] {
                     let read = PredictRequest { mode, ..req(&site) };
-                    let out = fleet.predict_replicated(&read).expect("answers");
+                    let out = fleet.predict(&read).expect("answers");
                     assert!(!out.response.from_result_cache, "each key is read once");
                     computed += 1;
                 }
@@ -523,71 +534,6 @@ fn request_scoped_failures_do_not_wedge_a_halfopen_breaker() {
         NodeState::Closed,
         "the probe's success closed the breaker"
     );
-}
-
-/// The replication installer verifies the payload's origin coordinates
-/// (content key, EDC epoch) against the target's current state and keys
-/// the entry by those coordinates — an answer computed against old bytes
-/// or a stale environment is refused, never installed under a new key.
-#[test]
-fn replication_install_verifies_origin_coordinates() {
-    let solo = || {
-        let mut cfg = ServiceConfig {
-            workers: 2,
-            caching: true,
-            fault_plan: Some(Arc::new(FaultPlan::none())),
-            ..ServiceConfig::default()
-        };
-        cfg.result_cache = true;
-        let mut svc = PredictService::new(cfg);
-        svc.register_binary("app", feam_svc::registry::demo_binary(7))
-            .expect("registers");
-        svc.start();
-        svc
-    };
-    let origin = solo();
-    let peer = solo();
-    let resp = origin.predict(&req("india")).expect("origin evaluates");
-    assert!(resp.cacheable);
-
-    let coords = peer.result_origin("app", "india").expect("registered");
-
-    // A payload computed for different bytes (the binding moved since
-    // the origin evaluated) is refused.
-    let moved_binding = ResultOrigin {
-        content: BdcKey {
-            hash: coords.content.hash ^ 1,
-            ..coords.content
-        },
-        ..coords
-    };
-    assert!(!peer.install_result(
-        "app",
-        "india",
-        PredictionMode::Basic,
-        moved_binding,
-        &resp.answer,
-    ));
-    // A payload computed under a stale site configuration is refused.
-    let stale_site = ResultOrigin {
-        edc_epoch: coords.edc_epoch + 1,
-        ..coords
-    };
-    assert!(!peer.install_result(
-        "app",
-        "india",
-        PredictionMode::Basic,
-        stale_site,
-        &resp.answer,
-    ));
-    assert_eq!(peer.result_cache_len(), 0, "refused payloads never land");
-
-    // Matching coordinates install, and the peer serves from its result
-    // cache without ever evaluating.
-    assert!(peer.install_result("app", "india", PredictionMode::Basic, coords, &resp.answer,));
-    let hit = peer.predict(&req("india")).expect("peer answers");
-    assert!(hit.from_result_cache);
-    assert_eq!(peer.evaluations(), 0, "the peer never evaluated");
 }
 
 /// An expired deadline is the request's failure, not the node's: the

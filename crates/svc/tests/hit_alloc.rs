@@ -1,9 +1,11 @@
-//! A warm result-cache hit allocates nothing: the answer is the cached
-//! `Arc` and the response's names are shared, not copied. A warm fleet hit
-//! adds one allocation, its candidate list. Counted with a global
+//! A warm result-cache hit allocates nothing, under every kind of
+//! recorder: the answer is the cached `Arc` and the response's names are
+//! shared, not copied. A warm fleet hit adds one allocation, its
+//! candidate list. Counted with a global
 //! allocator that tallies the calling thread's allocations.
 
 use feam_core::predict::PredictionMode;
+use feam_obs::{NullSink, Recorder, WindowSpec};
 use feam_sim::faults::FaultPlan;
 use feam_svc::{
     Delivery, Fleet, FleetConfig, PredictRequest, PredictService, RegisteredBinary, ServiceConfig,
@@ -82,10 +84,14 @@ fn cg_binary() -> (Arc<Vec<u8>>, String) {
     (bin.image, ranger.name().to_string())
 }
 
-/// A started service with the MPI binary registered as "cg".
-fn service() -> PredictService {
+/// A started service with the MPI binary registered as "cg", recording
+/// to `recorder`.
+fn service(recorder: Recorder) -> PredictService {
     let (image, home) = cg_binary();
-    let mut svc = PredictService::new(config());
+    let mut svc = PredictService::new(ServiceConfig {
+        recorder,
+        ..config()
+    });
     svc.register_binary("cg", RegisteredBinary::new(image, &home))
         .expect("fresh name registers");
     svc.start();
@@ -101,25 +107,43 @@ fn read(mode: PredictionMode) -> PredictRequest {
     }
 }
 
+/// A warm hit allocates nothing whether telemetry is off, streamed to a
+/// sink, or windowed with tail exemplars. The first hit may register the
+/// recorder's counters and histograms, so one warm-up hit runs first.
 #[test]
 fn a_result_cache_hit_shares_the_answer() {
-    let svc = service();
-    for mode in [PredictionMode::Basic, PredictionMode::Extended] {
-        let req = read(mode);
-        let computed = svc.predict(&req).expect("the miss evaluates");
-        assert!(!computed.from_result_cache && computed.cacheable);
-        let (hit_allocs, delivery) = allocations(|| svc.submit(&req));
-        let Ok(Delivery::Ready(hit)) = delivery else {
-            panic!("{mode:?}: the second request hits the result cache");
-        };
-        assert!(hit.from_result_cache);
-        assert!(
-            Arc::ptr_eq(&hit.answer, &computed.answer),
-            "{mode:?}: the hit hands out the evaluation's answer"
-        );
-        // The lookup key names the sites by index, and the response shares
-        // the registry's name and the service's site name.
-        assert_eq!(hit_allocs, 0, "{mode:?}: allocations of a result-cache hit");
+    let recorders = [
+        ("disabled", Recorder::disabled()),
+        ("with_sink", Recorder::with_sink(Box::new(NullSink))),
+        (
+            "serving",
+            Recorder::serving(Box::new(NullSink), WindowSpec::default(), 8),
+        ),
+    ];
+    for (kind, recorder) in recorders {
+        let svc = service(recorder);
+        for mode in [PredictionMode::Basic, PredictionMode::Extended] {
+            let req = read(mode);
+            let computed = svc.predict(&req).expect("the miss evaluates");
+            assert!(!computed.from_result_cache && computed.cacheable);
+            let warm_up = svc.predict(&req).expect("the warm-up hit answers");
+            assert!(warm_up.from_result_cache, "{kind} {mode:?}: a repeat hits");
+            let (hit_allocs, delivery) = allocations(|| svc.submit(&req));
+            let Ok(Delivery::Ready(hit)) = delivery else {
+                panic!("{kind} {mode:?}: the third request hits the result cache");
+            };
+            assert!(hit.from_result_cache);
+            assert!(
+                Arc::ptr_eq(&hit.answer, &computed.answer),
+                "{kind} {mode:?}: the hit hands out the evaluation's answer"
+            );
+            // The lookup key names the sites by index, and the response
+            // shares the registry's name and the service's site name.
+            assert_eq!(
+                hit_allocs, 0,
+                "{kind} {mode:?}: allocations of a result-cache hit"
+            );
+        }
     }
 }
 
@@ -140,9 +164,9 @@ fn a_warm_fleet_hit_allocates_only_its_candidate_list() {
     fleet.start();
     for mode in [PredictionMode::Basic, PredictionMode::Extended] {
         let req = read(mode);
-        let computed = fleet.predict_replicated(&req).expect("the miss evaluates");
+        let computed = fleet.predict(&req).expect("the miss evaluates");
         assert!(!computed.response.from_result_cache && computed.response.cacheable);
-        let (hit_allocs, hit) = allocations(|| fleet.predict_replicated(&req));
+        let (hit_allocs, hit) = allocations(|| fleet.predict(&req));
         let hit = hit.expect("the warm read answers");
         assert!(hit.response.from_result_cache, "{mode:?}: a warm read hits");
         assert!(Arc::ptr_eq(&hit.response.answer, &computed.response.answer));

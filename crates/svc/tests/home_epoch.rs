@@ -1,6 +1,6 @@
 //! An extended answer derives from the source phase at the binary's home
 //! site as well as from the target: reconfiguring the home site orphans
-//! it, on the node that computed it and on a replica it is shipped to.
+//! it.
 
 use feam_core::predict::PredictionMode;
 use feam_sim::faults::FaultPlan;
@@ -61,61 +61,4 @@ fn reconfiguring_the_home_site_recomputes_an_extended_answer() {
         new_bundle.as_ref().unwrap()
     ));
     assert!(svc.predict(&extended_at_india()).unwrap().from_result_cache);
-}
-
-#[test]
-fn install_refuses_an_extended_payload_with_a_stale_home_epoch() {
-    let origin = service();
-    let peer = service();
-    let resp = origin.predict(&extended_at_india()).unwrap();
-    assert!(resp.cacheable);
-    let coords = origin.result_origin("cg", "india").unwrap();
-    assert_eq!(coords, peer.result_origin("cg", "india").unwrap());
-
-    // The home site moves on the peer after the origin evaluated.
-    peer.reconfigure_site("ranger").unwrap();
-    assert!(
-        !peer.install_result(
-            "cg",
-            "india",
-            PredictionMode::Extended,
-            coords,
-            &resp.answer
-        ),
-        "a payload whose source phase ran under ranger's old epoch is refused"
-    );
-    assert_eq!(peer.result_cache_len(), 0);
-
-    // A basic payload does not derive from the home site.
-    let basic = PredictRequest {
-        mode: PredictionMode::Basic,
-        ..extended_at_india()
-    };
-    let basic_resp = origin.predict(&basic).unwrap();
-    assert!(peer.install_result(
-        "cg",
-        "india",
-        PredictionMode::Basic,
-        coords,
-        &basic_resp.answer
-    ));
-
-    // Coordinates read after the reconfiguration install.
-    origin.reconfigure_site("ranger").unwrap();
-    let fresh = origin.predict(&extended_at_india()).unwrap();
-    let coords = origin.result_origin("cg", "india").unwrap();
-    assert_eq!(coords.home_epoch, 1);
-    assert!(peer.install_result(
-        "cg",
-        "india",
-        PredictionMode::Extended,
-        coords,
-        &fresh.answer
-    ));
-    assert!(
-        peer.predict(&extended_at_india())
-            .unwrap()
-            .from_result_cache
-    );
-    assert_eq!(peer.evaluations(), 0, "the peer never evaluated");
 }
