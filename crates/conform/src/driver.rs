@@ -693,8 +693,9 @@ fn check_service(
 /// the fleet — routed and failed over — must match the oracle's
 /// expectation for the answered mode, exactly as a single node would. One
 /// node is killed halfway through the request list and revived at three
-/// quarters, so the crossing also covers failover routing and rejoin
-/// catch-up.
+/// quarters, and a site is reconfigured while it is down, so the crossing
+/// also covers failover routing and a node that was down during a
+/// configuration change.
 fn check_fleet(
     spec: &UniverseSpec,
     uni: &universe::Universe,
@@ -741,6 +742,12 @@ fn check_fleet(
     for (i, (bin, site, mode)) in requests.iter().enumerate() {
         if i == kill_at {
             fleet.kill_node(0);
+            // Reconfiguring a simulated site only bumps its epoch, so the
+            // expectations stand; node 0 must serve the new epoch once
+            // revived.
+            fleet
+                .reconfigure_site(uni.sites[0].name())
+                .expect("a universe site");
         } else if i == revive_at {
             fleet.revive_node(0);
         }

@@ -159,7 +159,7 @@ fn node_config(seed: u64) -> ServiceConfig {
 }
 
 /// Build a started fleet of `n` nodes with the bench corpus subset
-/// registered through the fleet's op log.
+/// registered through the fleet.
 fn build_fleet(
     params: &FleetBenchParams,
     n: usize,

@@ -1,23 +1,22 @@
 //! The sharded serving fleet: N [`PredictService`] nodes behind a
-//! consistent-hash router with health-gated failover and
-//! epoch-propagated invalidation.
+//! consistent-hash router with health-gated failover.
 //!
 //! ## Failure domains
 //!
 //! A fleet is one world: the factory builds node 0, and every other node
 //! is its sibling over the same site list and worker pool. A node owns
 //! only logical state — phase caches, registry, result cache, EDC epochs,
-//! breaker, op-log cursor — so a node loss costs cache warmth, never
-//! correctness. The router consistent-hashes `(binary content hash,
-//! target site)` onto the ring; the key's first `replication` successors
-//! are its **replica set**, and the router walks them in ring order:
+//! breaker — so a node loss costs cache warmth, never correctness. The
+//! router consistent-hashes `(binary content hash, target site)` onto the
+//! ring; the key's first `replication` successors are its **replica
+//! set**, and the router walks them in ring order:
 //!
 //! 1. **Primary** — the first replica whose breaker admits traffic and
-//!    whose process is up and reachable. The caller waits for its answer:
-//!    a flight still queued runs on the calling thread, and a read that
-//!    coalesced onto a running flight waits for that flight.
-//! 2. **Failover** — a down / partitioned / open / overloaded replica is
-//!    skipped (`fleet.failover`); the next replica takes the request.
+//!    whose process is up. The caller waits for its answer: a flight
+//!    still queued runs on the calling thread, and a read that coalesced
+//!    onto a running flight waits for that flight.
+//! 2. **Failover** — a down / open / overloaded replica is skipped
+//!    (`fleet.failover`); the next replica takes the request.
 //! 3. **Degraded fallback** — when *every* replica refuses, the rest of
 //!    the ring, in order, serves (`fleet.fallback.degraded`): worse cache
 //!    locality, same answer, which beats refusing outright.
@@ -27,14 +26,14 @@
 //! node holds the same bindings and site list, so it recomputes the same
 //! bytes.
 //!
-//! ## Invalidation ordering
+//! ## Configuration
 //!
-//! All configuration mutations (register / update / reconfigure) append
-//! to a fleet-wide ordered op log; the log length is the **fleet
-//! epoch**. Reachable nodes apply the op immediately; a node that was
-//! down or partitioned replays the missed suffix (catch-up) before it is
-//! ever dispatched to again — a rejoined node can never serve from stale
-//! configuration.
+//! A configuration change (register / update / reconfigure) applies to
+//! every node, down or not, under one fleet-wide lock, so every node
+//! binds the same bindings and holds the same EDC epoch per site, changed
+//! in the same order. A kill stops reads reaching a node, not
+//! configuration: a revived node has nothing to catch up on and serves at
+//! once.
 
 use crate::health::{HealthTracker, NodeState};
 use crate::registry::RegisteredBinary;
@@ -42,9 +41,7 @@ use crate::router::HashRing;
 use crate::service::{
     Delivery, Pending, PredictRequest, PredictResponse, PredictService, SvcError,
 };
-use feam_core::cache::{content_key_of, BdcKey};
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -119,64 +116,22 @@ pub struct FleetResponse {
     pub response: PredictResponse,
 }
 
-/// One logged configuration mutation. The log index order *is* the
-/// invalidation order fleet-wide.
-///
-/// `Register` and `Update` carry one binding, built when the op is logged:
-/// the image's content key (from the allocation memo [`content_key_of`],
-/// so a buffer logged before, a rollback's, is not hashed again) and its
-/// home site resolved against the site list every node shares. Every
-/// node binds that same `Arc`, so its source-bundle memo is shared: the
-/// source phase runs once per binding and home-site epoch, not once per
-/// node. The log keeps each node's EDC epochs in lockstep, since a node
-/// replays every op before it is dispatched to, and the memo serves a
-/// bundle only for the exact epoch it was gathered under. A lagging node's
-/// late computation under an older epoch can thus cost a recompute, but
-/// never serve a bundle from another environment.
-enum ConfigOp {
-    Register {
-        name: String,
-        binding: Arc<RegisteredBinary>,
-    },
-    Update {
-        name: String,
-        binding: Arc<RegisteredBinary>,
-    },
-    Reconfigure {
-        site: String,
-    },
-}
-
 struct FleetNode {
     name: Arc<str>,
     svc: PredictService,
     /// Process up? A killed node fast-fails dispatch (connection
     /// refused); its already-queued work still completes.
     up: AtomicBool,
-    /// Network-partitioned from the router? Dispatch and config ops
-    /// cannot reach it; the process itself stays healthy.
-    partitioned: AtomicBool,
     health: Mutex<HealthTracker>,
-    /// Ops applied so far (index into the op log).
-    applied_epoch: AtomicU64,
-}
-
-impl FleetNode {
-    fn reachable(&self) -> bool {
-        self.up.load(Ordering::SeqCst) && !self.partitioned.load(Ordering::SeqCst)
-    }
 }
 
 struct FleetInner {
     cfg: FleetConfig,
     nodes: Vec<FleetNode>,
     ring: HashRing,
-    /// Ordered configuration log; `len()` is the fleet epoch.
-    ops: Mutex<Vec<ConfigOp>>,
-    /// Fleet epoch mirror for lock-free reads on the dispatch path.
-    epoch: AtomicU64,
-    /// name → content hash, for ring placement without touching a node.
-    routes: Mutex<HashMap<String, u64>>,
+    /// Held while a configuration change applies to every node, so every
+    /// node sees the changes in one order.
+    config: Mutex<()>,
     /// Breaker clock origin: `now_ms` is milliseconds since fleet build.
     t0: Instant,
 }
@@ -201,28 +156,24 @@ impl Fleet {
     ) -> Self {
         let first = factory(0);
         let siblings: Vec<_> = (1..n).map(|_| first.sibling()).collect();
-        let mut ring = HashRing::new(RING_SEED, VNODES);
-        let mut nodes = Vec::with_capacity(n);
-        for (i, svc) in std::iter::once(first).chain(siblings).enumerate() {
-            let name: Arc<str> = format!("node-{i}").into();
-            ring.add(&name);
-            nodes.push(FleetNode {
-                name,
+        let nodes: Vec<_> = std::iter::once(first)
+            .chain(siblings)
+            .enumerate()
+            .map(|(i, svc)| FleetNode {
+                name: format!("node-{i}").into(),
                 svc,
                 up: AtomicBool::new(true),
-                partitioned: AtomicBool::new(false),
                 health: Mutex::new(HealthTracker::new()),
-                applied_epoch: AtomicU64::new(0),
-            });
-        }
+            })
+            .collect();
+        let names: Vec<&str> = nodes.iter().map(|node| &*node.name).collect();
+        let ring = HashRing::new(RING_SEED, VNODES, &names);
         Fleet {
             inner: Box::new(FleetInner {
                 cfg,
                 nodes,
                 ring,
-                ops: Mutex::new(Vec::new()),
-                epoch: AtomicU64::new(0),
-                routes: Mutex::new(HashMap::new()),
+                config: Mutex::new(()),
                 t0: Instant::now(),
             }),
         }
@@ -242,16 +193,6 @@ impl Fleet {
 
     pub fn is_empty(&self) -> bool {
         self.inner.nodes.is_empty()
-    }
-
-    /// Current fleet epoch (= configuration ops applied).
-    pub fn epoch(&self) -> u64 {
-        self.inner.epoch.load(Ordering::SeqCst)
-    }
-
-    /// A node's applied epoch, for tests and the bench report.
-    pub fn node_applied_epoch(&self, i: usize) -> u64 {
-        self.inner.nodes[i].applied_epoch.load(Ordering::SeqCst)
     }
 
     /// Direct access to a node's service (tests: cache introspection).
@@ -277,90 +218,58 @@ impl Fleet {
     /// The replica set (node indices) a request routes onto.
     pub fn replica_set(&self, binary_ref: &str, site: &str) -> Option<Vec<usize>> {
         let point = self.inner.key_point(binary_ref, site)?;
-        Some(self.inner.ring.replicas(point, self.inner.cfg.replication))
+        Some(
+            self.inner
+                .ring
+                .replicas(point, self.inner.cfg.replication)
+                .to_vec(),
+        )
     }
 
     // ---- configuration plane ------------------------------------------
 
-    /// Register a binary fleet-wide. Appends to the op log (bumping the
-    /// fleet epoch) and applies to every reachable node; unreachable
-    /// nodes replay it during catch-up before they serve again.
-    /// Same-content re-registration is an idempotent no-op that does not
-    /// bump the epoch.
+    /// Register a binary fleet-wide: every node binds the same binding.
+    /// Same-content re-registration is an idempotent no-op; different
+    /// content under a bound name is [`SvcError::ContentChanged`].
     pub fn register_binary(
         &self,
         name: &str,
         image: Arc<Vec<u8>>,
         home_site: &str,
     ) -> Result<(), SvcError> {
-        let content_key = content_key_of(&image);
-        let mut ops = self.inner.ops.lock().expect("ops");
-        {
-            let mut routes = self.inner.routes.lock().expect("routes");
-            match routes.get(name) {
-                Some(&existing) if existing == content_key.hash => return Ok(()),
-                Some(_) => {
-                    return Err(SvcError::ContentChanged {
-                        name: name.to_string(),
-                    })
-                }
-                None => {
-                    routes.insert(name.to_string(), content_key.hash);
-                }
-            }
-        }
-        ops.push(ConfigOp::Register {
-            name: name.to_string(),
-            binding: self.inner.bind(image, content_key, home_site),
-        });
-        self.inner.apply_tail(&ops);
-        Ok(())
+        let binding = self.inner.bind(image, home_site);
+        self.inner
+            .configure(|svc| svc.register_bound(name, Arc::clone(&binding)))
     }
 
-    /// Replace a name's bytes fleet-wide (epoch bump; every node keeps or
-    /// purges cached results exactly as a single node does). Returns the
-    /// new fleet epoch.
+    /// Replace a name's bytes fleet-wide: every node keeps or purges
+    /// cached results exactly as a single node does. Returns the name's
+    /// new generation.
     pub fn update_binary(&self, name: &str, image: Arc<Vec<u8>>, home_site: &str) -> u64 {
-        let content_key = content_key_of(&image);
-        let mut ops = self.inner.ops.lock().expect("ops");
-        self.inner
-            .routes
-            .lock()
-            .expect("routes")
-            .insert(name.to_string(), content_key.hash);
-        ops.push(ConfigOp::Update {
-            name: name.to_string(),
-            binding: self.inner.bind(image, content_key, home_site),
-        });
-        self.inner.apply_tail(&ops);
+        let binding = self.inner.bind(image, home_site);
+        let generation = self
+            .inner
+            .configure(|svc| svc.update_bound(name, Arc::clone(&binding)));
         self.inner.cfg.recorder.count("fleet.config.update", 1);
-        ops.len() as u64
+        generation
     }
 
     /// Propagate a site reconfiguration fleet-wide: every node bumps its
     /// EDC epoch for `site`, orphaning descriptions and results derived
-    /// from the stale environment. Returns the new fleet epoch.
+    /// from the stale environment. Returns the site's new EDC epoch.
     pub fn reconfigure_site(&self, site: &str) -> Result<u64, SvcError> {
-        // Validate against the site list every node shares.
-        if self.inner.nodes[0].svc.site_transient_rate(site).is_none() {
-            return Err(SvcError::UnknownSite(site.to_string()));
-        }
-        let mut ops = self.inner.ops.lock().expect("ops");
-        ops.push(ConfigOp::Reconfigure {
-            site: site.to_string(),
-        });
-        self.inner.apply_tail(&ops);
+        let epoch = self.inner.configure(|svc| svc.reconfigure_site(site))?;
         self.inner.cfg.recorder.count("fleet.config.reconfigure", 1);
-        Ok(ops.len() as u64)
+        Ok(epoch)
     }
 
     // ---- chaos plane --------------------------------------------------
 
-    /// Kill node `i`: dispatch fast-fails, config ops stop reaching it,
-    /// its breaker is forced open. Queued work already inside the node
-    /// still completes (a process death would lose it; the simulated kill
-    /// models a crash *after* the in-flight answers drain, which is the
-    /// graceful-brownout bound the bench gates on).
+    /// Kill node `i`: dispatch fast-fails and its breaker is forced open.
+    /// Queued work already inside the node still completes (a process
+    /// death would lose it; the simulated kill models a crash *after* the
+    /// in-flight answers drain, which is the graceful-brownout bound the
+    /// bench gates on).
     pub fn kill_node(&self, i: usize) {
         let node = &self.inner.nodes[i];
         node.up.store(false, Ordering::SeqCst);
@@ -370,14 +279,10 @@ impl Fleet {
         self.inner.publish_state_gauges();
     }
 
-    /// Revive node `i`: replay every missed configuration op, reset the
-    /// breaker, then readmit traffic. Catch-up runs *before* the up flag
-    /// flips, so the node can never serve from stale configuration.
+    /// Revive node `i`: reset the breaker, then readmit traffic.
+    /// Configuration changes reached the node while it was down, so it
+    /// serves the current bindings and epochs at once.
     pub fn revive_node(&self, i: usize) {
-        {
-            let ops = self.inner.ops.lock().expect("ops");
-            self.inner.catch_up(i, &ops);
-        }
         let node = &self.inner.nodes[i];
         node.health.lock().expect("health").reset();
         node.up.store(true, Ordering::SeqCst);
@@ -399,27 +304,6 @@ impl Fleet {
         self.inner.publish_state_gauges();
     }
 
-    /// Partition node `i` from the router: dispatch errors, config ops
-    /// miss it, but the node itself keeps running.
-    pub fn partition_node(&self, i: usize) {
-        self.inner.nodes[i]
-            .partitioned
-            .store(true, Ordering::SeqCst);
-        self.inner.cfg.recorder.count("fleet.node.partitioned", 1);
-    }
-
-    /// Heal the partition: catch up missed ops, then readmit.
-    pub fn heal_node(&self, i: usize) {
-        {
-            let ops = self.inner.ops.lock().expect("ops");
-            self.inner.catch_up(i, &ops);
-        }
-        self.inner.nodes[i]
-            .partitioned
-            .store(false, Ordering::SeqCst);
-        self.inner.cfg.recorder.count("fleet.node.healed", 1);
-    }
-
     // ---- data plane ---------------------------------------------------
 
     /// Route, dispatch (with failover) and answer one request. The
@@ -438,19 +322,16 @@ impl Fleet {
         // Candidate order: every node in ring order from the key's point.
         // The first `degraded_from` are the replica set; the rest are the
         // degraded fallback.
-        let mut candidates = Vec::with_capacity(inner.nodes.len());
-        inner
-            .ring
-            .replicas_into(point, inner.nodes.len(), &mut candidates);
-        let degraded_from = inner.cfg.replication.min(inner.nodes.len());
+        let walk = inner.ring.walk(point);
+        let degraded_from = inner.cfg.replication.min(walk.len());
 
         let mut failovers = 0u32;
         let mut attempts = 0u32;
         let mut degraded_counted = false;
-        for (pos, &i) in candidates.iter().enumerate() {
+        for (pos, &i) in walk.iter().enumerate() {
             let degraded_route = pos >= degraded_from;
             let now = inner.now_ms();
-            if !inner.nodes[i].reachable()
+            if !inner.nodes[i].up.load(Ordering::SeqCst)
                 || !inner.nodes[i].health.lock().expect("health").admit(now)
             {
                 if pos < degraded_from {
@@ -504,72 +385,41 @@ impl FleetInner {
         self.t0.elapsed().as_millis() as u64
     }
 
-    /// The one binding a logged op hands every node: `image` under
-    /// `content_key`, its home site resolved against the shared site list.
-    fn bind(
-        &self,
-        image: Arc<Vec<u8>>,
-        content_key: BdcKey,
-        home_site: &str,
-    ) -> Arc<RegisteredBinary> {
+    /// The one binding a configuration change hands every node: `image`
+    /// with its home site resolved against the shared site list.
+    fn bind(&self, image: Arc<Vec<u8>>, home_site: &str) -> Arc<RegisteredBinary> {
         self.nodes[0]
             .svc
-            .bind(RegisteredBinary::with_key(image, content_key, home_site))
+            .bind(RegisteredBinary::new(image, home_site))
     }
 
     /// The ring point of the content `binary_ref` is bound to, at `site`.
+    /// Every node binds the same content, so node 0's registry answers.
     fn key_point(&self, binary_ref: &str, site: &str) -> Option<u64> {
-        let &content = self.routes.lock().expect("routes").get(binary_ref)?;
+        let content = self.nodes[0].svc.content_hash(binary_ref)?;
         Some(self.ring.key_point(content, site))
     }
 
-    /// Apply the newest op (tail of the log) to every reachable node and
-    /// advance the fleet epoch. Callers hold the ops lock.
-    fn apply_tail(&self, ops: &[ConfigOp]) {
-        let epoch = ops.len() as u64;
-        for (i, node) in self.nodes.iter().enumerate() {
-            if node.reachable() {
-                self.catch_up(i, ops);
-            }
+    /// Apply one configuration change to every node, down or not, under
+    /// the config lock, and return node 0's outcome. Every node held the
+    /// same bindings and epochs before the change, so the others'
+    /// outcomes are the same.
+    fn configure<R>(&self, change: impl Fn(&PredictService) -> R) -> R {
+        let _order = self.config.lock().expect("config");
+        let (first, rest) = self.nodes.split_first().expect("node 0");
+        let out = change(&first.svc);
+        for node in rest {
+            let _ = change(&node.svc);
         }
-        self.epoch.store(epoch, Ordering::SeqCst);
+        out
     }
 
-    /// Replay every op the node has not yet applied, in log order.
-    /// Callers hold the ops lock (so no op lands mid-replay).
-    fn catch_up(&self, i: usize, ops: &[ConfigOp]) {
-        let node = &self.nodes[i];
-        let from = node.applied_epoch.load(Ordering::SeqCst) as usize;
-        for op in &ops[from..] {
-            match op {
-                ConfigOp::Register { name, binding } => {
-                    // ContentChanged cannot happen: the routes map
-                    // rejected conflicting registrations before logging.
-                    let _ = node.svc.register_bound(name, binding.clone());
-                }
-                ConfigOp::Update { name, binding } => {
-                    node.svc.update_bound(name, binding.clone());
-                }
-                ConfigOp::Reconfigure { site } => {
-                    let _ = node.svc.reconfigure_site(site);
-                }
-            }
-        }
-        node.applied_epoch.store(ops.len() as u64, Ordering::SeqCst);
-    }
-
-    /// Dispatch one request to node `i`, enforcing reachability and epoch
-    /// freshness. A reachable node behind the fleet epoch (possible when
-    /// it healed between the admit check and here) catches up first —
-    /// stale epochs are never served.
+    /// Dispatch one request to node `i`. A kill that raced the admit
+    /// check fast-fails here, as a refused connection would.
     fn dispatch(&self, i: usize, req: &PredictRequest) -> Result<Delivery, SvcError> {
         let node = &self.nodes[i];
-        if !node.reachable() {
+        if !node.up.load(Ordering::SeqCst) {
             return Err(SvcError::ShuttingDown);
-        }
-        if node.applied_epoch.load(Ordering::SeqCst) != self.epoch.load(Ordering::SeqCst) {
-            let ops = self.ops.lock().expect("ops");
-            self.catch_up(i, &ops);
         }
         node.svc.submit(req)
     }

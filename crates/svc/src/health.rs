@@ -127,7 +127,7 @@ impl HealthTracker {
         self.trip(now_ms);
     }
 
-    /// Reset to Closed (e.g. the node rejoined after catch-up).
+    /// Reset to Closed (e.g. the fleet revived the node).
     pub fn reset(&mut self) {
         self.close();
     }

@@ -63,7 +63,7 @@ pub mod obsctl;
 pub mod plan;
 mod pool;
 pub mod registry;
-pub mod router;
+mod router;
 pub mod service;
 
 pub use bench::{
@@ -75,7 +75,6 @@ pub use health::{HealthTracker, NodeState};
 pub use obsctl::{default_slos, run_observed, ObsRunOutcome, ObsRunParams};
 pub use plan::{Placement, PlanRequest, SitePlacement, SiteSelection};
 pub use registry::{BinaryRegistry, RegisteredBinary, RegistryError};
-pub use router::HashRing;
 pub use service::{
     Delivery, Pending, PredictAnswer, PredictRequest, PredictResponse, PredictService,
     ServiceConfig, SvcError,

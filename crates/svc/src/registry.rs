@@ -25,15 +25,16 @@
 //! the results of both contents for the same reason.
 //!
 //! A binding is an `Arc` that several registries may hold. A fleet binds
-//! each registered or updated image once, when it logs the op, and hands
-//! every node that same `Arc` (`insert_bound`, `update_bound`), so the
-//! bundle memo is fleet-wide: the source phase runs once per binding and
-//! home-site epoch, not once per node. Sharing it is sound because the
-//! ordered op log brings every node to the same EDC epoch per site before
-//! the node is dispatched to, and [`RegisteredBinary::bundle_under`]
-//! serves a bundle only for the exact epoch it was gathered under: a
-//! lagging node's stale-epoch computation can cost a recompute, never
-//! serve a bundle from another epoch.
+//! each registered or updated image once and hands every node that same
+//! `Arc` (`insert_bound`, `update_bound`), so the bundle memo is
+//! fleet-wide: the source phase runs once per binding and home-site
+//! epoch, not once per node. Sharing it is sound because a fleet applies
+//! every configuration change to all its nodes under one lock, so every
+//! node holds the same EDC epoch per site, and
+//! [`RegisteredBinary::bundle_under`] serves a bundle only for the exact
+//! epoch it was gathered under: an evaluation that raced a
+//! reconfiguration can cost a recompute, never serve a bundle from
+//! another epoch.
 
 use feam_core::bundle::SourceBundle;
 use feam_core::cache::{content_key_of, BdcKey};
@@ -97,16 +98,9 @@ impl RegisteredBinary {
     /// The key comes from [`content_key_of`], so a buffer registered
     /// before is not hashed again.
     pub fn new(image: Arc<Vec<u8>>, home_site: &str) -> Self {
-        let content_key = content_key_of(&image);
-        Self::with_key(image, content_key, home_site)
-    }
-
-    /// [`RegisteredBinary::new`] for an image whose key the caller already
-    /// took, so the image is not looked up again.
-    pub(crate) fn with_key(image: Arc<Vec<u8>>, content_key: BdcKey, home_site: &str) -> Self {
         RegisteredBinary {
+            content_key: content_key_of(&image),
             image,
-            content_key,
             home_site: home_site.to_string(),
             home: None,
             bundle: Mutex::new(None),

@@ -2,141 +2,88 @@
 //!
 //! Each node contributes `vnodes` points to a 64-bit hash ring; a request
 //! key — the binary's content hash plus the target site — hashes to a
-//! point and walks clockwise collecting the first `r` *distinct* nodes as
-//! its replica set. Because every node's points depend only on its own
-//! name (and the shared ring seed), a node leaving or rejoining moves
-//! only the keys whose nearest points belonged to it: bounded key
-//! movement, no global reshuffle.
+//! point, and the nodes met walking clockwise from it, each counted once,
+//! are the order the fleet tries them in. The first `r` of them are the
+//! key's replica set. A fleet's membership is fixed when it is built (a
+//! killed node keeps its points and is skipped), so the ring stores each
+//! point's walk once, at build time.
 
 use feam_sim::rng::hash_parts;
-use std::collections::HashMap;
 
-/// A consistent-hash ring over named nodes.
-#[derive(Debug, Clone)]
-pub struct HashRing {
+/// A consistent-hash ring over a fixed list of named nodes.
+pub(crate) struct HashRing {
     seed: u64,
-    vnodes: usize,
-    /// Sorted `(point, node index)` pairs.
-    ring: Vec<(u64, usize)>,
-    /// Node names by index; a removed node leaves a `None` tombstone.
-    nodes: Vec<Option<String>>,
-    /// Every name's permanently reserved index. Rejoin restores the
-    /// exact former slot — even when several nodes leave and rejoin out
-    /// of order — so callers comparing `replicas()` index sets across
-    /// churn never see a name re-bind to a different index. Fresh names
-    /// always extend the index space rather than reusing a departed
-    /// node's slot; the index space therefore grows with distinct names
-    /// ever added, not with current membership.
-    home: HashMap<String, usize>,
+    /// Ring points, sorted.
+    points: Vec<u64>,
+    /// Every node index once, in ring order from each point: the walk
+    /// from `points[j]` is `walks[j * n..(j + 1) * n]` for `n` nodes.
+    walks: Vec<usize>,
+    /// Node count.
+    n: usize,
 }
 
 impl HashRing {
-    /// An empty ring. `vnodes` points per node (≥ 1); more points =
-    /// smoother balance, linearly larger ring.
-    pub fn new(seed: u64, vnodes: usize) -> Self {
+    /// A ring over `names`, node `i` being `names[i]`, with `vnodes` points
+    /// per node (≥ 1); more points = smoother balance, linearly larger
+    /// ring. A node's points depend only on its name and the seed.
+    pub(crate) fn new(seed: u64, vnodes: usize, names: &[impl AsRef<str>]) -> Self {
+        let mut ring: Vec<(u64, usize)> = names
+            .iter()
+            .enumerate()
+            .flat_map(|(idx, name)| {
+                (0..vnodes.max(1)).map(move |v| {
+                    let point = hash_parts(seed, &["vnode", name.as_ref(), &v.to_string()]);
+                    (point, idx)
+                })
+            })
+            .collect();
+        ring.sort_unstable();
+        let n = names.len();
+        let mut walks = Vec::with_capacity(ring.len() * n);
+        for start in 0..ring.len() {
+            let walk = walks.len();
+            for &(_, idx) in ring[start..].iter().chain(&ring[..start]) {
+                if !walks[walk..].contains(&idx) {
+                    walks.push(idx);
+                    if walks.len() - walk == n {
+                        break;
+                    }
+                }
+            }
+        }
         HashRing {
             seed,
-            vnodes: vnodes.max(1),
-            ring: Vec::new(),
-            nodes: Vec::new(),
-            home: HashMap::new(),
+            points: ring.into_iter().map(|(point, _)| point).collect(),
+            walks,
+            n,
         }
-    }
-
-    /// Add a node, returning its index. A name that previously left
-    /// rejoins under its reserved former index with byte-identical ring
-    /// points, regardless of how many other nodes departed or joined in
-    /// between; a fresh name gets a fresh index (never a departed
-    /// node's slot).
-    pub fn add(&mut self, name: &str) -> usize {
-        if let Some(idx) = self.index_of(name) {
-            return idx; // already present
-        }
-        let idx = match self.home.get(name) {
-            Some(&reserved) => {
-                debug_assert!(
-                    self.nodes[reserved].is_none(),
-                    "reserved slot occupied by another name"
-                );
-                self.nodes[reserved] = Some(name.to_string());
-                reserved
-            }
-            None => {
-                self.nodes.push(Some(name.to_string()));
-                let idx = self.nodes.len() - 1;
-                self.home.insert(name.to_string(), idx);
-                idx
-            }
-        };
-        for v in 0..self.vnodes {
-            let point = hash_parts(self.seed, &["vnode", name, &v.to_string()]);
-            let at = self.ring.binary_search(&(point, idx)).unwrap_or_else(|e| e);
-            self.ring.insert(at, (point, idx));
-        }
-        idx
-    }
-
-    /// Remove a node by name; its keys redistribute to ring successors.
-    /// Unknown names are a no-op.
-    pub fn remove(&mut self, name: &str) {
-        let Some(idx) = self.index_of(name) else {
-            return;
-        };
-        self.ring.retain(|&(_, i)| i != idx);
-        self.nodes[idx] = None;
-    }
-
-    /// Index of a present node.
-    pub fn index_of(&self, name: &str) -> Option<usize> {
-        self.nodes
-            .iter()
-            .position(|slot| slot.as_deref() == Some(name))
-    }
-
-    /// Present node count.
-    pub fn len(&self) -> usize {
-        self.nodes.iter().filter(|s| s.is_some()).count()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.ring.is_empty()
     }
 
     /// The ring point for a request key. The key deliberately hashes the
     /// binary's *content* (not its registered name) with the site, so two
     /// names bound to the same bytes route identically.
-    pub fn key_point(&self, content_hash: u64, site: &str) -> u64 {
+    pub(crate) fn key_point(&self, content_hash: u64, site: &str) -> u64 {
         let mut digits = [0u8; 20];
         let content = decimal(content_hash, &mut digits);
         hash_parts(self.seed, &["key", content, site])
     }
 
-    /// The replica set for a key point: the first `r` distinct nodes at
-    /// or after the point, wrapping. A fleet smaller than `r` returns
-    /// every present node rather than failing.
-    pub fn replicas(&self, point: u64, r: usize) -> Vec<usize> {
-        let mut out = Vec::with_capacity(r.min(self.len()));
-        self.replicas_into(point, r, &mut out);
-        out
+    /// Every node once, in ring order from the first point at or after
+    /// `point`, wrapping. Empty for a ring without nodes.
+    pub(crate) fn walk(&self, point: u64) -> &[usize] {
+        if self.points.is_empty() {
+            return &[];
+        }
+        let start = self.points.partition_point(|&p| p < point) % self.points.len();
+        &self.walks[start * self.n..(start + 1) * self.n]
     }
 
-    /// [`replicas`](HashRing::replicas), written into the empty `out`, whose
-    /// capacity the caller chooses.
-    pub(crate) fn replicas_into(&self, point: u64, r: usize, out: &mut Vec<usize>) {
-        debug_assert!(out.is_empty());
-        if r == 0 {
-            return;
-        }
-        let start = self.ring.partition_point(|&(p, _)| p < point);
-        let (wrapped, from_point) = self.ring.split_at(start);
-        for &(_, idx) in from_point.iter().chain(wrapped) {
-            if !out.contains(&idx) {
-                out.push(idx);
-                if out.len() == r {
-                    break;
-                }
-            }
-        }
+    /// The replica set for a key point: the first `r` nodes of its
+    /// [`walk`](HashRing::walk). A fleet smaller than `r` returns every
+    /// node rather than failing.
+    pub(crate) fn replicas(&self, point: u64, r: usize) -> &[usize] {
+        let walk = self.walk(point);
+        &walk[..r.min(walk.len())]
     }
 }
 
@@ -159,11 +106,7 @@ mod tests {
     use super::*;
 
     fn ring_of(names: &[&str]) -> HashRing {
-        let mut ring = HashRing::new(0xF1EE7, 64);
-        for n in names {
-            ring.add(n);
-        }
-        ring
+        HashRing::new(0xF1EE7, 64, names)
     }
 
     fn sample_keys(ring: &HashRing, n: usize) -> Vec<u64> {
@@ -179,6 +122,10 @@ mod tests {
             let reps = ring.replicas(key, 2);
             assert_eq!(reps.len(), 2);
             assert_ne!(reps[0], reps[1]);
+            let mut walk = ring.walk(key).to_vec();
+            assert_eq!(walk[..2], *reps, "the replica set heads the walk");
+            walk.sort_unstable();
+            assert_eq!(walk, [0, 1, 2, 3], "the walk lists every node once");
         }
     }
 
@@ -189,8 +136,21 @@ mod tests {
             let reps = ring.replicas(key, 3);
             assert_eq!(reps.len(), 2, "R > N returns every node");
         }
-        let empty = HashRing::new(1, 8);
+        let empty = ring_of(&[]);
         assert!(empty.replicas(42, 2).is_empty());
+        assert!(empty.walk(42).is_empty());
+    }
+
+    #[test]
+    fn walks_wrap_past_the_last_point() {
+        let ring = ring_of(&["n0", "n1", "n2"]);
+        assert_eq!(ring.walk(u64::MAX), ring.walk(0), "past the end wraps");
+        let first = ring.points[0];
+        assert_eq!(
+            ring.walk(first),
+            ring.walk(0),
+            "a point starts its own walk"
+        );
     }
 
     #[test]
@@ -208,72 +168,31 @@ mod tests {
         }
     }
 
+    /// A down node's keys fail over to their second replica. Those must
+    /// spread across every survivor, not pile onto one ring neighbour:
+    /// with fixed membership, that spread is what keeps a node loss from
+    /// doubling one peer's load.
     #[test]
-    fn leave_moves_only_the_departed_nodes_keys() {
-        let before = ring_of(&["n0", "n1", "n2", "n3"]);
-        let mut after = before.clone();
-        after.remove("n2");
-        let mut moved = 0;
-        let keys = sample_keys(&before, 2000);
-        for &key in &keys {
-            let owner_before = before.replicas(key, 1)[0];
-            let owner_after = after.replicas(key, 1)[0];
-            if owner_before != owner_after {
-                moved += 1;
-                assert_eq!(
-                    owner_before, 2,
-                    "a key moved whose owner did not leave (key {key:#x})"
+    fn a_nodes_keys_fail_over_across_every_survivor() {
+        let ring = ring_of(&["n0", "n1", "n2", "n3"]);
+        let keys = sample_keys(&ring, 4000);
+        for k in 0..4 {
+            let mut second = [0usize; 4];
+            for &key in &keys {
+                let reps = ring.replicas(key, 2);
+                if reps[0] == k {
+                    second[reps[1]] += 1;
+                }
+            }
+            let owned: usize = second.iter().sum();
+            assert_eq!(second[k], 0, "a second replica is another node");
+            for (i, &c) in second.iter().enumerate().filter(|&(i, _)| i != k) {
+                assert!(
+                    c * 6 >= owned,
+                    "node {k}'s {owned} keys fail over to node {i} only {c} times: {second:?}"
                 );
             }
         }
-        // Roughly 1/4 of keys lived on n2; all of them — and only them — moved.
-        assert!(
-            (300..=800).contains(&moved),
-            "{moved} of 2000 keys moved; expected ≈ the departed node's share"
-        );
-    }
-
-    #[test]
-    fn rejoin_restores_the_original_mapping_exactly() {
-        let original = ring_of(&["n0", "n1", "n2", "n3"]);
-        let mut churned = original.clone();
-        churned.remove("n2");
-        churned.add("n2");
-        for key in sample_keys(&original, 2000) {
-            assert_eq!(
-                original.replicas(key, 2),
-                churned.replicas(key, 2),
-                "leave + rejoin must restore the exact mapping"
-            );
-        }
-    }
-
-    #[test]
-    fn out_of_order_rejoins_restore_original_indices() {
-        let original = ring_of(&["n0", "n1", "n2", "n3"]);
-        let mut churned = original.clone();
-        churned.remove("n1");
-        churned.remove("n2");
-        // Rejoin in the opposite order of departure: each name must get
-        // its own reserved slot back, not the first free tombstone.
-        assert_eq!(churned.add("n2"), original.index_of("n2").unwrap());
-        assert_eq!(churned.add("n1"), original.index_of("n1").unwrap());
-        for key in sample_keys(&original, 1000) {
-            assert_eq!(
-                original.replicas(key, 2),
-                churned.replicas(key, 2),
-                "out-of-order churn must restore the exact index mapping"
-            );
-        }
-    }
-
-    #[test]
-    fn new_nodes_never_steal_a_departed_nodes_slot() {
-        let mut ring = ring_of(&["n0", "n1", "n2"]);
-        ring.remove("n1");
-        assert_eq!(ring.add("n3"), 3, "fresh name extends the index space");
-        assert_eq!(ring.add("n1"), 1, "n1 rejoins under its reserved index");
-        assert_eq!(ring.len(), 4);
     }
 
     #[test]

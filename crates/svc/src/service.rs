@@ -89,9 +89,6 @@ pub struct PredictResponse {
     pub answer: Arc<PredictAnswer>,
     /// Whether this answer came straight from the result cache.
     pub from_result_cache: bool,
-    /// Whether this answer was clean enough to memoize (current
-    /// generation, not degraded, fully observed environment).
-    pub cacheable: bool,
     /// This waiter's end-to-end latency, submit to delivery.
     pub latency_us: u64,
     /// The same latency at nanosecond resolution: result-cache hits
@@ -507,6 +504,16 @@ impl PredictService {
             .generation(name)
     }
 
+    /// The primary hash of `name`'s content key: a fleet's ring key.
+    pub(crate) fn content_hash(&self, name: &str) -> Option<u64> {
+        self.inner
+            .registry
+            .read()
+            .expect("registry")
+            .get(name)
+            .map(|binding| binding.content_key.hash)
+    }
+
     /// The binding `name` resolves to now: its image, content key, home
     /// site and source-bundle memo.
     pub fn binding(&self, name: &str) -> Option<Arc<RegisteredBinary>> {
@@ -826,7 +833,6 @@ fn result_hit(
             target_site: inner.site_names[key.site].clone(),
             answer: hit,
             from_result_cache: true,
-            cacheable: true,
             latency_us,
             latency_ns,
         });
@@ -944,9 +950,9 @@ fn process(inner: &Inner, job: Job) {
     if !generation_current {
         rec.count("svc.stale_result_dropped", 1);
     }
-    // One flag for "clean enough to memoize": it also rides out on every
-    // response.
-    let cacheable = generation_current
+    // Clean enough to memoize: current generation, not degraded, fully
+    // observed environment.
+    let memoize = generation_current
         && !outcome.evaluation.degraded
         && outcome.environment.unobserved.is_empty();
     let answer = Arc::new(PredictAnswer {
@@ -954,7 +960,7 @@ fn process(inner: &Inner, job: Job) {
     });
     let waiters = {
         let mut inflight = inner.inflight.lock().expect("inflight");
-        if inner.cfg.result_cache && inner.caches.is_some() && cacheable {
+        if inner.cfg.result_cache && inner.caches.is_some() && memoize {
             (inner.results.lock().expect("results")).insert(job.key, Arc::clone(&answer));
         }
         inflight
@@ -983,7 +989,6 @@ fn process(inner: &Inner, job: Job) {
             target_site: inner.site_names[job.key.site].clone(),
             answer: Arc::clone(&answer),
             from_result_cache: false,
-            cacheable,
             latency_us,
             latency_ns,
         }));

@@ -120,7 +120,6 @@ fn cache_hits_answer_even_with_expired_deadlines() {
         .predict(&req(Some(expired)))
         .expect("cache hit beats the deadline check");
     assert!(hit.from_result_cache);
-    assert!(hit.cacheable);
 }
 
 /// The distinct error is distinguishable from every other rejection in

@@ -1,9 +1,10 @@
-//! Fleet behaviour under routing, failure and invalidation: replica sets
+//! Fleet behaviour under routing, failure and configuration: replica sets
 //! smaller than R, health-gated failover when the primary dies,
 //! all-replicas-open degraded fallback, answers cached only where they
-//! were computed, epoch catch-up for nodes that missed configuration
-//! ops, where a read's evaluation runs (on its caller, or on the flight it
-//! coalesced onto), and fleet-level deadline propagation.
+//! were computed, configuration changes that reach every node (down or
+//! not, in one order), where a read's evaluation runs (on its caller, or
+//! on the flight it coalesced onto), and fleet-level deadline
+//! propagation.
 
 use feam_core::predict::PredictionMode;
 use feam_sim::faults::FaultPlan;
@@ -12,7 +13,7 @@ use feam_svc::{
     SvcError,
 };
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Barrier, Mutex};
 use std::time::{Duration, Instant};
 
 /// A started fleet of `n` identically configured nodes (chaos pinned off,
@@ -54,6 +55,22 @@ fn fleet_with(
     fleet
 }
 
+/// A started single service configured like a fleet node, with "app"
+/// registered: the oracle a fleet's answers must match.
+fn solo_service() -> PredictService {
+    let mut solo = PredictService::new(ServiceConfig {
+        workers: 2,
+        caching: true,
+        result_cache: true,
+        fault_plan: Some(Arc::new(FaultPlan::none())),
+        ..ServiceConfig::default()
+    });
+    solo.register_binary("app", feam_svc::registry::demo_binary(7))
+        .expect("registers");
+    solo.start();
+    solo
+}
+
 fn req(site: &str) -> PredictRequest {
     PredictRequest {
         binary_ref: "app".into(),
@@ -69,19 +86,7 @@ fn req(site: &str) -> PredictRequest {
 fn fleet_answer_matches_a_single_node() {
     let (fleet, _rec) = test_fleet(3, 2);
     let fleet_resp = fleet.predict(&req("india")).expect("fleet answers");
-
-    let mut solo_cfg = ServiceConfig {
-        workers: 2,
-        caching: true,
-        fault_plan: Some(Arc::new(FaultPlan::none())),
-        ..ServiceConfig::default()
-    };
-    solo_cfg.result_cache = true;
-    let mut solo = PredictService::new(solo_cfg);
-    solo.register_binary("app", feam_svc::registry::demo_binary(7))
-        .expect("registers");
-    solo.start();
-    let solo_resp = solo.predict(&req("india")).expect("solo answers");
+    let solo_resp = solo_service().predict(&req("india")).expect("solo answers");
 
     assert_eq!(
         serde_json::to_string(&fleet_resp.response.prediction).unwrap(),
@@ -214,7 +219,6 @@ fn all_replicas_down_falls_back_to_any_up_node() {
 fn a_computed_answer_stays_on_the_node_that_computed_it() {
     let (fleet, _rec) = test_fleet(3, 2);
     let first = fleet.predict_replicated(&req("india")).expect("answers");
-    assert!(first.response.cacheable, "clean chaos-free answer");
     assert!(!first.response.from_result_cache);
 
     let replicas = fleet.replica_set("app", "india").expect("registered");
@@ -252,71 +256,134 @@ fn a_computed_answer_stays_on_the_node_that_computed_it() {
     );
 }
 
-/// Configuration ops missed while a node was down or partitioned replay —
-/// in log order — before the node serves again, so a rejoined node can
-/// never answer from stale configuration.
+/// A node killed across a site reconfiguration and an update serves
+/// them the moment it is revived: configuration reached it while it was
+/// down, so every node binds the same content under the same generation
+/// and answers exactly as a single service given the same changes.
 #[test]
 fn rejoining_nodes_catch_up_missed_epochs_before_serving() {
     let (fleet, rec) = test_fleet(3, 2);
     let node1_state =
         || rec.metrics_snapshot(60_000).unwrap().gauges["fleet.node.state.node-1"].last;
-    assert_eq!(fleet.epoch(), 1, "the registration is op #1");
-    for i in 0..3 {
-        assert_eq!(fleet.node_applied_epoch(i), 1);
-    }
-
-    fleet.partition_node(2);
-    let epoch = fleet.reconfigure_site("india").expect("known site");
-    assert_eq!(epoch, 2);
-    assert_eq!(
-        fleet.node_applied_epoch(2),
-        1,
-        "the partitioned node missed the reconfigure"
-    );
-
     fleet.kill_node(1);
     assert_eq!(
         node1_state(),
         2.0,
         "a killed node's breaker gauge reads Open"
     );
+    let epoch = fleet.reconfigure_site("india").expect("known site");
+    assert_eq!(epoch, 1, "india's first epoch bump");
     let demo2 = feam_svc::registry::demo_binary(8);
-    let epoch = fleet.update_binary("app", demo2.image.clone(), &demo2.home_site);
-    assert_eq!(epoch, 3);
-    assert_eq!(fleet.node_applied_epoch(0), 3, "reachable node applied");
-    assert_eq!(
-        fleet.node_applied_epoch(1),
-        2,
-        "killed node missed the update"
-    );
-
-    fleet.heal_node(2);
-    assert_eq!(fleet.node_applied_epoch(2), 3, "heal replays ops 2..3");
+    let generation = fleet.update_binary("app", demo2.image.clone(), &demo2.home_site);
+    assert_eq!(generation, 1, "the first update");
     fleet.revive_node(1);
-    assert_eq!(fleet.node_applied_epoch(1), 3, "revive replays op 3");
     assert_eq!(
         node1_state(),
         0.0,
         "a revived node's breaker gauge reads Closed"
     );
 
-    // Every node now answers for the *new* bytes: same generation
-    // everywhere, so all three services agree.
-    let baseline = fleet
-        .node_service(0)
-        .predict(&req("india"))
-        .expect("answers");
-    for i in 1..3 {
-        let resp = fleet
-            .node_service(i)
-            .predict(&req("india"))
-            .expect("answers");
+    let solo = solo_service();
+    solo.reconfigure_site("india").expect("known site");
+    solo.update_binary(
+        "app",
+        feam_svc::RegisteredBinary::new(demo2.image.clone(), &demo2.home_site),
+    );
+    let oracle = solo.predict(&req("india")).expect("solo answers");
+    let content = solo.binding("app").unwrap().content_key;
+    for i in 0..fleet.len() {
+        let node = fleet.node_service(i);
+        assert_eq!(node.binary_generation("app"), Some(generation), "node {i}");
+        assert_eq!(
+            node.binding("app").unwrap().content_key,
+            content,
+            "node {i}"
+        );
+        let resp = node.predict(&req("india")).expect("answers");
         assert_eq!(
             serde_json::to_string(&resp.prediction).unwrap(),
-            serde_json::to_string(&baseline.prediction).unwrap(),
-            "node {i} diverged after catch-up"
+            serde_json::to_string(&oracle.prediction).unwrap(),
+            "node {i} diverged from the single service"
         );
     }
+}
+
+/// Two threads each update "app" to new bytes of their own and
+/// reconfigure a site, racing each other round by round while two more
+/// threads read every node's binding. The config lock applies every
+/// change to all nodes in one order, so after every round each node binds
+/// the same content under the same generation and holds the same EDC
+/// epoch per site as node 0.
+#[test]
+fn interleaved_configuration_changes_reach_every_node_in_one_order() {
+    const ROUNDS: usize = 1000;
+    let (fleet, _rec) = test_fleet(4, 2);
+    // Names bound to other bytes make each node scan them on every
+    // update, so that a change spends long enough on a node for the
+    // racing threads to overtake each other if nothing ordered them.
+    let filler = Arc::new(b"filler".to_vec());
+    for n in 0..1000 {
+        fleet
+            .register_binary(&format!("filler-{n}"), filler.clone(), "india")
+            .expect("fresh name registers");
+    }
+    let sites = fleet.node_service(0).site_names();
+    let view = |i: usize| {
+        let node = fleet.node_service(i);
+        let edc = &node.caches().expect("caching is on").edc;
+        let epochs: Vec<u64> = sites.iter().map(|site| edc.epoch(site)).collect();
+        let content = node.binding("app").unwrap().content_key;
+        (content, node.binary_generation("app"), epochs)
+    };
+    // Two barrier waits a round: after both threads' changes land, and
+    // after thread 0 has compared the nodes. A mismatch is recorded, not
+    // asserted, so the other thread is never left waiting.
+    let barrier = Barrier::new(2);
+    let mismatch = Mutex::new(None);
+    let done = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        for _ in 0..2 {
+            scope.spawn(|| {
+                while !done.load(Ordering::Relaxed) {
+                    for i in 0..fleet.len() {
+                        std::hint::black_box(fleet.node_service(i).binding("app"));
+                    }
+                }
+            });
+        }
+        let changers: Vec<_> = (0..2)
+            .map(|t| {
+                let (fleet, sites, view) = (&fleet, &sites, &view);
+                let (barrier, mismatch) = (&barrier, &mismatch);
+                scope.spawn(move || {
+                    for round in 0..ROUNDS {
+                        let image = Arc::new(format!("app {t} {round}").into_bytes());
+                        fleet.update_binary("app", image, "india");
+                        let site = &sites[(t + round) % sites.len()];
+                        fleet.reconfigure_site(site).expect("known site");
+                        barrier.wait();
+                        if t == 0 {
+                            let first = view(0);
+                            if let Some(i) = (1..fleet.len()).find(|&i| view(i) != first) {
+                                mismatch.lock().unwrap().get_or_insert((round, i));
+                            }
+                        }
+                        barrier.wait();
+                    }
+                })
+            })
+            .collect();
+        for changer in changers {
+            changer.join().expect("changer");
+        }
+        done.store(true, Ordering::Relaxed);
+    });
+    assert_eq!(
+        *mismatch.lock().unwrap(),
+        None,
+        "(round, node) unlike node 0"
+    );
+    assert_eq!(view(0).1, Some(2 * ROUNDS as u64), "every update landed");
 }
 
 /// A node sink that holds the first evaluation (the `svc.eval` span) for
@@ -587,7 +654,7 @@ fn counted_fleet() -> (Fleet, impl Fn() -> u64) {
     (fleet, source_phases)
 }
 
-/// Every node binds the one binding a logged op carries, so the fleet
+/// Every node binds the one binding a configuration change carries, so the fleet
 /// gathers a binary's source bundle once per home-site epoch, however
 /// many nodes serve its extended reads: a home-site reconfiguration costs
 /// one source phase, another site's none, and a rollback none.
@@ -656,9 +723,9 @@ fn every_node_binds_the_ops_one_binding() {
     );
 }
 
-/// A node killed across a home-site reconfiguration catches up on revival
-/// and, serving from the shared bundle memo, answers an extended read
-/// exactly as a single node would.
+/// A node killed across a home-site reconfiguration serves it on revival
+/// and, from the shared bundle memo, answers an extended read exactly as
+/// a single node would.
 #[test]
 fn a_revived_node_answers_from_the_shared_bundle_like_a_single_node() {
     let (fleet, _source_phases) = counted_fleet();
@@ -680,16 +747,7 @@ fn a_revived_node_answers_from_the_shared_bundle_like_a_single_node() {
     let revived = fleet.predict(&extended("india")).expect("j answers");
     assert_eq!(*revived.node, format!("node-{j}"), "the primary is back");
 
-    let mut solo = PredictService::new(ServiceConfig {
-        workers: 1,
-        caching: true,
-        result_cache: true,
-        fault_plan: Some(Arc::new(FaultPlan::none())),
-        ..ServiceConfig::default()
-    });
-    solo.register_binary("app", feam_svc::registry::demo_binary(7))
-        .expect("registers");
-    solo.start();
+    let solo = solo_service();
     solo.reconfigure_site(&home).expect("known site");
     let oracle = solo.predict(&extended("india")).expect("solo answers");
     for resp in [&elsewhere, &revived] {

@@ -1,7 +1,7 @@
 //! A warm result-cache hit allocates nothing, under every kind of
 //! recorder: the answer is the cached `Arc` and the response's names are
-//! shared, not copied. A warm fleet hit adds one allocation, its
-//! candidate list. Counted with a global
+//! shared, not copied. A warm fleet hit allocates nothing either: it
+//! walks the ring's stored node order for the key. Counted with a global
 //! allocator that tallies the calling thread's allocations.
 
 use feam_core::predict::PredictionMode;
@@ -56,7 +56,7 @@ fn allocations<R>(f: impl FnOnce() -> R) -> (u64, R) {
 }
 
 /// One worker over the standard sites, under no injected faults so its
-/// answers are cacheable.
+/// answers are memoized.
 fn config() -> ServiceConfig {
     ServiceConfig {
         workers: 1,
@@ -125,7 +125,7 @@ fn a_result_cache_hit_shares_the_answer() {
         for mode in [PredictionMode::Basic, PredictionMode::Extended] {
             let req = read(mode);
             let computed = svc.predict(&req).expect("the miss evaluates");
-            assert!(!computed.from_result_cache && computed.cacheable);
+            assert!(!computed.from_result_cache);
             let warm_up = svc.predict(&req).expect("the warm-up hit answers");
             assert!(warm_up.from_result_cache, "{kind} {mode:?}: a repeat hits");
             let (hit_allocs, delivery) = allocations(|| svc.submit(&req));
@@ -147,11 +147,11 @@ fn a_result_cache_hit_shares_the_answer() {
     }
 }
 
-/// A warm hit on a started 4-node, R=2 fleet allocates its candidate list
-/// and nothing else: the ring key is spelled on the stack and the
-/// response shares the node's name.
+/// A warm hit on a started 4-node, R=2 fleet allocates nothing: the ring
+/// key is spelled on the stack, the candidate order is the ring's stored
+/// walk for the key, and the response shares the node's name.
 #[test]
-fn a_warm_fleet_hit_allocates_only_its_candidate_list() {
+fn a_warm_fleet_hit_allocates_nothing() {
     let cfg = FleetConfig {
         replication: 2,
         ..FleetConfig::default()
@@ -165,11 +165,11 @@ fn a_warm_fleet_hit_allocates_only_its_candidate_list() {
     for mode in [PredictionMode::Basic, PredictionMode::Extended] {
         let req = read(mode);
         let computed = fleet.predict(&req).expect("the miss evaluates");
-        assert!(!computed.response.from_result_cache && computed.response.cacheable);
+        assert!(!computed.response.from_result_cache);
         let (hit_allocs, hit) = allocations(|| fleet.predict(&req));
         let hit = hit.expect("the warm read answers");
         assert!(hit.response.from_result_cache, "{mode:?}: a warm read hits");
         assert!(Arc::ptr_eq(&hit.response.answer, &computed.response.answer));
-        assert_eq!(hit_allocs, 1, "{mode:?}: allocations of a warm fleet hit");
+        assert_eq!(hit_allocs, 0, "{mode:?}: allocations of a warm fleet hit");
     }
 }

@@ -37,7 +37,8 @@ fn reconfiguring_the_home_site_recomputes_an_extended_answer() {
     let binding = svc.binding("cg").unwrap();
     assert_eq!(binding.home_site, "ranger");
     let first = svc.predict(&extended_at_india()).unwrap();
-    assert!(first.cacheable);
+    assert!(!first.from_result_cache);
+    assert_eq!(svc.result_cache_len(), 1, "the first answer is memoized");
     assert_eq!(binding.bundle_epoch(), Some(0));
     let old_bundle = binding.bundle_for_epoch(0, || panic!("memoized"));
     assert!(svc.predict(&extended_at_india()).unwrap().from_result_cache);

@@ -71,7 +71,7 @@ fn update_during_inflight_evaluation_drops_the_stale_result() {
     );
     assert_eq!(svc.evaluations(), evals_before + 1);
     let second = svc.predict(&basic("app", &site)).unwrap();
-    assert!(second.from_result_cache, "the fresh result is cacheable");
+    assert!(second.from_result_cache, "the fresh result is memoized");
     let snapshot = svc.recorder().snapshot();
     assert_eq!(
         snapshot.counters.get("svc.stale_result_dropped"),
@@ -109,7 +109,7 @@ fn update_after_a_shed_request_leaves_the_service_functional() {
     let second = svc.predict(&basic("b", &site)).unwrap();
     assert!(
         second.from_result_cache,
-        "post-update evaluations are cacheable — the shed didn't wedge the flight table"
+        "post-update evaluations are memoized — the shed didn't wedge the flight table"
     );
     let snapshot = svc.recorder().snapshot();
     assert_eq!(snapshot.counters.get("queue.shed"), Some(&1));

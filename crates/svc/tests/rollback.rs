@@ -45,8 +45,12 @@ fn a_service_rollback_answers_from_the_result_cache() {
     let mut svc = PredictService::new(node_config());
     svc.register_binary("app", a).unwrap();
     svc.start();
-    for mode in [PredictionMode::Basic, PredictionMode::Extended] {
-        assert!(svc.predict(&req(mode)).unwrap().cacheable);
+    for (memoized, mode) in [PredictionMode::Basic, PredictionMode::Extended]
+        .into_iter()
+        .enumerate()
+    {
+        assert!(!svc.predict(&req(mode)).unwrap().from_result_cache);
+        assert_eq!(svc.result_cache_len(), memoized + 1, "{mode:?} is memoized");
     }
     let before = bundle_of(&svc.binding("app").unwrap());
 
